@@ -264,7 +264,7 @@ def exact_I(e, q, cap=exact_kernel.DEFAULT_TABLE_CAP):
     """The integral of exp(H(-iu; e)) over a period box, evaluated exactly.
 
     The integral picks out the tables with margins e, so it equals
-    (2 pi)^(2K) times the partition sum Z(e) from the table enumeration.
+    (2 pi)^(2K) times the partition sum Z(e) of exact_kernel.log_partition.
     """
     lv = log_exact_I(e, q, cap=cap)
     return math.exp(lv) if lv > -math.inf else 0.0

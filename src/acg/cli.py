@@ -34,7 +34,7 @@ from . import exact_kernel as kernel
 from . import stats_validation as sv
 from .degree_model import load_params, params_dict, require_consistent
 from .errors import AcgError
-from .sampler import DEFAULT_DELTA, generate_graph, write_sample
+from .sampler import DEFAULT_DELTA, _atomic_write, generate_graph, write_sample
 
 SUITES = ("node-lln", "edge-lln", "first-edges", "self-loops", "assortativity")
 
@@ -112,12 +112,6 @@ def _resolve_seed(flag_value):
     seed = secrets.randbits(32)
     print(f"no seed given; drew seed={seed}", file=sys.stderr)
     return seed, "generated"
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -467,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--cap",
             type=int,
             default=kernel.ORACLE_CAP if name == "oracle" else kernel.DEFAULT_TABLE_CAP,
-            help="edge-count cap for enumeration (default %(default)s)",
+            help="edge-count cap (default %(default)s)",
         )
         if name in ("partition", "mean", "var"):
             sp.add_argument("--margins", type=_margins_arg, required=True, help="counts for degrees 1..K, '1,2:1,2'")
@@ -484,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("critical-point", "minimize the wiring exponent over the gauge-fixed slice"),
         ("edge-mean", "asymptotic per-edge fraction of one edge type"),
-        ("laplace-check", "compare the Laplace approximation against exact enumeration"),
+        ("laplace-check", "compare the Laplace approximation against the exact partition sum"),
     ):
         sp = asy_sub.add_parser(name, help=help_text)
         sp.add_argument("--params", required=True)

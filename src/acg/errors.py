@@ -38,7 +38,7 @@ class MarginMismatch(AcgError, ValueError):
 
 
 class CapExceeded(AcgError, ValueError):
-    """An enumeration was requested beyond its explicit size cap."""
+    """An exact computation was requested beyond its explicit size cap."""
 
 
 class InconsistentWiring(AcgError, ValueError):

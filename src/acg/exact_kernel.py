@@ -3,20 +3,29 @@
 Everything here conditions on the stub-count margins e- (in-stubs per
 degree) and e+ (out-stubs per degree), both indexed 0..K with entry 0
 identically zero.  A wiring is an ordered pairing of in- and out-stubs;
-its probability depends only on the edge-type contingency table e[k, j].
+its probability depends only on the edge-type contingency table e[k, j],
+through the table weight prod_kj Q[k, j]^e[k, j] / e[k, j]!.
 
-Float paths accumulate table weights in log space with compensated
-summation.  Passing Q as nested Fractions switches the partition,
-moment, table-probability and oracle routines to exact rational
-arithmetic (tilts excluded).  Enumeration sizes are capped explicitly:
-tables at DEFAULT_TABLE_CAP total edges, the brute-force oracle at
-ORACLE_CAP.
+The partition sum of those weights factorizes by columns,
+
+    Z(e) = [y^{e+}] prod_j (sum_k Q[k, j] y_k)^{e-_j} / e-_j!,
+
+and one dynamic program computes it: in-stubs are taken one at a time,
+column by column, and the state is the vector s of out-stubs used per
+class (s <= e+), so a stub of column j moves s to s + d_k with factor
+Q[k, j].  The same code runs on floats and, when Q is given as nested
+Fractions, in exact rational arithmetic (tilts excluded).  Edge-count
+moments ride along on the program, and the margin-reduction ratio
+Q[k, j] Z(e - d_jk) / Z(e) checks them by an independent route.  Sizes are
+capped explicitly: DEFAULT_TABLE_CAP total edges for the program,
+ORACLE_CAP for the brute-force stub-permutation oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,29 +42,35 @@ from .errors import (
 DEFAULT_TABLE_CAP = 60
 ORACLE_CAP = 7
 
+_LN2 = math.log(2.0)
+_BALANCE_SWEEPS = 20
+_MIN_EXP = sys.float_info.min_exp + 53  # balanced weights stay normal with room to spare
+_RESCALE_BITS = 64
 
-def _q_matrix(q) -> np.ndarray:
+
+def _weights(q, tilt=None, exact=None) -> list[list]:
+    """Q as nested lists of Fractions (exact) or floats times exp(tilt) on Q's support.
+
+    Exactness follows Q's entries unless forced: an object array or
+    nested Fractions/ints is exact.
+    """
     m = getattr(q, "matrix", q)
-    return m if isinstance(m, np.ndarray) else np.asarray(m, dtype=float)
+    if exact is None:
+        exact = m.dtype == object if isinstance(m, np.ndarray) else isinstance(m[0][0], (Fraction, int))
+    rows = m.tolist() if isinstance(m, np.ndarray) else [list(row) for row in m]
+    if exact:
+        if tilt is not None:
+            raise ValueError("tilted sums are not available in exact arithmetic")
+        return [[Fraction(x) for x in row] for row in rows]
+    w = [[float(x) for x in row] for row in rows]
+    if tilt is not None:
+        t = np.asarray(tilt, dtype=float).tolist()
+        w = [[x * math.exp(tk[j]) if x > 0 else 0.0 for j, x in enumerate(row)] for row, tk in zip(w, t)]
+    return w
 
 
-def _is_exact(q) -> bool:
-    m = getattr(q, "matrix", q)
-    if isinstance(m, np.ndarray):
-        return m.dtype == object
-    return isinstance(m[0][0], (Fraction, int))
-
-
-def _exact_rows(q) -> list[list[Fraction]]:
-    m = getattr(q, "matrix", q)
-    if isinstance(m, np.ndarray):
-        m = m.tolist()
-    return [[Fraction(x) for x in row] for row in m]
-
-
-def _q_size(q) -> int:
-    m = getattr(q, "matrix", q)
-    return m.shape[0] if isinstance(m, np.ndarray) else len(m)
+def _zero(w):
+    return Fraction(0) if isinstance(w[0][0], Fraction) else 0.0
 
 
 def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -79,7 +94,7 @@ def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[np.ndarray, np
     if total_minus != total_plus:
         raise MarginMismatch(f"stub totals differ: {total_minus} in-stubs vs {total_plus} out-stubs")
     if total_minus > cap:
-        raise CapExceeded(f"enumeration over {total_minus} edges exceeds cap {cap}")
+        raise CapExceeded(f"exact sum over {total_minus} edges exceeds cap {cap}")
     return em, ep, total_minus
 
 
@@ -112,104 +127,144 @@ def margins_of_sequence(x, size: int) -> tuple[np.ndarray, np.ndarray]:
     return em, ep
 
 
-def iter_tables(row_sums, col_sums, support=None):
-    """Yield all nonnegative integer matrices with the given margins.
+@dataclass(frozen=True)
+class _Sum:
+    """Z(e) = acc[0] * 2**shift / den.
 
-    Row index is the out-degree k, column index the in-degree j, matching
-    Q's orientation.  Rows are filled recursively with margin pruning; if
-    support (a boolean matrix) is given, entries outside it are forced to
-    zero.
+    With a marked cell (k, j), acc[1] and acc[2] hold sum e_kj w and
+    sum e_kj^2 w over the tables, on the same scale as acc[0].
     """
-    rows = [int(r) for r in row_sums]
-    cols = [int(c) for c in col_sums]
-    if sum(rows) != sum(cols):
-        return
-    n_rows, n_cols = len(rows), len(cols)
-    table = [[0] * n_cols for _ in range(n_rows)]
-    col_rem = list(cols)
 
-    def fill_row(r, c, remaining_row):
-        if c == n_cols - 1:
-            blocked = support is not None and not support[r][c] and remaining_row > 0
-            if remaining_row <= col_rem[c] and not blocked:
-                table[r][c] = remaining_row
-                col_rem[c] -= remaining_row
-                yield from next_row(r)
-                col_rem[c] += remaining_row
-                table[r][c] = 0
-            return
-        hi = min(remaining_row, col_rem[c])
-        if support is not None and not support[r][c]:
-            hi = 0
-        for v in range(hi + 1):
-            table[r][c] = v
-            col_rem[c] -= v
-            yield from fill_row(r, c + 1, remaining_row - v)
-            col_rem[c] += v
-        table[r][c] = 0
+    acc: tuple
+    shift: int
+    den: int
 
-    def next_row(r):
-        if r == n_rows - 1:
-            if all(v == 0 for v in col_rem):
-                yield np.array(table, dtype=int)
-            return
-        yield from fill_row(r + 1, 0, rows[r + 1])
+    def log(self) -> float:
+        return math.log(self.acc[0]) + self.shift * _LN2 - math.log(self.den)
 
-    yield from fill_row(0, 0, rows[0])
+    def value(self):
+        if isinstance(self.acc[0], Fraction):
+            return self.acc[0] / self.den
+        return math.exp(self.log())
+
+    def over(self, other):
+        """Z(self) / Z(other), exact for Fractions."""
+        r = self.acc[0] / other.acc[0] * Fraction(other.den, self.den)
+        return r if isinstance(r, Fraction) else math.ldexp(r, self.shift - other.shift)
 
 
-def _iter_margin_tables(em, ep, support=None):
-    # wiring tables: rows follow e+ (k axis), columns follow e- (j axis)
-    return iter_tables(ep, em, support=support)
+def _balanced(em, ep, w, rows, cols):
+    """Weights scaled by powers of two towards the margins, and the binary shift undoing it.
+
+    Scaling row k by 2**m_k and column j by 2**n_j multiplies every table
+    with these margins by 2**(sum m_k e+_k + sum n_j e-_j), which the
+    shift divides back out exactly.  The factors are Sinkhorn scalings
+    towards e, so the largest states of each float layer are the ones
+    that lead to e+; unbalanced, the program follows Q's own margins,
+    and when e lies far from them the states that matter can underflow
+    next to the layer's maximum.  Only binary exponents are kept, so a
+    few sweeps suffice; factors that would push a weight out of the
+    normal float range are not used.
+    """
+    a, b = [1.0] * len(w), [1.0] * len(w)
+    for _ in range(_BALANCE_SWEEPS):
+        for j in cols:
+            s = sum(w[k][j] * a[k] for k in rows)
+            if s > 0:
+                b[j] = em[j] / s
+        for k in rows:
+            s = sum(w[k][j] * b[j] for j in cols)
+            if s > 0:
+                a[k] = ep[k] / s
+    m = [math.frexp(x)[1] for x in a]
+    n = [math.frexp(x)[1] for x in b]
+    tw = [list(row) for row in w]
+    for k in rows:
+        for j in cols:
+            if w[k][j]:
+                if not _MIN_EXP < math.frexp(w[k][j])[1] + m[k] + n[j] < sys.float_info.max_exp:
+                    return w, 0
+                tw[k][j] = math.ldexp(w[k][j], m[k] + n[j])
+    return tw, -sum(m[k] * ep[k] for k in rows) - sum(n[j] * em[j] for j in cols)
 
 
-def _log_weight(table: np.ndarray, log_q: np.ndarray, tilt=None) -> float:
-    mask = table > 0
-    if not np.isfinite(log_q[mask]).all():
-        return -math.inf
-    val = float((table[mask] * log_q[mask]).sum())
-    val -= float(sum(math.lgamma(v + 1) for v in table[mask]))
-    if tilt is not None:
-        val += float((table * np.asarray(tilt, dtype=float)).sum())
-    return val
+def _partition_sum(em, ep, w, mark=None) -> _Sum | None:
+    """Z(e) by the column program over s, or None when no table has the margins.
+
+    Float weights are balanced by _balanced, and a layer is rescaled by
+    a power of two whenever its maximum drifts more than _RESCALE_BITS
+    binary orders from 1; every state of a layer has used the same number
+    of stubs, so one factor serves the whole layer.  If the target entry
+    still underflows, the sum is redone exactly on the floats' rational
+    values.  With mark = (k, j), a stub of that type maps the state's
+    (w, d1, d2) to q (w, d1 + w, d2 + 2 d1 + w); the marked column is
+    processed last, so before it d1 = d2 = 0.
+    """
+    em, ep = [int(v) for v in em], [int(v) for v in ep]
+    size = len(w)
+    rows = [k for k in range(size) if ep[k]]
+    cols = [j for j in range(size) if em[j]]
+    if mark is not None:
+        cols.sort(key=lambda j: j == mark[1])
+    den = math.prod(math.factorial(n) for n in em)
+    exact = isinstance(w[0][0], Fraction)
+    tw, shift = (w, 0) if exact else _balanced(em, ep, w, rows, cols)
+    cap = tuple(ep[k] for k in rows)
+    layer = {(0,) * len(rows): Fraction(1) if exact else 1.0}
+    d1, d2 = {}, {}
+    for j in cols:
+        step = [(i, tw[k][j], (k, j) == mark) for i, k in enumerate(rows) if tw[k][j]]
+        moments = mark is not None and j == mark[1]
+        for _ in range(em[j]):
+            if not layer:
+                return None
+            if not exact:
+                top = math.frexp(max(layer.values()))[1]
+                if abs(top) > _RESCALE_BITS:
+                    shift += top
+                    for part in (layer, d1, d2):
+                        for s in part:
+                            part[s] = math.ldexp(part[s], -top)
+            new, n1, n2 = {}, {}, {}
+            for s, v in layer.items():
+                if moments:
+                    a, b = d1.get(s, 0), d2.get(s, 0)
+                for i, q, marked in step:
+                    if s[i] == cap[i]:
+                        continue
+                    t = s[:i] + (s[i] + 1,) + s[i + 1 :]
+                    new[t] = new.get(t, 0) + q * v
+                    if moments:
+                        ma, mb = (a + v, b + 2 * a + v) if marked else (a, b)
+                        n1[t] = n1.get(t, 0) + q * ma
+                        n2[t] = n2.get(t, 0) + q * mb
+            layer, d1, d2 = new, n1, n2
+    v = layer.get(cap)
+    if v is None:
+        return None
+    if not exact and v < sys.float_info.min:
+        z = _partition_sum(em, ep, [[Fraction(x) for x in row] for row in w], mark)
+        top = z.acc[0].numerator.bit_length() - z.acc[0].denominator.bit_length()
+        return _Sum(tuple(float(x * Fraction(2) ** -top) for x in z.acc), top, den)
+    acc = (v, d1.get(cap, 0), d2.get(cap, 0)) if mark is not None else (v,)
+    return _Sum(acc, shift, den)
+
+
+def _margin_sum(e_minus, e_plus, w, cap, mark=None):
+    """Checked margins (em, ep) and their partition sum; ZeroPartition if no table."""
+    em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
+    z = _partition_sum(em, ep, w, mark)
+    if z is None:
+        raise ZeroPartition("no admissible wiring for these margins")
+    return em, ep, z
 
 
 def log_partition(e_minus, e_plus, q, tilt=None, cap: int = DEFAULT_TABLE_CAP) -> float:
     """log of the tilted partition sum over tables; -inf when no table has weight."""
-    qm = _q_matrix(q)
-    em, ep, total = _check_margins(e_minus, e_plus, qm.shape[0], cap)
-    if total == 0:
-        return 0.0
-    with np.errstate(divide="ignore"):
-        log_q = np.log(qm)
-    logs = [
-        lw
-        for table in _iter_margin_tables(em, ep, support=qm > 0)
-        if (lw := _log_weight(table, log_q, tilt)) > -math.inf
-    ]
-    if not logs:
-        return -math.inf
-    peak = max(logs)
-    return peak + math.log(math.fsum(math.exp(v - peak) for v in logs))
-
-
-def _partition_exact(e_minus, e_plus, q, cap: int) -> Fraction:
-    rows = _exact_rows(q)
-    size = len(rows)
-    em, ep, total = _check_margins(e_minus, e_plus, size, cap)
-    if total == 0:
-        return Fraction(1)
-    support = [[rows[k][j] > 0 for j in range(size)] for k in range(size)]
-    acc = Fraction(0)
-    for table in _iter_margin_tables(em, ep, support=support):
-        term = Fraction(1)
-        for k in range(size):
-            for j in range(size):
-                v = int(table[k, j])
-                if v:
-                    term = term * rows[k][j] ** v / math.factorial(v)
-        acc += term
-    return acc
+    w = _weights(q, tilt, exact=False)
+    em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
+    z = _partition_sum(em, ep, w)
+    return -math.inf if z is None else z.log()
 
 
 def tilted_partition_Z(e_minus, e_plus, q, tilt=None, cap: int = DEFAULT_TABLE_CAP):
@@ -217,12 +272,10 @@ def tilted_partition_Z(e_minus, e_plus, q, tilt=None, cap: int = DEFAULT_TABLE_C
 
     Q given as nested Fractions switches to exact arithmetic (no tilt).
     """
-    if _is_exact(q):
-        if tilt is not None:
-            raise ValueError("tilted sums are not available in exact arithmetic")
-        return _partition_exact(e_minus, e_plus, q, cap)
-    lp = log_partition(e_minus, e_plus, q, tilt=tilt, cap=cap)
-    return math.exp(lp) if lp > -math.inf else 0.0
+    w = _weights(q, tilt)
+    em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
+    z = _partition_sum(em, ep, w)
+    return _zero(w) if z is None else z.value()
 
 
 def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
@@ -262,30 +315,15 @@ def _pad_table(table, size: int) -> np.ndarray:
 
 def table_probability(table, q, cap: int = DEFAULT_TABLE_CAP):
     """Probability that the wiring realizes a given edge-type table."""
-    size = _q_size(q)
-    t = _pad_table(table, size)
-    ep = t.sum(axis=1)
-    em = t.sum(axis=0)
-    if _is_exact(q):
-        rows = _exact_rows(q)
-        z = _partition_exact(em, ep, q, cap)
-        if z == 0:
-            raise ZeroPartition("no admissible wiring for these margins")
-        w = Fraction(1)
-        for k in range(size):
-            for j in range(size):
-                v = int(t[k, j])
-                if v:
-                    w = w * rows[k][j] ** v / math.factorial(v)
-        return w / z
-    qm = _q_matrix(q)
-    lz = log_partition(em, ep, qm, cap=cap)
-    if lz == -math.inf:
-        raise ZeroPartition("no admissible wiring for these margins")
-    with np.errstate(divide="ignore"):
-        log_q = np.log(qm)
-    lw = _log_weight(t, log_q)
-    return math.exp(lw - lz) if lw > -math.inf else 0.0
+    w = _weights(q)
+    t = _pad_table(table, len(w))
+    _, _, z = _margin_sum(t.sum(axis=0), t.sum(axis=1), w, cap)
+    cells = [(w[k][j], int(v)) for (k, j), v in np.ndenumerate(t) if v]
+    if any(x == 0 for x, _ in cells):
+        return _zero(w)
+    if isinstance(w[0][0], Fraction):
+        return math.prod(x**v / math.factorial(v) for x, v in cells) / z.value()
+    return math.exp(sum(v * math.log(x) - math.lgamma(v + 1) for x, v in cells) - z.log())
 
 
 def table_of_wiring(wiring, x) -> np.ndarray:
@@ -316,58 +354,10 @@ def wiring_probability(wiring, x, q, cap: int = DEFAULT_TABLE_CAP):
     return table_probability(table, q, cap=cap) / wiring_count(table)
 
 
-def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP, cross_tol: float = 1e-12):
-    """Expected count of type-(k, j) edges given the margins.
-
-    Computed two ways, direct table average and the margin-reduction
-    ratio Q[k,j] Z(e - d_jk) / Z(e); the routes must agree to cross_tol.
-    """
-    if _is_exact(q):
-        direct = _exact_moment(e_minus, e_plus, q, k, j, cap, order=1)
-        ratio = _exact_ratio_mean(e_minus, e_plus, q, k, j, cap)
-        if direct != ratio:
-            raise AcgError(f"edge-mean routes disagree: {direct} vs {ratio}")
-        return ratio
-    qm = _q_matrix(q)
-    em, ep, _ = _check_margins(e_minus, e_plus, qm.shape[0], cap)
-    direct = _direct_moment(em, ep, qm, k, j, cap, order=1)
-    ratio = _ratio_mean(em, ep, qm, k, j, cap)
-    if abs(direct - ratio) > cross_tol * max(1.0, abs(direct), abs(ratio)):
-        raise AcgError(f"edge-mean routes disagree: {direct!r} vs {ratio!r}")
-    return ratio
-
-
-def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP, cross_tol: float = 1e-12):
-    """Variance of the type-(k, j) edge count given the margins (two routes)."""
-    if _is_exact(q):
-        mean = _exact_moment(e_minus, e_plus, q, k, j, cap, order=1)
-        second = _exact_moment(e_minus, e_plus, q, k, j, cap, order=2)
-        return second - mean * mean
-    qm = _q_matrix(q)
-    em, ep, _ = _check_margins(e_minus, e_plus, qm.shape[0], cap)
-    mean_d = _direct_moment(em, ep, qm, k, j, cap, order=1)
-    second_d = _direct_moment(em, ep, qm, k, j, cap, order=2)
-    direct = second_d - mean_d * mean_d
-    ratio = _ratio_variance(em, ep, qm, k, j, cap)
-    if abs(direct - ratio) > cross_tol * max(1.0, abs(direct), abs(ratio)):
-        raise AcgError(f"edge-variance routes disagree: {direct!r} vs {ratio!r}")
-    return ratio
-
-
-def _direct_moment(em, ep, qm, k, j, cap, order):
-    lz = log_partition(em, ep, qm, cap=cap)
-    if lz == -math.inf:
-        raise ZeroPartition("no admissible wiring for these margins")
-    with np.errstate(divide="ignore"):
-        log_q = np.log(qm)
-    acc = []
-    for table in _iter_margin_tables(em, ep, support=qm > 0):
-        if table[k, j] == 0:
-            continue
-        lw = _log_weight(table, log_q)
-        if lw > -math.inf:
-            acc.append((int(table[k, j]) ** order) * math.exp(lw - lz))
-    return math.fsum(acc)
+def _cross_check(what, direct, ratio, cross_tol) -> None:
+    tol = 0 if isinstance(ratio, Fraction) else cross_tol
+    if abs(direct - ratio) > tol * max(1.0, abs(direct), abs(ratio)):
+        raise AcgError(f"{what} routes disagree: {direct!r} vs {ratio!r}")
 
 
 def _reduced(em, ep, k, j, times=1):
@@ -378,61 +368,40 @@ def _reduced(em, ep, k, j, times=1):
     return em2, ep2
 
 
-def _ratio_mean(em, ep, qm, k, j, cap):
-    lz = log_partition(em, ep, qm, cap=cap)
-    if lz == -math.inf:
-        raise ZeroPartition("no admissible wiring for these margins")
-    if qm[k, j] == 0 or em[j] < 1 or ep[k] < 1:
-        return 0.0
-    lz2 = log_partition(*_reduced(em, ep, k, j), qm, cap=cap)
-    if lz2 == -math.inf:
-        return 0.0
-    return float(qm[k, j]) * math.exp(lz2 - lz)
+def _falling_moment(em, ep, w, z, k, j, order):
+    """E[e_kj (e_kj - 1) ... (e_kj - order + 1)] = Q[k,j]^order Z(e - order d_jk) / Z(e)."""
+    q = w[k][j]
+    if q == 0 or em[j] < order or ep[k] < order:
+        return _zero(w)
+    z2 = _partition_sum(*_reduced(em, ep, k, j, order), w)
+    return _zero(w) if z2 is None else q**order * z2.over(z)
 
 
-def _ratio_variance(em, ep, qm, k, j, cap):
-    mean = _ratio_mean(em, ep, qm, k, j, cap)
-    second_falling = 0.0
-    if qm[k, j] > 0 and em[j] >= 2 and ep[k] >= 2:
-        lz = log_partition(em, ep, qm, cap=cap)
-        lz2 = log_partition(*_reduced(em, ep, k, j, times=2), qm, cap=cap)
-        if lz2 > -math.inf:
-            second_falling = float(qm[k, j]) ** 2 * math.exp(lz2 - lz)
-    return mean + second_falling - mean * mean
+def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP, cross_tol: float = 1e-12):
+    """Expected count of type-(k, j) edges given the margins.
+
+    Computed two ways, the program's weighted count sum and the
+    margin-reduction ratio Q[k,j] Z(e - d_jk) / Z(e); the routes must
+    agree to cross_tol (exactly for Fraction Q).
+    """
+    w = _weights(q)
+    em, ep, z = _margin_sum(e_minus, e_plus, w, cap, mark=(k, j))
+    direct = z.acc[1] / z.acc[0]
+    ratio = _falling_moment(em, ep, w, z, k, j, 1)
+    _cross_check("edge-mean", direct, ratio, cross_tol)
+    return ratio
 
 
-def _exact_ratio_mean(e_minus, e_plus, q, k, j, cap) -> Fraction:
-    rows = _exact_rows(q)
-    em, ep, _ = _check_margins(e_minus, e_plus, len(rows), cap)
-    z = _partition_exact(em, ep, q, cap)
-    if z == 0:
-        raise ZeroPartition("no admissible wiring for these margins")
-    if rows[k][j] == 0 or em[j] < 1 or ep[k] < 1:
-        return Fraction(0)
-    z2 = _partition_exact(*_reduced(em, ep, k, j), q, cap)
-    return rows[k][j] * z2 / z
-
-
-def _exact_moment(e_minus, e_plus, q, k, j, cap, order) -> Fraction:
-    rows = _exact_rows(q)
-    size = len(rows)
-    em, ep, _ = _check_margins(e_minus, e_plus, size, cap)
-    z = _partition_exact(em, ep, q, cap)
-    if z == 0:
-        raise ZeroPartition("no admissible wiring for these margins")
-    support = [[rows[kk][jj] > 0 for jj in range(size)] for kk in range(size)]
-    acc = Fraction(0)
-    for table in _iter_margin_tables(em, ep, support=support):
-        if table[k, j] == 0:
-            continue
-        term = Fraction(int(table[k, j]) ** order)
-        for kk in range(size):
-            for jj in range(size):
-                v = int(table[kk, jj])
-                if v:
-                    term = term * rows[kk][jj] ** v / math.factorial(v)
-        acc += term
-    return acc / z
+def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP, cross_tol: float = 1e-12):
+    """Variance of the type-(k, j) edge count given the margins (two routes)."""
+    w = _weights(q)
+    em, ep, z = _margin_sum(e_minus, e_plus, w, cap, mark=(k, j))
+    mean_d = z.acc[1] / z.acc[0]
+    direct = z.acc[2] / z.acc[0] - mean_d * mean_d
+    mean_r = _falling_moment(em, ep, w, z, k, j, 1)
+    ratio = mean_r + _falling_moment(em, ep, w, z, k, j, 2) - mean_r * mean_r
+    _cross_check("edge-variance", direct, ratio, cross_tol)
+    return ratio
 
 
 def cumulant_generating_F(tilt, e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP) -> float:
@@ -447,11 +416,12 @@ def joint_first_M_prob(x, q, types, cap: int = DEFAULT_TABLE_CAP):
     """Probability that the first M wired edges have the given (k, j) types, in order.
 
     x may be a node-type sequence or a margins pair (e-, e+).  The value
-    telescopes through conditional edge means over shrinking margins; a
-    vanished partition mid-product means the prefix is impossible.
+    telescopes through conditional edge means Q[k,j] Z(e - d_jk) / Z(e)
+    over shrinking margins; a vanished partition mid-product means the
+    prefix is impossible.
     """
-    exact = _is_exact(q)
-    size = _q_size(q)
+    w = _weights(q)
+    size = len(w)
     if isinstance(x, tuple) and len(x) == 2 and np.ndim(x[0]) == 1 and len(np.asarray(x[0])) == size:
         em, ep, total = _check_margins(np.asarray(x[0]), np.asarray(x[1]), size, cap)
     else:
@@ -459,20 +429,17 @@ def joint_first_M_prob(x, q, types, cap: int = DEFAULT_TABLE_CAP):
         em, ep, total = _check_margins(em, ep, size, cap)
     if len(types) > total:
         raise MarginMismatch(f"asked for {len(types)} leading edges but only {total} exist")
-    prob = Fraction(1) if exact else 1.0
+    prob = _zero(w) + 1
+    z = _partition_sum(em, ep, w)
     for k, j in types:
-        try:
-            step = (
-                _exact_ratio_mean(em, ep, q, k, j, cap)
-                if exact
-                else _ratio_mean(em, ep, _q_matrix(q), k, j, cap)
-            )
-        except ZeroPartition:
-            return Fraction(0) if exact else 0.0
-        if step == 0:
-            return Fraction(0) if exact else 0.0
-        prob *= step
+        if z is None or w[k][j] == 0 or em[j] < 1 or ep[k] < 1:
+            return _zero(w)
         em, ep = _reduced(em, ep, k, j)
+        z_next = _partition_sum(em, ep, w)
+        if z_next is None:
+            return _zero(w)
+        prob *= w[k][j] * z_next.over(z)
+        z = z_next
     for i in range(len(types)):
         prob /= total - i
     return prob
@@ -536,9 +503,9 @@ def enumerate_wirings_oracle(x, q, cap: int = ORACLE_CAP) -> OracleDistribution:
     multiplies counts by E! and leaves probabilities untouched, so the
     total weight reported is E! times the bijection-weight sum.
     """
-    exact = _is_exact(q)
-    rows = _exact_rows(q) if exact else _q_matrix(q)
-    size = len(rows) if exact else rows.shape[0]
+    rows = _weights(q)
+    exact = isinstance(rows[0][0], Fraction)
+    size = len(rows)
     em, ep = margins_of_sequence(x, size)
     total = int(em.sum())
     if total > cap:
@@ -556,7 +523,7 @@ def enumerate_wirings_oracle(x, q, cap: int = ORACLE_CAP) -> OracleDistribution:
         for pos, out_slot in enumerate(perm):
             k = out_stub_deg[out_slot]
             j = in_stub_deg[pos]
-            weight = weight * (rows[k][j] if exact else float(rows[k, j]))
+            weight = weight * rows[k][j]
             table[k, j] += 1
             tlist.append((k, j))
         key = tuple(map(tuple, table.tolist()))

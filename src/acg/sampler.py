@@ -271,43 +271,50 @@ def _wire_attempt(
     events = [] if record_events else None
     used_fallback = False
     for step in range(steps):
-        c_total = 0.0
-        for k in degree_range:
-            w = ep[k] * s[k]
-            if w > 0.0:
-                c_total += w
-        if c_total <= 0.0:
-            # refresh the drifting sums before concluding anything
+        u0, u1, u2, u3 = us[step]
+        while True:
+            c_total = 0.0
             for k in degree_range:
-                s[k] = sum(em[j] * rate[k][j] for j in degree_range)
-            c_total = sum(ep[k] * s[k] for k in degree_range if ep[k] and s[k] > 0.0)
+                w = ep[k] * s[k]
+                if w > 0.0:
+                    c_total += w
             if c_total <= 0.0:
-                if not fallback_uniform:
-                    raise _WiringDeadEnd()
-                rate = [[1.0] * size for _ in range(size)]
-                used_fallback = True
+                # refresh the drifting sums before concluding anything
                 for k in degree_range:
                     s[k] = sum(em[j] * rate[k][j] for j in degree_range)
-                c_total = sum(ep[k] * s[k] for k in degree_range)
+                c_total = sum(ep[k] * s[k] for k in degree_range if ep[k] and s[k] > 0.0)
                 if c_total <= 0.0:
-                    raise _WiringDeadEnd()  # no stubs at all: internal logic error
-        u0, u1, u2, u3 = us[step]
-        target = u0 * c_total
-        acc = 0.0
-        kk = 0
-        for k in degree_range:
-            w = ep[k] * s[k]
-            if w <= 0.0:
-                continue
-            kk = k
-            acc += w
-            if acc >= target:
+                    if not fallback_uniform:
+                        raise _WiringDeadEnd()
+                    rate = [[1.0] * size for _ in range(size)]
+                    used_fallback = True
+                    for k in degree_range:
+                        s[k] = sum(em[j] * rate[k][j] for j in degree_range)
+                    c_total = sum(ep[k] * s[k] for k in degree_range)
+                    if c_total <= 0.0:
+                        raise _WiringDeadEnd()  # no stubs at all: internal logic error
+            target = u0 * c_total
+            acc = 0.0
+            kk = 0
+            for k in degree_range:
+                w = ep[k] * s[k]
+                if w <= 0.0:
+                    continue
+                kk = k
+                acc += w
+                if acc >= target:
+                    break
+            row = rate[kk]
+            row_total = 0.0
+            for j in degree_range:
+                if em[j]:
+                    row_total += em[j] * row[j]
+            if row_total > 0.0:
                 break
-        row = rate[kk]
-        row_total = 0.0
-        for j in degree_range:
-            if em[j]:
-                row_total += em[j] * row[j]
+            # drift left s[kk] > 0 after kk's last admissible in-stub was
+            # used: redo the pick on sums recomputed from the integer counts
+            for k in degree_range:
+                s[k] = sum(em[j] * rate[k][j] for j in degree_range)
         target = u1 * row_total
         acc = 0.0
         jj = 0

@@ -1,5 +1,7 @@
 """Independent reference implementations used as test oracles."""
 
+import math
+
 import numpy as np
 
 from acg.degree_model import EdgeTypeDist, NodeTypeDist
@@ -98,3 +100,66 @@ def random_consistent_pair(rng, K: int = 2):
     q = np.zeros((K + 1, K + 1))
     q[1:, 1:] = m
     return NodeTypeDist.from_weights(p), EdgeTypeDist.from_weights(q)
+
+
+def iter_tables(row_sums, col_sums, support=None):
+    """Yield all nonnegative integer matrices with the given margins.
+
+    Row index is the out-degree k, column index the in-degree j, matching
+    Q's orientation.  Rows are filled recursively with margin pruning; if
+    support (a boolean matrix) is given, entries outside it are forced to
+    zero.
+    """
+    rows = [int(r) for r in row_sums]
+    cols = [int(c) for c in col_sums]
+    if sum(rows) != sum(cols):
+        return
+    n_rows, n_cols = len(rows), len(cols)
+    table = [[0] * n_cols for _ in range(n_rows)]
+    col_rem = list(cols)
+
+    def fill_row(r, c, remaining_row):
+        if c == n_cols - 1:
+            blocked = support is not None and not support[r][c] and remaining_row > 0
+            if remaining_row <= col_rem[c] and not blocked:
+                table[r][c] = remaining_row
+                col_rem[c] -= remaining_row
+                yield from next_row(r)
+                col_rem[c] += remaining_row
+                table[r][c] = 0
+            return
+        hi = min(remaining_row, col_rem[c])
+        if support is not None and not support[r][c]:
+            hi = 0
+        for v in range(hi + 1):
+            table[r][c] = v
+            col_rem[c] -= v
+            yield from fill_row(r, c + 1, remaining_row - v)
+            col_rem[c] += v
+        table[r][c] = 0
+
+    def next_row(r):
+        if r == n_rows - 1:
+            if all(v == 0 for v in col_rem):
+                yield np.array(table, dtype=int)
+            return
+        yield from fill_row(r + 1, 0, rows[r + 1])
+
+    yield from fill_row(0, 0, rows[0])
+
+
+def weighted_tables(e_minus, e_plus, rows):
+    """Every table with margins (e-, e+) and its weight prod Q[k, j]^e[k, j] / e[k, j]!.
+
+    rows holds Q as nested floats or Fractions; weights keep that type.
+    Tables through a cell where Q vanishes are skipped.
+    """
+    support = [[x > 0 for x in row] for row in rows]
+    out = []
+    for table in iter_tables(e_plus, e_minus, support=support):
+        weight = 1
+        for (k, j), v in np.ndenumerate(table):
+            if v:
+                weight = weight * rows[k][j] ** int(v) / math.factorial(int(v))
+        out.append((table, weight))
+    return out

@@ -212,6 +212,27 @@ def test_laplace_ratio_trend_k1():
     assert ratios[-1] == pytest.approx(math.sqrt(2), rel=0.02)
 
 
+def test_laplace_ratio_trend_k3():
+    # criterion 6 at K = 3: the ratio exact/laplace flattens as E grows
+    # through 60, 120, 180 on margins far enough from Q's own to move the
+    # critical point; the exact side needs an explicit cap above 60 edges
+    q = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.125, 0.0625, 0.0625],
+            [0.0, 0.0625, 0.25, 0.0625],
+            [0.0, 0.0625, 0.0625, 0.25],
+        ]
+    )
+    ratios = []
+    for m in (1, 2, 3):
+        e = asym.double_vector(m * np.array([12.0, 18.0, 30.0]), m * np.array([18.0, 18.0, 24.0]))
+        log_exact = asym.log_exact_I(e, q, cap=60 * m)
+        ratios.append(math.exp(log_exact - asym.log_laplace_I_approx(e, q)))
+    diffs = np.abs(np.diff(ratios))
+    assert diffs[1] < diffs[0]
+
+
 def test_log_laplace_finite_at_large_margins(bal2):
     _, q = bal2
     e = asym.from_margins(np.array([0, 2500, 5000]), np.array([0, 2500, 5000]))

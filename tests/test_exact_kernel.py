@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acg import exact_kernel as kernel
 from acg.errors import AcgError, CapExceeded, MarginMismatch, ZeroPartition
 
-from helpers import ORACLE_SEQUENCES
+from helpers import ORACLE_SEQUENCES, iter_tables, weighted_tables
 
 E3_SEQUENCE = [(1, 2), (2, 1)]
 E3_MINUS = np.array([0, 1, 2])
@@ -44,7 +46,7 @@ def test_wiring_counts_of_e3_tables():
 
 
 def test_iter_tables_enumerates_margin_polytope():
-    tables = list(kernel.iter_tables(E3_PLUS, E3_MINUS))
+    tables = list(iter_tables(E3_PLUS, E3_MINUS))
     keys = {tuple(map(tuple, t.tolist())) for t in tables}
     assert keys == {tuple(map(tuple, TABLE_A)), tuple(map(tuple, TABLE_B))}
 
@@ -197,3 +199,90 @@ def test_wiring_probability_consistency(bal2):
     p_w = kernel.wiring_probability(wiring, E3_SEQUENCE, q)
     p_t = kernel.table_probability(table, q)
     assert p_w * kernel.wiring_count(table) == pytest.approx(p_t, rel=1e-12)
+
+
+@st.composite
+def margin_cases(draw):
+    """Q on K <= 4 as eighths with forbidden cells, and margins with E <= 12.
+
+    The margins are drawn independently of Q's support, so some admit no
+    table at all.
+    """
+    size = draw(st.integers(1, 4)) + 1
+    rows = [[Fraction(0)] * size] + [
+        [Fraction(0)] + [Fraction(draw(st.integers(0, 4)), 8) for _ in range(size - 1)]
+        for _ in range(size - 1)
+    ]
+    total = draw(st.integers(0, 12))
+
+    def margin():
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=size - 2, max_size=size - 2)))
+        return np.array([0] + [b - a for a, b in zip([0] + cuts, cuts + [total])])
+
+    return rows, margin(), margin(), (draw(st.integers(1, size - 1)), draw(st.integers(1, size - 1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(margin_cases())
+def test_partition_program_matches_table_enumeration(case):
+    rows, em, ep, (k, j) = case
+    rows_f = [[float(x) for x in row] for row in rows]
+    tables = weighted_tables(em, ep, rows)
+    z_exact = sum((w for _, w in tables), Fraction(0))
+    z_float = math.fsum(w for _, w in weighted_tables(em, ep, rows_f))
+    got = kernel.tilted_partition_Z(em, ep, rows)
+    assert isinstance(got, Fraction) and got == z_exact
+    if z_exact == 0:
+        assert kernel.tilted_partition_Z(em, ep, rows_f) == 0.0
+        assert kernel.log_partition(em, ep, rows_f) == -math.inf
+        for qq in (rows, rows_f):
+            with pytest.raises(ZeroPartition):
+                kernel.exact_edge_mean(em, ep, qq, k, j)
+        return
+    assert kernel.tilted_partition_Z(em, ep, rows_f) == pytest.approx(z_float, rel=1e-12)
+    assert kernel.log_partition(em, ep, rows_f) == pytest.approx(math.log(z_float), rel=1e-12, abs=1e-12)
+    mean = sum((t[k, j] * w for t, w in tables), Fraction(0)) / z_exact
+    second = sum((t[k, j] ** 2 * w for t, w in tables), Fraction(0)) / z_exact
+    assert kernel.exact_edge_mean(em, ep, rows, k, j) == mean
+    assert kernel.exact_edge_variance(em, ep, rows, k, j) == second - mean * mean
+    assert kernel.exact_edge_mean(em, ep, rows_f, k, j) == pytest.approx(float(mean), rel=1e-12, abs=1e-12)
+    for t, w in tables[:3]:
+        assert kernel.table_probability(t, rows) == w / z_exact
+
+
+def _log_fraction(x: Fraction) -> float:
+    return math.log(x.numerator) - math.log(x.denominator)
+
+
+def test_float_partition_follows_far_margins():
+    # rows 2 and 3 weigh 2^-30 and 2^-60 of row 1, and the margins take 125
+    # of 150 out-stubs from row 3: a float program that tracks Q's own
+    # margins drops the states leading there (it came out 1.3e-4 low in log)
+    rows = [
+        [Fraction(0)] * 4,
+        [Fraction(0), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
+        [Fraction(0), Fraction(1, 2**30), Fraction(1, 2**29), Fraction(1, 2**30)],
+        [Fraction(0), Fraction(1, 2**60), Fraction(1, 2**60), Fraction(1, 2**59)],
+    ]
+    rows_f = [[float(x) for x in row] for row in rows]
+    em, ep = np.array([0, 50, 50, 50]), np.array([0, 20, 5, 125])
+    z = kernel.tilted_partition_Z(em, ep, rows, cap=150)
+    assert z > 0
+    got = kernel.log_partition(em, ep, rows_f, cap=150)
+    assert got == pytest.approx(_log_fraction(z), rel=1e-10)
+
+
+def test_float_partition_redone_exactly_when_target_underflows():
+    # weights spread over 10^400 cannot be balanced inside the float range,
+    # and every table passes through the 1e-300 and 1e-200 cells: the float
+    # target entry underflows, and the sum is redone on exact rationals
+    rows_f = [
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.5, 1e100, 1e100],
+        [0.0, 0.0, 1.0, 1e-200],
+        [0.0, 0.0, 1e-300, 0.0],
+    ]
+    rows = [[Fraction(x) for x in row] for row in rows_f]
+    em, ep = np.array([0, 0, 3, 2]), np.array([0, 2, 0, 3])
+    z = kernel.tilted_partition_Z(em, ep, rows)
+    assert kernel.log_partition(em, ep, rows_f) == pytest.approx(_log_fraction(z), rel=1e-10)

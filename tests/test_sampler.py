@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from acg.errors import ClipOverflow, InfeasibleSequence, InvalidDistribution
+from acg.degree_model import EdgeTypeDist, NodeTypeDist
+from acg.errors import AcgError, ClipOverflow, InfeasibleSequence, InvalidDistribution
 from acg.sampler import (
     MultiGraph,
     NodeTypeSequence,
@@ -17,6 +20,8 @@ from acg.sampler import (
     stub_census,
     write_sample,
 )
+
+from helpers import random_consistent_pair
 
 
 def seq(pairs):
@@ -195,3 +200,52 @@ def test_clip_acceptance_is_high(bal2):
         if clip_sequence(x, 2, rng=rng) is not None:
             accepted += 1
     assert accepted == draws
+
+
+@st.composite
+def sampler_cases(draw):
+    """Random symmetric node law and edge law on K <= 4, with forbidden cells."""
+    size = draw(st.integers(1, 4)) + 1
+    cell = st.integers(0, 3)
+    w = np.array([[draw(cell) for _ in range(size)] for _ in range(size)], dtype=float)
+    p = w + w.T  # equal mean in- and out-degree
+    q = np.zeros((size, size))
+    q[1:, 1:] = [[draw(cell) for _ in range(size - 1)] for _ in range(size - 1)]
+    return p, q, draw(st.integers(1, 40)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sampler_cases())
+def test_generate_graph_realizes_sequence_or_raises(case):
+    p_w, q_w, n, seed = case
+    assume(p_w.sum() > 0 and q_w.sum() > 0)
+    try:
+        p = NodeTypeDist.from_weights(p_w / p_w.sum())
+        q = EdgeTypeDist.from_weights(q_w / q_w.sum())
+        g = generate_graph(p, q, n, seed=seed, max_redraws=20)
+    except AcgError:
+        return
+    assert np.array_equal(np.bincount(g.edge_src, minlength=g.n_nodes), g.out_degrees)
+    assert np.array_equal(np.bincount(g.edge_dst, minlength=g.n_nodes), g.in_degrees)
+    assert np.array_equal(g.out_degrees[g.edge_src], g.edge_out_type)
+    assert np.array_equal(g.in_degrees[g.edge_dst], g.edge_in_type)
+
+
+# seeds of the pair below whose float row sums drifted positive after an
+# out-class had no admissible in-stub left, so the wiring indexed an empty pool
+DRIFT_SEEDS = (3, 27, 140, 147, 157)
+
+
+def test_wiring_survives_drifted_row_sums():
+    for i in DRIFT_SEEDS:
+        rng = np.random.default_rng([7, i])
+        p, q = random_consistent_pair(rng, K=3)
+        m = q.matrix.copy()
+        mass = min(m[1, 1], m[2, 2])  # move the (1,1) mass off the diagonal, margins kept
+        m[1, 1] -= mass
+        m[2, 2] -= mass
+        m[1, 2] += mass
+        m[2, 1] += mass
+        g = generate_graph(p, EdgeTypeDist.from_weights(m), 30, seed=i)
+        assert np.array_equal(np.bincount(g.edge_src, minlength=g.n_nodes), g.out_degrees)
+        assert np.array_equal(np.bincount(g.edge_dst, minlength=g.n_nodes), g.in_degrees)
