@@ -52,6 +52,7 @@ from .sampler import (
     MultiGraph,
     NodeTypeSequence,
     StubCensus,
+    accept_sequence,
     classify_graph,
     clip_sequence,
     draw_node_sequence,
@@ -80,6 +81,7 @@ __all__ = [
     "NodeTypeDist",
     "NodeTypeSequence",
     "StubCensus",
+    "accept_sequence",
     "assortativity_coefficient",
     "asymptotic_edge_mean",
     "classify_graph",

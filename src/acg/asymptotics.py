@@ -65,14 +65,6 @@ def gauge_direction(size):
     return double_vector(np.ones(size), -np.ones(size))
 
 
-def unit_delta(size, j, k):
-    """delta_jk = delta_j^- + delta_k^+, the stub increment of one (k, j) edge."""
-    v = np.zeros(2 * size)
-    v[j - 1] = 1.0
-    v[size + k - 1] = 1.0
-    return v
-
-
 def _core(q):
     """Q as a K x K array over positive degrees, rows k and columns j."""
     m = getattr(q, "matrix", q)

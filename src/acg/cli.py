@@ -162,7 +162,6 @@ def _cmd_generate(args) -> int:
         "samples": args.samples,
         "seed": seed,
         "seed_source": seed_source,
-        "threads": args.threads,
     }
     _write_json(out / "params.json", params_dict(p, q))
     if args.samples > 1:
@@ -414,7 +413,6 @@ def _cmd_validate(args) -> int:
             "seed_source": seed_source,
             "sizes": list(args.sizes),
             "suites": suites,
-            "threads": args.threads,
         },
     )
     for suite in suites:
@@ -442,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-dir", default=".", help="output directory (default current)")
     gen.add_argument("--max-redraws", type=int, default=1000, help="node sequence redraw budget")
     gen.add_argument("--max-restarts", type=int, default=10, help="wiring restart budget per graph")
-    gen.add_argument("--threads", type=int, default=1, help="accepted for compatibility; sampling is serial")
     gen.set_defaults(func=_cmd_generate)
 
     exact = sub.add_parser("exact", help="finite-size exact quantities from the wiring distribution")
@@ -522,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--length", type=int, default=1, help="leading edge count for first-edges")
     val.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     val.add_argument("--out-dir", default=".")
-    val.add_argument("--threads", type=int, default=1, help="accepted for compatibility; suites run serially")
     val.set_defaults(func=_cmd_validate)
 
     return parser

@@ -21,21 +21,6 @@ RENORM_TOL = 1e-9
 CONSISTENCY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DegreeSupport:
-    """Degree cutoff K; degrees live in {0, ..., K}."""
-
-    K: int
-
-    def __post_init__(self):
-        if int(self.K) != self.K or self.K < 1:
-            raise InvalidDistribution(f"degree cutoff must be an integer >= 1, got {self.K}")
-
-    @property
-    def size(self) -> int:
-        return self.K + 1
-
-
 def _as_prob_matrix(weights, name: str, renorm_tol: float) -> np.ndarray:
     m = np.array(weights, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
@@ -91,10 +76,6 @@ class NodeTypeDist:
     @property
     def K(self) -> int:
         return self.matrix.shape[0] - 1
-
-    @property
-    def support(self) -> DegreeSupport:
-        return DegreeSupport(self.K)
 
 
 @dataclass(frozen=True)

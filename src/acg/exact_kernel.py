@@ -279,14 +279,28 @@ def tilted_partition_Z(e_minus, e_plus, q, tilt=None, cap: int = DEFAULT_TABLE_C
 
 
 def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
-    """Normalizing constant of the wiring measure: E! (prod e-!)(prod e+!) Z."""
-    em = np.asarray(e_minus, dtype=int)
-    ep = np.asarray(e_plus, dtype=int)
-    z = tilted_partition_Z(e_minus, e_plus, q, cap=cap)
+    """Normalizing constant of the wiring measure: E! (prod e-!)(prod e+!) Z.
+
+    Exact for Fraction Q.  For float Q the integer factor is joined to Z
+    through its binary exponent, so C is finite wherever it fits a float
+    and math.inf beyond that range.
+    """
+    w = _weights(q)
+    em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
+    z = _partition_sum(em, ep, w)
+    if z is None:
+        return _zero(w)
     scale = math.factorial(int(em.sum()))
     for v in itertools.chain(em, ep):
         scale *= math.factorial(int(v))
-    return scale * z
+    if isinstance(w[0][0], Fraction):
+        return scale * z.value()
+    num = scale // z.den  # den = prod e-! divides scale
+    drop = max(num.bit_length() - 64, 0)
+    try:
+        return math.ldexp(z.acc[0] * float(num >> drop), z.shift + drop)
+    except OverflowError:
+        return math.inf
 
 
 def wiring_count(table) -> int:
@@ -360,6 +374,11 @@ def _cross_check(what, direct, ratio, cross_tol) -> None:
         raise AcgError(f"{what} routes disagree: {direct!r} vs {ratio!r}")
 
 
+def _check_type(k, j, size: int) -> None:
+    if not (0 <= k < size and 0 <= j < size):
+        raise MarginMismatch(f"edge type ({k}, {j}) lies outside degrees 0..{size - 1}")
+
+
 def _reduced(em, ep, k, j, times=1):
     em2 = np.array(em, dtype=int)
     ep2 = np.array(ep, dtype=int)
@@ -385,6 +404,7 @@ def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE
     agree to cross_tol (exactly for Fraction Q).
     """
     w = _weights(q)
+    _check_type(k, j, len(w))
     em, ep, z = _margin_sum(e_minus, e_plus, w, cap, mark=(k, j))
     direct = z.acc[1] / z.acc[0]
     ratio = _falling_moment(em, ep, w, z, k, j, 1)
@@ -395,6 +415,7 @@ def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE
 def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP, cross_tol: float = 1e-12):
     """Variance of the type-(k, j) edge count given the margins (two routes)."""
     w = _weights(q)
+    _check_type(k, j, len(w))
     em, ep, z = _margin_sum(e_minus, e_plus, w, cap, mark=(k, j))
     mean_d = z.acc[1] / z.acc[0]
     direct = z.acc[2] / z.acc[0] - mean_d * mean_d
@@ -422,6 +443,8 @@ def joint_first_M_prob(x, q, types, cap: int = DEFAULT_TABLE_CAP):
     """
     w = _weights(q)
     size = len(w)
+    for k, j in types:
+        _check_type(k, j, size)
     if isinstance(x, tuple) and len(x) == 2 and np.ndim(x[0]) == 1 and len(np.asarray(x[0])) == size:
         em, ep, total = _check_margins(np.asarray(x[0]), np.asarray(x[1]), size, cap)
     else:

@@ -1,9 +1,17 @@
 """Approximate simulation of assortative configuration multigraphs.
 
-The pipeline: draw N node types i.i.d., reject or clip the stub-count
-discrepancy, then wire in- to out-stubs sequentially with type-dependent
-weights.  Randomness comes from numpy Generators; batch callers split
-streams with the rule rng_for(seed, index) = default_rng([seed, index]).
+The pipeline: draw N node types i.i.d., redraw or clip the stub-count
+discrepancy (accept_sequence), then wire in- to out-stubs sequentially
+with type-dependent weights.  The wiring measure factors in two stages,
+and the code follows it:
+
+1. type chain: the edge type (k, j) of each step depends only on the
+   integer stub counts per degree class;
+2. stub matching: given the types, stubs are matched uniformly without
+   replacement within each class, each class independently.
+
+Randomness comes from numpy Generators; batch callers split streams with
+the rule rng_for(seed, index) = default_rng([seed, index]).
 """
 
 from __future__ import annotations
@@ -79,10 +87,6 @@ class StubCensus:
     e_minus: np.ndarray  # in-stubs of degree j: j * u-_j
     e_plus: np.ndarray  # out-stubs of degree k: k * u+_k
     n_edges: int
-
-    @property
-    def K(self) -> int:
-        return self.type_counts.shape[0] - 1
 
 
 def draw_node_sequence(p: NodeTypeDist, n: int, rng: np.random.Generator) -> NodeTypeSequence:
@@ -178,19 +182,6 @@ class MultiGraph:
         return self.edge_src == self.edge_dst
 
 
-@dataclass(frozen=True)
-class WiringEvent:
-    """One recorded wiring step (only kept when requested)."""
-
-    step: int
-    out_type: int
-    in_type: int
-    src: int
-    dst: int
-    normalizer: float
-    stubs_left: int
-
-
 def _type_rate_matrix(q: EdgeTypeDist) -> list[list[float]]:
     """R[k][j] = Q[k,j] / (Q+_k Q-_j); zero wherever a margin vanishes."""
     size = q.K + 1
@@ -206,164 +197,118 @@ def _type_rate_matrix(q: EdgeTypeDist) -> list[list[float]]:
     return rate
 
 
-def wiring_step_distribution(census: StubCensus, q: EdgeTypeDist, uniform: bool = False) -> np.ndarray:
-    """Matrix of type probabilities for the next wiring step.
-
-    Entry [k, j] is proportional to e-_j e+_k Q[k,j] / (Q+_k Q-_j); the
-    uniform flag replaces the Q factor by 1 (the fallback measure).
-    """
-    size = census.K + 1
-    em = census.e_minus.astype(float)
-    ep = census.e_plus.astype(float)
-    weights = np.outer(ep, em)
-    if not uniform:
-        if q.K != census.K:
-            raise InvalidDistribution(f"census K={census.K} does not match Q K={q.K}")
-        weights = weights * np.array(_type_rate_matrix(q))
-    total = weights.sum()
-    if total <= 0:
-        raise DeadEnd("no admissible stub pairing remains")
-    return weights / total
-
-
 class _WiringDeadEnd(Exception):
     pass
 
 
-def _build_pools(x: NodeTypeSequence, size: int):
-    pool_in = [[] for _ in range(size)]
-    pool_out = [[] for _ in range(size)]
-    for d in range(1, size):
-        owners = np.flatnonzero(x.in_degrees == d)
-        if len(owners):
-            pool_in[d] = np.repeat(owners, d).tolist()
-        owners = np.flatnonzero(x.out_degrees == d)
-        if len(owners):
-            pool_out[d] = np.repeat(owners, d).tolist()
-    return pool_in, pool_out
+def _chain_state(rate, em):
+    """Support lists, reachable in-stub counts and weight sums for one rate matrix.
 
-
-def _wire_attempt(
-    x: NodeTypeSequence,
-    rate,
-    size: int,
-    n_edges: int,
-    rng: np.random.Generator,
-    fallback_uniform: bool,
-    record_events: bool,
-    n_steps: int | None = None,
-):
-    """One wiring pass.  Raises _WiringDeadEnd unless fallback_uniform is set,
-    in which case remaining stubs are matched under unit rates."""
-    pool_in, pool_out = _build_pools(x, size)
-    em = [len(pl) for pl in pool_in]
-    ep = [len(pl) for pl in pool_out]
+    cols[k] lists the in-classes j with R[k][j] > 0 and hits[j] the out-classes
+    k that reach j; count[k] is the integer number of in-stubs out-class k can
+    still reach and s[k] = sum_j e-_j R[k][j] its float weight sum.
+    """
+    size = len(rate)
     degree_range = range(1, size)
-    s = [0.0] * size
-    for k in degree_range:
-        s[k] = sum(em[j] * rate[k][j] for j in degree_range)
-    steps = n_edges if n_steps is None else min(n_steps, n_edges)
-    us = rng.random((steps, 4)).tolist()
-    src_list = [0] * steps
-    dst_list = [0] * steps
-    ktype_list = [0] * steps
-    jtype_list = [0] * steps
-    events = [] if record_events else None
+    cols = [[j for j in degree_range if rate[k][j] > 0.0] for k in range(size)]
+    hits = [[k for k in degree_range if rate[k][j] > 0.0] for j in range(size)]
+    count = [sum(em[j] for j in cols[k]) for k in range(size)]
+    return cols, hits, count, _row_sums(rate, em, cols)
+
+
+def _row_sums(rate, em, cols):
+    return [sum(em[j] * rate[k][j] for j in cols[k]) for k in range(len(rate))]
+
+
+def _type_chain(census: StubCensus, rate, us: np.ndarray, fallback_uniform: bool):
+    """Edge types (k, j) of the wiring steps, from the stub counts alone.
+
+    Step t picks an out-class k with weight e+_k s_k using us[t, 0], then an
+    in-class j with weight e-_j R[k][j] using us[t, 1].  Out-class k takes
+    part only while its integer count of reachable in-stubs is positive; the
+    float sums s_k, decremented per step and recomputed every _REFRESH_EVERY
+    steps, only weigh the pick.  When no out-class takes part the chain
+    raises _WiringDeadEnd, or with fallback_uniform continues under unit
+    rates.  Returns (out types, in types, whether the fallback was used).
+    """
+    size = len(rate)
+    degree_range = range(1, size)
+    em = census.e_minus.tolist()
+    ep = census.e_plus.tolist()
+    u_out = us[:, 0].tolist()
+    u_in = us[:, 1].tolist()
+    steps = len(u_out)
+    kt = [0] * steps
+    jt = [0] * steps
+    cols, hits, count, s = _chain_state(rate, em)
     used_fallback = False
-    for step in range(steps):
-        u0, u1, u2, u3 = us[step]
+    for t in range(steps):
         while True:
             c_total = 0.0
+            live = False
             for k in degree_range:
-                w = ep[k] * s[k]
-                if w > 0.0:
-                    c_total += w
-            if c_total <= 0.0:
-                # refresh the drifting sums before concluding anything
-                for k in degree_range:
-                    s[k] = sum(em[j] * rate[k][j] for j in degree_range)
-                c_total = sum(ep[k] * s[k] for k in degree_range if ep[k] and s[k] > 0.0)
-                if c_total <= 0.0:
-                    if not fallback_uniform:
-                        raise _WiringDeadEnd()
-                    rate = [[1.0] * size for _ in range(size)]
-                    used_fallback = True
-                    for k in degree_range:
-                        s[k] = sum(em[j] * rate[k][j] for j in degree_range)
-                    c_total = sum(ep[k] * s[k] for k in degree_range)
-                    if c_total <= 0.0:
-                        raise _WiringDeadEnd()  # no stubs at all: internal logic error
-            target = u0 * c_total
-            acc = 0.0
-            kk = 0
-            for k in degree_range:
-                w = ep[k] * s[k]
-                if w <= 0.0:
-                    continue
+                if ep[k] and count[k]:
+                    c_total += ep[k] * s[k]
+                    live = True
+            if live:
+                break
+            if not fallback_uniform or used_fallback:
+                raise _WiringDeadEnd()
+            rate = [[1.0] * size for _ in range(size)]
+            cols, hits, count, s = _chain_state(rate, em)
+            used_fallback = True
+        target = u_out[t] * c_total
+        acc = 0.0
+        for k in degree_range:
+            if ep[k] and count[k]:
                 kk = k
-                acc += w
+                acc += ep[k] * s[k]
                 if acc >= target:
                     break
-            row = rate[kk]
-            row_total = 0.0
-            for j in degree_range:
-                if em[j]:
-                    row_total += em[j] * row[j]
-            if row_total > 0.0:
-                break
-            # drift left s[kk] > 0 after kk's last admissible in-stub was
-            # used: redo the pick on sums recomputed from the integer counts
-            for k in degree_range:
-                s[k] = sum(em[j] * rate[k][j] for j in degree_range)
-        target = u1 * row_total
+        row = rate[kk]
+        row_total = 0.0
+        for j in cols[kk]:
+            if em[j]:
+                row_total += em[j] * row[j]
+        target = u_in[t] * row_total
         acc = 0.0
-        jj = 0
-        for j in degree_range:
-            w = em[j] * row[j]
-            if w <= 0.0:
-                continue
-            jj = j
-            acc += w
-            if acc >= target:
-                break
-        pin = pool_in[jj]
-        idx = int(u2 * len(pin))
-        if idx >= len(pin):
-            idx = len(pin) - 1
-        dst = pin[idx]
-        pin[idx] = pin[-1]
-        pin.pop()
-        pout = pool_out[kk]
-        idx = int(u3 * len(pout))
-        if idx >= len(pout):
-            idx = len(pout) - 1
-        src = pout[idx]
-        pout[idx] = pout[-1]
-        pout.pop()
+        for j in cols[kk]:
+            if em[j]:
+                jj = j
+                acc += em[j] * row[j]
+                if acc >= target:
+                    break
         em[jj] -= 1
         ep[kk] -= 1
-        for k in degree_range:
+        for k in hits[jj]:
             s[k] -= rate[k][jj]
-        if (step & (_REFRESH_EVERY - 1)) == _REFRESH_EVERY - 1:
-            for k in degree_range:
-                s[k] = sum(em[j] * rate[k][j] for j in degree_range)
-        src_list[step] = src
-        dst_list[step] = dst
-        ktype_list[step] = kk
-        jtype_list[step] = jj
-        if record_events:
-            events.append(
-                WiringEvent(
-                    step=step,
-                    out_type=kk,
-                    in_type=jj,
-                    src=src,
-                    dst=dst,
-                    normalizer=c_total,
-                    stubs_left=n_edges - step - 1,
-                )
-            )
-    return src_list, dst_list, ktype_list, jtype_list, events, used_fallback
+            count[k] -= 1
+        if (t & (_REFRESH_EVERY - 1)) == _REFRESH_EVERY - 1:
+            s = _row_sums(rate, em, cols)
+        kt[t] = kk
+        jt[t] = jj
+    return kt, jt, used_fallback
+
+
+def _assign_stubs(degrees: np.ndarray, types, us: np.ndarray, col: int) -> np.ndarray:
+    """Owner of the stub each step uses, drawn uniformly within its class.
+
+    Step t takes the stub at position int(us[t, col] * size) of the pool of
+    class types[t] and fills the gap with the pool's last stub.
+    """
+    size = int(degrees.max(initial=0)) + 1
+    pools = [np.repeat(np.flatnonzero(degrees == d), d).tolist() for d in range(size)]
+    u = us[:, col].tolist()
+    owners = [0] * len(types)
+    for t, d in enumerate(types):
+        pool = pools[d]
+        idx = int(u[t] * len(pool))
+        if idx >= len(pool):
+            idx = len(pool) - 1
+        owners[t] = pool[idx]
+        pool[idx] = pool[-1]
+        pool.pop()
+    return np.array(owners, dtype=np.int64)
 
 
 def sequential_wiring(
@@ -371,48 +316,38 @@ def sequential_wiring(
     q: EdgeTypeDist,
     rng: np.random.Generator,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
-    uniform_fallback: bool = True,
-    record_events: bool = False,
 ) -> MultiGraph:
     """Wire a balanced node-type sequence into a multigraph.
 
     Each step samples an edge type (k, j) with weight
     e-_j e+_k Q[k,j] / (Q+_k Q-_j), then picks one in-stub and one
-    out-stub uniformly within the chosen degree classes.  A stalled pass
-    is restarted from scratch up to max_restarts times; if every restart
-    stalls, the final pass finishes under uniform stub matching (flagged
-    in meta) unless uniform_fallback is False, in which case DeadEnd
-    propagates.
+    out-stub uniformly within the chosen degree classes.  Every attempt
+    draws one row of four uniforms per edge: two for the type chain and
+    one for each stub.  A stalled attempt is restarted from scratch up to
+    max_restarts times; the final attempt finishes under uniform stub
+    matching if it stalls too (flagged in meta).
     """
     census = stub_census(x, k_cut=q.K)
     rate = _type_rate_matrix(q)
-    size = q.K + 1
     restarts = 0
     while True:
+        us = rng.random((census.n_edges, 4))
         try:
-            allow_fallback = uniform_fallback and restarts == max_restarts
-            src, dst, kt, jt, events, used_fallback = _wire_attempt(
-                x, rate, size, census.n_edges, rng, allow_fallback, record_events
-            )
+            kt, jt, used_fallback = _type_chain(census, rate, us, restarts == max_restarts)
             break
         except _WiringDeadEnd:
             restarts += 1
             if restarts > max_restarts:
-                raise DeadEnd(
-                    f"wiring stalled in {restarts} attempts and fallback is disabled"
-                ) from None
-    g = MultiGraph(
+                raise DeadEnd(f"wiring stalled in {restarts} attempts") from None
+    return MultiGraph(
         in_degrees=np.array(x.in_degrees),
         out_degrees=np.array(x.out_degrees),
-        edge_src=np.array(src, dtype=np.int64),
-        edge_dst=np.array(dst, dtype=np.int64),
+        edge_src=_assign_stubs(x.out_degrees, kt, us, 3),
+        edge_dst=_assign_stubs(x.in_degrees, jt, us, 2),
         edge_out_type=np.array(kt, dtype=np.int64),
         edge_in_type=np.array(jt, dtype=np.int64),
         meta={"wiring_restarts": restarts, "uniform_fallback": used_fallback},
     )
-    if record_events:
-        g.meta["events"] = events
-    return g
 
 
 def first_edge_types(
@@ -421,18 +356,45 @@ def first_edge_types(
     rng: np.random.Generator,
     count: int,
 ) -> list[tuple[int, int]]:
-    """Types (k, j) of the first `count` wired edges, without finishing the graph."""
+    """Types (k, j) of the first `count` wired edges, without wiring any stub.
+
+    Draws the same uniforms as the first `count` steps of sequential_wiring.
+    """
     census = stub_census(x, k_cut=q.K)
     if count > census.n_edges:
         raise InfeasibleSequence(f"asked for {count} edges, sequence has {census.n_edges}")
-    rate = _type_rate_matrix(q)
     try:
-        _, _, kt, jt, _, _ = _wire_attempt(
-            x, rate, q.K + 1, census.n_edges, rng, False, False, n_steps=count
-        )
+        kt, jt, _ = _type_chain(census, _type_rate_matrix(q), rng.random((count, 4)), False)
     except _WiringDeadEnd:
         raise DeadEnd("wiring stalled before reaching the requested edge count") from None
     return list(zip(kt, jt))
+
+
+def accept_sequence(
+    p: NodeTypeDist,
+    n: int,
+    delta: float,
+    rng: np.random.Generator,
+    max_redraws: int = DEFAULT_MAX_REDRAWS,
+) -> tuple[NodeTypeSequence, int, int]:
+    """Draw node sequences until clipping accepts one.
+
+    A sequence is redrawn while the discrepancy threshold rejects it or
+    clipping overflows the cutoff; RetriesExhausted after max_redraws
+    redraws.  Returns (clipped sequence, raw discrepancy D, redraws).
+    """
+    redraws = 0
+    while True:
+        x = draw_node_sequence(p, n, rng)
+        try:
+            clipped = clip_sequence(x, p.K, delta=delta, rng=rng)
+        except ClipOverflow:
+            clipped = None
+        if clipped is not None:
+            return clipped, x.discrepancy, redraws
+        redraws += 1
+        if redraws > max_redraws:
+            raise RetriesExhausted(f"no acceptable node sequence in {max_redraws} redraws")
 
 
 def generate_graph(
@@ -445,29 +407,13 @@ def generate_graph(
     max_restarts: int = DEFAULT_MAX_RESTARTS,
     rng: np.random.Generator | None = None,
 ) -> MultiGraph:
-    """Draw, clip and wire one multigraph of n nodes.
-
-    Sequences are redrawn while the discrepancy threshold rejects them or
-    clipping overflows the cutoff; RetriesExhausted after max_redraws.
-    """
+    """Draw, clip and wire one multigraph of n nodes (see accept_sequence)."""
     if p.K != q.K:
         raise InvalidDistribution(f"node K={p.K} does not match edge K={q.K}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    redraws = 0
-    while True:
-        x = draw_node_sequence(p, n, rng)
-        d_raw = x.discrepancy
-        try:
-            clipped = clip_sequence(x, p.K, delta=delta, rng=rng)
-        except ClipOverflow:
-            clipped = None
-        if clipped is not None:
-            break
-        redraws += 1
-        if redraws > max_redraws:
-            raise RetriesExhausted(f"no acceptable node sequence in {max_redraws} redraws")
-    g = sequential_wiring(clipped, q, rng, max_restarts=max_restarts)
+    x, d_raw, redraws = accept_sequence(p, n, delta, rng, max_redraws)
+    g = sequential_wiring(x, q, rng, max_restarts=max_restarts)
     g.meta.update(
         {
             "n": n,
@@ -527,7 +473,7 @@ def write_sample(g: MultiGraph, out_dir) -> None:
     _atomic_write(out / "nodes.csv", _nodes_csv(g))
     _atomic_write(out / "edges.tsv", _edges_tsv(g))
     cls = classify_graph(g)
-    meta = {k: v for k, v in g.meta.items() if k != "events"}
+    meta = dict(g.meta)
     meta.update(
         {
             "n_nodes": g.n_nodes,

@@ -17,16 +17,8 @@ import numpy as np
 from scipy import stats as sps
 
 from .degree_model import EdgeTypeDist, NodeTypeDist, self_loop_rate
-from .errors import ClipOverflow, DegenerateVariance, RetriesExhausted
-from .sampler import (
-    DEFAULT_DELTA,
-    DEFAULT_MAX_REDRAWS,
-    classify_graph,
-    clip_sequence,
-    draw_node_sequence,
-    first_edge_types,
-    generate_graph,
-)
+from .errors import DegenerateVariance
+from .sampler import DEFAULT_DELTA, accept_sequence, classify_graph, first_edge_types, generate_graph
 
 SLOPE_WINDOW = (-0.65, -0.35)
 
@@ -87,22 +79,6 @@ def _fit_slope(sizes, deviations) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _accepted_sequence(p, n, delta, rng, max_redraws=DEFAULT_MAX_REDRAWS):
-    """Draw until the clip accepts; return (sequence, attempts)."""
-    attempts = 0
-    while True:
-        attempts += 1
-        x = draw_node_sequence(p, n, rng)
-        try:
-            clipped = clip_sequence(x, p.K, delta=delta, rng=rng)
-        except ClipOverflow:
-            clipped = None
-        if clipped is not None:
-            return clipped, attempts
-        if attempts > max_redraws:
-            raise RetriesExhausted(f"no acceptable node sequence in {max_redraws} draws")
-
-
 def node_lln(
     p: NodeTypeDist,
     q: EdgeTypeDist,
@@ -125,9 +101,9 @@ def node_lln(
         accepted = 0
         attempts = 0
         for _ in range(reps):
-            x, tries = _accepted_sequence(p, size, delta, rng)
+            x, _, redraws = accept_sequence(p, size, delta, rng)
             accepted += 1
-            attempts += tries
+            attempts += redraws + 1
             freq = np.zeros_like(p.matrix)
             np.add.at(freq, (x.in_degrees, x.out_degrees), 1.0 / size)
             diff = np.abs(freq - p.matrix)
@@ -236,7 +212,7 @@ def first_edges_distribution(
     pair_counts = {}
     for rep in range(reps):
         rng = np.random.default_rng([seed, rep])
-        x, _ = _accepted_sequence(p, n, delta, rng)
+        x, _, _ = accept_sequence(p, n, delta, rng)
         types = tuple(first_edge_types(x, q, rng, length))
         counts[types] = counts.get(types, 0) + 1
         if length >= 2:

@@ -232,6 +232,43 @@ def test_exit_codes(bal2_file, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+K3_PARAMS = {
+    "K": 3,
+    "P": [[0, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.5]],
+    "Q": [
+        [0, 0, 0, 0],
+        [0, 0.125, 0.0625, 0.0625],
+        [0, 0.0625, 0.25, 0.0625],
+        [0, 0.0625, 0.0625, 0.25],
+    ],
+}
+
+
+def test_exact_mean_rejects_type_outside_cutoff(tmp_path, capsys):
+    params = tmp_path / "k3.json"
+    params.write_text(json.dumps(K3_PARAMS))
+    code = cli.run([
+        "exact", "mean", "--params", str(params), "--margins", "8,10,12:10,10,10",
+        "--type", "5,1", "--out-dir", str(tmp_path),
+    ])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_exact_partition_beyond_float_range(tmp_path, capsys):
+    params = tmp_path / "k3.json"
+    params.write_text(json.dumps(K3_PARAMS))
+    out, _ = run_ok([
+        "exact", "partition", "--params", str(params), "--margins", "36,54,90:54,54,72",
+        "--cap", "200", "--out-dir", str(tmp_path),
+    ], capsys)
+    payload = json.loads(out)
+    assert payload["C"] == "inf"
+    assert math.isfinite(payload["log_partition"])
+
+
 def test_inconsistent_params_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -286,3 +286,35 @@ def test_float_partition_redone_exactly_when_target_underflows():
     em, ep = np.array([0, 0, 3, 2]), np.array([0, 2, 0, 3])
     z = kernel.tilted_partition_Z(em, ep, rows)
     assert kernel.log_partition(em, ep, rows_f) == pytest.approx(_log_fraction(z), rel=1e-10)
+
+
+# the edge law of clibench/fixtures/exact_k3.json
+Q_K3 = [
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 0.125, 0.0625, 0.0625],
+    [0.0, 0.0625, 0.25, 0.0625],
+    [0.0, 0.0625, 0.0625, 0.25],
+]
+K3_MINUS = np.array([0, 8, 10, 12])
+K3_PLUS = np.array([0, 10, 10, 10])
+
+
+@pytest.mark.parametrize("k", [4, -1])
+def test_edge_type_outside_the_cutoff_is_rejected(k):
+    with pytest.raises(MarginMismatch):
+        kernel.exact_edge_mean(K3_MINUS, K3_PLUS, Q_K3, k, 1)
+    with pytest.raises(MarginMismatch):
+        kernel.exact_edge_variance(K3_MINUS, K3_PLUS, Q_K3, k, 1)
+    with pytest.raises(MarginMismatch):
+        kernel.joint_first_M_prob((K3_MINUS, K3_PLUS), Q_K3, [(1, 1), (k, 1)])
+
+
+def test_partition_constant_past_the_float_range_of_its_factors():
+    # E = 90: E! (prod e-!)(prod e+!) exceeds the float range while C ~ e^438 does not
+    em, ep = 3 * K3_MINUS, 3 * K3_PLUS
+    log_scale = sum(math.lgamma(v + 1) for v in [em.sum(), *em, *ep])
+    log_c = kernel.log_partition(em, ep, Q_K3, cap=200) + log_scale
+    assert kernel.partition_C(em, ep, Q_K3, cap=200) == pytest.approx(math.exp(log_c), rel=1e-12)
+    # E = 180: Z alone underflows a float and C exceeds the float range
+    em, ep = np.array([0, 36, 54, 90]), np.array([0, 54, 54, 72])
+    assert kernel.partition_C(em, ep, Q_K3, cap=200) == math.inf

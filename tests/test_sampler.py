@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acg.degree_model import EdgeTypeDist, NodeTypeDist
-from acg.errors import AcgError, ClipOverflow, InfeasibleSequence, InvalidDistribution
+from acg.errors import AcgError, ClipOverflow, InfeasibleSequence, InvalidDistribution, RetriesExhausted
 from acg.sampler import (
+    DEFAULT_DELTA,
     MultiGraph,
+    accept_sequence,
     NodeTypeSequence,
     classify_graph,
     clip_sequence,
@@ -249,3 +253,71 @@ def test_wiring_survives_drifted_row_sums():
         g = generate_graph(p, EdgeTypeDist.from_weights(m), 30, seed=i)
         assert np.array_equal(np.bincount(g.edge_src, minlength=g.n_nodes), g.out_degrees)
         assert np.array_equal(np.bincount(g.edge_dst, minlength=g.n_nodes), g.in_degrees)
+
+
+def _moved_off_diagonal(i):
+    """K=3 pair from stream [7, i] with the (1,1) edge mass moved off the diagonal."""
+    p, q = random_consistent_pair(np.random.default_rng([7, i]), K=3)
+    m = q.matrix.copy()
+    mass = min(m[1, 1], m[2, 2])
+    m[1, 1] -= mass
+    m[2, 2] -= mass
+    m[1, 2] += mass
+    m[2, 1] += mass
+    return p, EdgeTypeDist.from_weights(m)
+
+
+def test_first_edge_types_lead_the_wiring_stream(disas, assort):
+    for p, q in (disas, assort):
+        for s in range(3):
+            rng = np.random.default_rng([s, 1])
+            x = clip_sequence(draw_node_sequence(p, 300, rng), p.K, rng=rng)
+            g = sequential_wiring(x, q, np.random.default_rng(s))
+            types = first_edge_types(x, q, np.random.default_rng(s), 25)
+            assert types == list(zip(g.edge_out_type[:25].tolist(), g.edge_in_type[:25].tolist()))
+
+
+def _digest(a):
+    return hashlib.sha256(np.asarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
+# SHA-256 of little-endian int64 edge_src / edge_dst, recorded before the wiring
+# was split into a type chain and per-class stub matching; seeded streams must
+# not move
+GOLDEN_EDGES = {
+    "bal2": (
+        "3d733abdfa8669413b07b81885ae45b137c2b2bd295ec655072bd85bd7b05ba3",
+        "5a46ae4498cc284df225be5263eebcb0e3e54a9121d4dc8f122f7c299271f184",
+    ),
+    "disas": (
+        "4cae85e1033d00b19fc330ea985358fee3e6a8d87e6e3297a58d648cd84392ab",
+        "a637a94c566a26273a1ffb003a5630b2e747f8496df6ca2e7a73990e0af44e88",
+    ),
+    "fallback": (
+        "ef20ca9ce2258166b5e6209462a55da1fe06394093ec286fbd3da51fc2ef85af",
+        "26ccf56925f529ff34da57b48db0418fbf1046b942faa46311a9ae2756f666a6",
+    ),
+}
+
+
+def test_seeded_edges_match_golden_digests(bal2, disas):
+    graphs = {
+        "bal2": generate_graph(*bal2, 500, seed=11),
+        "disas": generate_graph(*disas, 500, seed=11),
+        "fallback": generate_graph(*_moved_off_diagonal(25), 30, seed=25, max_restarts=0),
+    }
+    assert graphs["fallback"].meta["uniform_fallback"]
+    for name, g in graphs.items():
+        assert (_digest(g.edge_src), _digest(g.edge_dst)) == GOLDEN_EDGES[name], name
+
+
+def test_accept_sequence_counts_redraws(bal2):
+    p, _ = bal2
+    x, d_raw, redraws = accept_sequence(p, 2000, DEFAULT_DELTA, np.random.default_rng(1))
+    raw = draw_node_sequence(p, 2000, np.random.default_rng(1))
+    assert (x.discrepancy, d_raw, redraws) == (0, raw.discrepancy, 0)
+    assert d_raw != 0
+    assert x.in_degrees.sum() + x.out_degrees.sum() == raw.in_degrees.sum() + raw.out_degrees.sum() + abs(d_raw)
+    # an odd node count never balances, and the threshold admits only D = 0
+    with pytest.raises(RetriesExhausted):
+        accept_sequence(p, 3, -10.0, np.random.default_rng(0), max_redraws=5)
