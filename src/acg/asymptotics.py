@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from . import exact_kernel
 from .errors import MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin
@@ -63,6 +62,17 @@ def to_margins(v):
 def gauge_direction(size):
     """The direction 1~ = 1^- - 1^+ along which H is constant."""
     return double_vector(np.ones(size), -np.ones(size))
+
+
+def _complement_basis(v):
+    """Orthonormal basis, as columns, of the subspace orthogonal to a nonzero v.
+
+    The trailing right singular vectors of the 1 x n matrix v.  The copy
+    makes the basis C-ordered: products with the Fortran-ordered transpose
+    view round differently, and Newton iterates would move in their last
+    digits.
+    """
+    return np.linalg.svd(v[None, :])[2][1:].T.copy()
 
 
 def _core(q):
@@ -167,7 +177,7 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         raise MarginMismatch("margins must be nonnegative with equal stub totals")
     idx = _active_coordinates(x, qcore)
     gauge = gauge_direction(size)[idx]
-    basis = null_space(gauge[None, :])
+    basis = _complement_basis(gauge)
 
     def embed(beta):
         alpha = np.zeros(2 * size)
@@ -231,7 +241,7 @@ def det0_hessian(alpha, q):
     qcore = _core(q)
     size = qcore.shape[0]
     hess = h_derivatives(alpha, np.zeros(2 * size), q, order=2)
-    basis = null_space(gauge_direction(size)[None, :])
+    basis = _complement_basis(gauge_direction(size))
     sign, logdet = np.linalg.slogdet(basis.T @ hess @ basis)
     if not np.isfinite(logdet) or sign <= 0:
         raise SingularHessian("projected Hessian is not positive definite")

@@ -145,7 +145,10 @@ def stub_census(x: NodeTypeSequence, k_cut: int | None = None) -> StubCensus:
     d = x.discrepancy
     if d != 0:
         raise InfeasibleSequence(f"stub totals differ by {d}; clip or redraw first")
-    size = (k_cut if k_cut is not None else int(max(x.in_degrees.max(), x.out_degrees.max()))) + 1
+    top = int(max(x.in_degrees.max(initial=0), x.out_degrees.max(initial=0)))
+    if k_cut is not None and top > k_cut:
+        raise InvalidDistribution(f"degree {top} exceeds the cutoff {k_cut}")
+    size = (k_cut if k_cut is not None else top) + 1
     u = np.zeros((size, size), dtype=int)
     np.add.at(u, (x.in_degrees, x.out_degrees), 1)
     degrees = np.arange(size)
@@ -217,7 +220,18 @@ def _chain_state(rate, em):
 
 
 def _row_sums(rate, em, cols):
-    return [sum(em[j] * rate[k][j] for j in cols[k]) for k in range(len(rate))]
+    """s[k] = sum_j e-_j R[k][j], added left to right.
+
+    The order is part of the seeded stream: builtin sum() rounds
+    differently from Python 3.12 on, so it is not used here.
+    """
+    sums = []
+    for k in range(len(rate)):
+        total = 0.0
+        for j in cols[k]:
+            total += em[j] * rate[k][j]
+        sums.append(total)
+    return sums
 
 
 def _type_chain(census: StubCensus, rate, us: np.ndarray, fallback_uniform: bool):

@@ -160,6 +160,16 @@ def test_solver_reports_infeasible_margins(disas):
         asym.solve_critical_point(x, qd)
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 6])
+def test_complement_basis_is_orthonormal_and_gauge_free(size):
+    gauge = asym.gauge_direction(size)
+    for v in (gauge, gauge[1:]):
+        basis = asym._complement_basis(v)
+        assert basis.shape == (len(v), len(v) - 1)
+        assert np.allclose(basis.T @ basis, np.eye(len(v) - 1), rtol=0, atol=1e-14)
+        assert np.allclose(v @ basis, 0.0, rtol=0, atol=1e-14)
+
+
 def test_det0_hessian_k1_value():
     res = asym.solve_critical_point(np.array([1.0, 1.0]), Q1)
     assert asym.det0_hessian(res.alpha, Q1) == pytest.approx(2.0, rel=1e-12)

@@ -316,3 +316,16 @@ def test_entry_point_subprocess(bal2_file, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "1.3333333333"
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, acg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

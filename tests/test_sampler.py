@@ -9,6 +9,7 @@ from acg.degree_model import EdgeTypeDist, NodeTypeDist
 from acg.errors import AcgError, ClipOverflow, InfeasibleSequence, InvalidDistribution, RetriesExhausted
 from acg.sampler import (
     DEFAULT_DELTA,
+    _row_sums,
     MultiGraph,
     accept_sequence,
     NodeTypeSequence,
@@ -88,6 +89,22 @@ def test_stub_census_counts():
     assert census.type_counts[1, 1] == 2
     with pytest.raises(InfeasibleSequence):
         stub_census(seq([(1, 2)]))
+
+
+def test_degree_above_cutoff_is_rejected(bal2):
+    _, q = bal2
+    x = seq([(3, 3), (1, 1)])
+    with pytest.raises(InvalidDistribution, match="cutoff 2"):
+        stub_census(x, k_cut=2)
+    with pytest.raises(InvalidDistribution, match="cutoff 2"):
+        sequential_wiring(x, q, np.random.default_rng(0))
+
+
+def test_row_sums_add_left_to_right():
+    # 1.0 + 1e-16 + 1e-16 rounds to 1.0 term by term; a compensated sum
+    # (builtin sum from Python 3.12 on) gives 1.0000000000000002.
+    rate = [[0.0, 1.0, 1e-16, 1e-16]]
+    assert _row_sums(rate, [0, 1, 1, 1], [[1, 2, 3]]) == [1.0]
 
 
 def test_sequential_wiring_realizes_degrees(bal2):

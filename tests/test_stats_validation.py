@@ -72,6 +72,39 @@ def test_first_edges_single_cell():
     assert rep.counts == {(((1, 1)),): 50}
 
 
+def test_chi2_sf_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for dof in [*range(1, 60), 99, 100, 399, 400, 1000, 9999]:
+            for frac in (0.05, 0.5, 1.0, 1.5, 3.0):
+                x = frac * dof
+                ref = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, regularized=True)
+                if ref < 1e-250:
+                    continue
+                assert float(abs(sv._chi2_sf(x, dof) - ref) / ref) <= 1e-10, (x, dof)
+
+
+@pytest.mark.parametrize(
+    "x, dof, expected",
+    [  # values of scipy.stats.chi2.sf(x, dof)
+        (0.5, 1, 0.47950012218695337),
+        (3.0, 2, 0.22313016014842982),
+        (7.5, 3, 0.0575584519726364),
+        (2.0, 9, 0.9914676066288135),
+        (15.0, 15, 0.4514172112257256),
+        (30.0, 15, 0.011921495938159686),
+        (120.0, 100, 0.08440668109369177),
+    ],
+)
+def test_chi2_sf_pinned_values(x, dof, expected):
+    assert sv._chi2_sf(x, dof) == pytest.approx(expected, rel=1e-12)
+
+
+def test_chi2_sf_at_zero_is_one():
+    for dof in (1, 2, 15, 400):
+        assert sv._chi2_sf(0.0, dof) == 1.0
+
+
 def test_first_edges_length_bounds(bal2):
     p, q = bal2
     with pytest.raises(ValueError):
