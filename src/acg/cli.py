@@ -49,6 +49,16 @@ def _int_list(text: str) -> list:
     return values
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _halves(text: str, caster, what: str):
     parts = text.split(":")
     if len(parts) != 2:
@@ -434,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="sample graphs and write nodes.csv / edges.tsv / meta.json")
     gen.add_argument("--params", required=True, help="JSON parameter file with K, P, Q")
     gen.add_argument("--n", type=int, required=True, help="number of nodes")
-    gen.add_argument("--delta", type=float, default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
+    gen.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
     gen.add_argument("--seed", type=int, default=None, help="RNG seed (default: ACG_SEED, else random, logged)")
     gen.add_argument("--samples", type=int, default=1, help="independent graphs to draw (default %(default)s)")
     gen.add_argument("--out-dir", default=".", help="output directory (default current)")
@@ -505,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     cnt.add_argument("--n", type=int, required=True, help="nodes per sampled graph")
     cnt.add_argument("--samples", type=int, default=50, help="graphs to sample (default %(default)s)")
     cnt.add_argument("--seed", type=int, default=None)
-    cnt.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    cnt.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA)
     cnt.add_argument("--out-dir", default=".")
     cnt.set_defaults(func=_cmd_configs, action="count")
 
@@ -517,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--seed", type=int, default=None)
     val.add_argument("--n", type=int, default=None, help="graph size for non-LLN suites")
     val.add_argument("--length", type=int, default=1, help="leading edge count for first-edges")
-    val.add_argument("--delta", type=float, default=DEFAULT_DELTA)
+    val.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA)
     val.add_argument("--out-dir", default=".")
     val.set_defaults(func=_cmd_validate)
 

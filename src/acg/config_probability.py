@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .degree_model import EdgeTypeDist, NodeTypeDist, conditional_dists
-from .errors import NotATree
+from .errors import InvalidConfiguration, NotATree
 
 MAX_EMBED_EDGES = 4
 
@@ -37,7 +37,7 @@ class Attachment:
 
     def __post_init__(self):
         if self.orientation not in ("in", "out"):
-            raise ValueError(f"orientation must be 'in' or 'out', got {self.orientation!r}")
+            raise InvalidConfiguration(f"orientation must be 'in' or 'out', got {self.orientation!r}")
         if self.node_type is not None:
             object.__setattr__(self, "node_type", (int(self.node_type[0]), int(self.node_type[1])))
 
@@ -63,11 +63,11 @@ class ConfigurationTree:
             if not isinstance(att, Attachment):
                 raise TypeError(f"attachment {pos} is not an Attachment")
             if not 0 <= att.parent < seen:
-                raise ValueError(f"attachment {pos} names parent {att.parent} before it exists")
+                raise InvalidConfiguration(f"attachment {pos} names parent {att.parent} before it exists")
             if att.node == seen:
                 seen += 1
             elif not 0 <= att.node < seen:
-                raise ValueError(f"attachment {pos} names node {att.node} out of order")
+                raise InvalidConfiguration(f"attachment {pos} names node {att.node} out of order")
 
     @property
     def n_edges(self) -> int:
@@ -91,24 +91,49 @@ class ConfigurationTree:
         for att in self.attachments:
             if att.node_type is not None:
                 if types[att.node] is not None and types[att.node] != att.node_type:
-                    raise ValueError(f"node {att.node} given conflicting types")
+                    raise InvalidConfiguration(f"node {att.node} given conflicting types")
                 types[att.node] = att.node_type
         return types
 
 
 def config_from_dict(d) -> ConfigurationTree:
-    """Build a configuration from the JSON-friendly dict layout."""
-    root = d.get("root")
-    atts = [
-        Attachment(
-            node=int(a["node"]),
-            parent=int(a["parent"]),
-            orientation=a["edge"],
-            node_type=None if a.get("type") is None else tuple(a["type"]),
+    """Build a configuration from the JSON-friendly dict layout.
+
+    The layout is an object with an optional "root" type and an optional
+    "attachments" list of objects with "node", "parent", "edge" and an
+    optional "type"; a type is a [j, k] pair or null.  Any other shape
+    raises InvalidConfiguration.
+    """
+    if not isinstance(d, dict) or not isinstance(d.get("attachments", []), list):
+        raise InvalidConfiguration("a configuration is an object with an 'attachments' list")
+    atts = []
+    for pos, a in enumerate(d.get("attachments", [])):
+        if not isinstance(a, dict) or not {"node", "parent", "edge"} <= a.keys():
+            raise InvalidConfiguration(f"attachment {pos} needs 'node', 'parent' and 'edge'")
+        atts.append(
+            Attachment(
+                node=_integer(a["node"]),
+                parent=_integer(a["parent"]),
+                orientation=a["edge"],
+                node_type=_type_pair(a.get("type")),
+            )
         )
-        for a in d.get("attachments", [])
-    ]
-    return ConfigurationTree(root_type=None if root is None else tuple(root), attachments=atts)
+    return ConfigurationTree(root_type=_type_pair(d.get("root")), attachments=atts)
+
+
+def _type_pair(value):
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidConfiguration(f"a node type is a [j, k] pair or null, got {value!r}")
+    return _integer(value[0]), _integer(value[1])
+
+
+def _integer(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InvalidConfiguration(f"expected an integer, got {value!r}") from None
 
 
 def config_to_dict(h: ConfigurationTree) -> dict:

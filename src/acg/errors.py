@@ -61,9 +61,17 @@ class SingularHessian(AcgError, RuntimeError):
     """The projected Hessian is singular where a determinant is required."""
 
 
+class InvalidConfiguration(AcgError, ValueError):
+    """A configuration is not a well-formed rooted growth sequence."""
+
+
 class NotATree(AcgError, ValueError):
     """A configuration has repeated nodes where a tree is required."""
 
 
 class DegenerateVariance(AcgError, ValueError):
     """A correlation is undefined because one coordinate has zero variance."""
+
+
+class MalformedSample(AcgError, ValueError):
+    """A sample file does not have the layout write_sample gives it."""

@@ -436,7 +436,9 @@ def cumulant_generating_F(tilt, e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP
 def joint_first_M_prob(x, q, types, cap: int = DEFAULT_TABLE_CAP):
     """Probability that the first M wired edges have the given (k, j) types, in order.
 
-    x may be a node-type sequence or a margins pair (e-, e+).  The value
+    x is a margins pair (e-, e+) when it is a tuple of two numpy arrays,
+    and a node-type sequence of (j, k) pairs otherwise; so at K = 1 a
+    tuple of two pairs is a sequence, not margins.  The value
     telescopes through conditional edge means Q[k,j] Z(e - d_jk) / Z(e)
     over shrinking margins; a vanished partition mid-product means the
     prefix is impossible.
@@ -445,8 +447,8 @@ def joint_first_M_prob(x, q, types, cap: int = DEFAULT_TABLE_CAP):
     size = len(w)
     for k, j in types:
         _check_type(k, j, size)
-    if isinstance(x, tuple) and len(x) == 2 and np.ndim(x[0]) == 1 and len(np.asarray(x[0])) == size:
-        em, ep, total = _check_margins(np.asarray(x[0]), np.asarray(x[1]), size, cap)
+    if isinstance(x, tuple) and len(x) == 2 and all(isinstance(v, np.ndarray) for v in x):
+        em, ep, total = _check_margins(x[0], x[1], size, cap)
     else:
         em, ep = margins_of_sequence(x, size)
         em, ep, total = _check_margins(em, ep, size, cap)

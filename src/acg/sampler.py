@@ -16,7 +16,6 @@ the rule rng_for(seed, index) = default_rng([seed, index]).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +28,7 @@ from .errors import (
     DeadEnd,
     InfeasibleSequence,
     InvalidDistribution,
+    MalformedSample,
     RetriesExhausted,
 )
 
@@ -149,8 +149,7 @@ def stub_census(x: NodeTypeSequence, k_cut: int | None = None) -> StubCensus:
     if k_cut is not None and top > k_cut:
         raise InvalidDistribution(f"degree {top} exceeds the cutoff {k_cut}")
     size = (k_cut if k_cut is not None else top) + 1
-    u = np.zeros((size, size), dtype=int)
-    np.add.at(u, (x.in_degrees, x.out_degrees), 1)
+    u = np.bincount(x.in_degrees * size + x.out_degrees, minlength=size * size).reshape(size, size)
     degrees = np.arange(size)
     e_minus = degrees * u.sum(axis=1)
     e_plus = degrees * u.sum(axis=0)
@@ -463,14 +462,11 @@ class GraphClassification:
 def classify_graph(g: MultiGraph) -> GraphClassification:
     """Tabulate edge types, self-loops and parallel-edge excess."""
     size = int(max(g.in_degrees.max(initial=0), g.out_degrees.max(initial=0))) + 1
-    table = np.zeros((size, size), dtype=int)
-    np.add.at(table, (g.edge_out_type, g.edge_in_type), 1)
+    codes = g.edge_out_type * size + g.edge_in_type
+    table = np.bincount(codes, minlength=size * size).reshape(size, size)
     self_loops = int(g.self_loop_mask.sum())
-    if g.n_edges:
-        pair_codes = g.edge_src.astype(np.int64) * g.n_nodes + g.edge_dst
-        multi = g.n_edges - len(np.unique(pair_codes))
-    else:
-        multi = 0
+    pairs = np.sort(g.edge_src.astype(np.int64) * g.n_nodes + g.edge_dst)
+    multi = int((pairs[1:] == pairs[:-1]).sum())
     table.setflags(write=False)
     return GraphClassification(
         edge_type_matrix=table,
@@ -480,12 +476,18 @@ def classify_graph(g: MultiGraph) -> GraphClassification:
     )
 
 
+# (separator, header) of the sample files; the first column is the row index
+_NODES_CSV = (",", ("id", "j", "k"))
+_EDGES_TSV = ("\t", ("edge_id", "src", "dst", "k", "j", "self_loop"))
+
+
 def write_sample(g: MultiGraph, out_dir) -> None:
     """Write nodes.csv, edges.tsv and meta.json for one sample."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "nodes.csv", _nodes_csv(g))
-    _atomic_write(out / "edges.tsv", _edges_tsv(g))
+    _atomic_write(out / "nodes.csv", _columns(*_NODES_CSV, [g.in_degrees, g.out_degrees]))
+    edges = [g.edge_src, g.edge_dst, g.edge_out_type, g.edge_in_type, g.self_loop_mask]
+    _atomic_write(out / "edges.tsv", _columns(*_EDGES_TSV, edges))
     cls = classify_graph(g)
     meta = dict(g.meta)
     meta.update(
@@ -502,48 +504,39 @@ def write_sample(g: MultiGraph, out_dir) -> None:
 
 
 def read_sample(sample_dir) -> MultiGraph:
-    """Load a sample written by write_sample."""
+    """Load a sample written by write_sample; MalformedSample if a file does not parse."""
     directory = Path(sample_dir)
-    with open(directory / "nodes.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    jd = np.array([int(r["j"]) for r in rows], dtype=np.int64)
-    kd = np.array([int(r["k"]) for r in rows], dtype=np.int64)
-    with open(directory / "edges.tsv", newline="", encoding="utf-8") as fh:
-        erows = list(csv.DictReader(fh, delimiter="\t"))
-    meta = {}
+    nodes = _read_columns(directory / "nodes.csv", *_NODES_CSV)
+    edges = _read_columns(directory / "edges.tsv", *_EDGES_TSV)[:4]  # self_loop is derived
     meta_path = directory / "meta.json"
-    if meta_path.exists():
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    return MultiGraph(
-        in_degrees=jd,
-        out_degrees=kd,
-        edge_src=np.array([int(r["src"]) for r in erows], dtype=np.int64),
-        edge_dst=np.array([int(r["dst"]) for r in erows], dtype=np.int64),
-        edge_out_type=np.array([int(r["k"]) for r in erows], dtype=np.int64),
-        edge_in_type=np.array([int(r["j"]) for r in erows], dtype=np.int64),
-        meta=meta,
-    )
+    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+    return MultiGraph(*nodes, *edges, meta=meta)
 
 
-def _nodes_csv(g: MultiGraph) -> str:
-    lines = ["id,j,k"]
-    jd = g.in_degrees.tolist()
-    kd = g.out_degrees.tolist()
-    lines.extend(f"{i},{jd[i]},{kd[i]}" for i in range(g.n_nodes))
-    return "\n".join(lines) + "\n"
+def _columns(sep: str, header, cols) -> str:
+    """The header line, then one line per row: the row index and the integer columns."""
+    row = sep.join(["%d"] * len(header)) + "\n"
+    rows = zip(range(len(cols[0])), *(c.tolist() for c in cols))
+    return sep.join(header) + "\n" + "".join(map(row.__mod__, rows))
 
 
-def _edges_tsv(g: MultiGraph) -> str:
-    lines = ["edge_id\tsrc\tdst\tk\tj\tself_loop"]
-    src = g.edge_src.tolist()
-    dst = g.edge_dst.tolist()
-    kt = g.edge_out_type.tolist()
-    jt = g.edge_in_type.tolist()
-    lines.extend(
-        f"{i}\t{src[i]}\t{dst[i]}\t{kt[i]}\t{jt[i]}\t{int(src[i] == dst[i])}"
-        for i in range(g.n_edges)
-    )
-    return "\n".join(lines) + "\n"
+def _read_columns(path: Path, sep: str, header) -> np.ndarray:
+    """The integer columns after the row index of a file written by _columns."""
+    with open(path, encoding="utf-8") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != sep.join(header):
+            raise MalformedSample(f"{path.name} starts with {found!r}, expected {sep.join(header)!r}")
+        start = fh.tell()
+        if not fh.read(1):  # np.loadtxt warns on no rows and returns shape (0, 1)
+            return np.zeros((len(header) - 1, 0), dtype=np.int64)
+        fh.seek(start)
+        try:
+            table = np.loadtxt(fh, dtype=np.int64, delimiter=sep, ndmin=2, unpack=True)
+        except ValueError as exc:
+            raise MalformedSample(f"{path.name}: {exc}") from None
+    if len(table) != len(header):
+        raise MalformedSample(f"{path.name} has {len(table)} columns, expected {len(header)}")
+    return table[1:]
 
 
 def _atomic_write(path: Path, text: str) -> None:

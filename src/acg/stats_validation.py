@@ -198,7 +198,9 @@ def first_edges_distribution(
 
     Chi-square compares the empirical counts with reps * prod Q over the
     supported type tuples; for length >= 2 the mutual information
-    between the first two edge types is reported in nats.
+    between the first two edge types is reported in nats.  ValueError
+    when the support has more type tuples of this length than there are
+    reps.
     """
     if length < 1 or length > 5:
         raise ValueError("length must be between 1 and 5")
@@ -208,6 +210,12 @@ def first_edges_distribution(
         for j in range(q.K + 1)
         if q.matrix[k, j] > 0
     ]
+    n_cells = len(support) ** length
+    if n_cells > reps:
+        raise ValueError(
+            f"{n_cells} tuples of {length} edge types exceed {reps} reps: "
+            "under one expected count per cell, the chi-square means nothing"
+        )
     counts = {}
     pair_counts = {}
     for rep in range(reps):

@@ -318,6 +318,45 @@ def test_entry_point_subprocess(bal2_file, tmp_path):
     assert proc.stdout.strip() == "1.3333333333"
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"root": [1, 2], "attachments": [{"parent": 0, "edge": "in", "type": [2, 1]}]},
+        [SINGLE_IN_EDGE],
+        {"root": [1], "attachments": []},
+    ],
+)
+@pytest.mark.parametrize("action", ["predict", "count"])
+def test_configs_reject_malformed_configuration(bal2_file, tmp_path, capsys, body, action):
+    argv = ["configs", action, "--params", bal2_file, "--config", config_file(tmp_path, body)]
+    if action == "count":
+        argv += ["--n", "50", "--samples", "1", "--seed", "1"]
+    code = cli.run(argv + ["--out-dir", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "50", "--seed", "1"],
+        ["configs", "count", "--n", "50", "--seed", "1"],
+        ["validate", "--suite", "node-lln", "--seed", "1"],
+    ],
+)
+def test_non_finite_delta_is_rejected(bal2_file, tmp_path, capsys, argv, value):
+    out_dir = tmp_path / "out"
+    extra = ["--config", config_file(tmp_path, SINGLE_IN_EDGE)] if argv[0] == "configs" else []
+    code = cli.run([*argv, "--params", bal2_file, *extra, "--delta", value, "--out-dir", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "finite" in err
+    assert not (out_dir / "meta.json").exists()
+
+
 def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(
         [

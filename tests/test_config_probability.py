@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acg import config_probability as cfg
-from acg.errors import NotATree
+from acg.errors import InvalidConfiguration, NotATree
 from acg.sampler import MultiGraph, generate_graph
 
 
@@ -186,3 +186,19 @@ def test_configuration_validation():
     )
     with pytest.raises(ValueError):
         conflicted.node_types()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        [{"node": 1, "parent": 0, "edge": "in"}],
+        {"root": [1], "attachments": []},
+        {"root": None, "attachments": [{"parent": 0, "edge": "in"}]},
+        {"root": None, "attachments": [{"node": None, "parent": 0, "edge": "in"}]},
+        {"root": None, "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": 5}]},
+        {"root": None, "attachments": {"node": 1}},
+    ],
+)
+def test_config_from_dict_rejects_malformed_layouts(body):
+    with pytest.raises(InvalidConfiguration):
+        cfg.config_from_dict(body)

@@ -158,6 +158,13 @@ def test_joint_accepts_margin_pair(bal2):
     assert by_seq == pytest.approx(by_margins, abs=1e-15)
 
 
+def test_joint_reads_a_tuple_of_pairs_as_a_sequence_at_k1():
+    q = [[0, 0], [0, 1.0]]
+    assert kernel.joint_first_M_prob(((1, 1), (1, 1)), q, [(1, 1)]) == 1.0
+    assert kernel.joint_first_M_prob([(1, 1), (1, 1)], q, [(1, 1)]) == 1.0
+    assert kernel.joint_first_M_prob((np.array([0, 2]), np.array([0, 2])), q, [(1, 1)]) == 1.0
+
+
 def test_cumulant_function_derivative_is_mean(bal2):
     _, q = bal2
     h = 1e-6

@@ -1,4 +1,6 @@
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acg.degree_model import EdgeTypeDist, NodeTypeDist
-from acg.errors import AcgError, ClipOverflow, InfeasibleSequence, InvalidDistribution, RetriesExhausted
+from acg.errors import (
+    AcgError,
+    ClipOverflow,
+    InfeasibleSequence,
+    InvalidDistribution,
+    MalformedSample,
+    RetriesExhausted,
+)
 from acg.sampler import (
     DEFAULT_DELTA,
     _row_sums,
@@ -173,8 +182,9 @@ def test_generate_graph_rejects_mismatched_cutoffs(bal2, disas):
         generate_graph(p, EdgeTypeDist.from_weights(q3), 100)
 
 
-def test_classify_graph_counts():
-    g = MultiGraph(
+def _loop_and_parallel_graph():
+    """Three nodes, one self-loop and one parallel pair."""
+    return MultiGraph(
         in_degrees=np.array([1, 0, 2]),
         out_degrees=np.array([1, 2, 0]),
         edge_src=np.array([0, 1, 1]),
@@ -182,6 +192,10 @@ def test_classify_graph_counts():
         edge_out_type=np.array([1, 2, 2]),
         edge_in_type=np.array([1, 2, 2]),
     )
+
+
+def test_classify_graph_counts():
+    g = _loop_and_parallel_graph()
     cls = classify_graph(g)
     assert cls.self_loop_count == 1
     assert cls.multi_edge_count == 1
@@ -201,6 +215,95 @@ def test_write_read_sample_roundtrip(bal2, tmp_path):
     assert np.array_equal(back.in_degrees, g.in_degrees)
     assert back.meta["n_edges"] == g.n_edges
     assert (tmp_path / "nodes.csv").read_text().splitlines()[0] == "id,j,k"
+    empty = MultiGraph(*[np.zeros(n, dtype=np.int64) for n in (4, 4, 0, 0, 0, 0)])
+    write_sample(empty, tmp_path / "empty")
+    back = read_sample(tmp_path / "empty")
+    assert (back.n_nodes, back.n_edges, back.meta["n_edges"]) == (4, 0, 0)
+    assert all(a.dtype == np.int64 for a in (back.in_degrees, back.edge_src, back.edge_in_type))
+    assert classify_graph(back).edge_type_matrix.tolist() == [[0]]
+
+
+# SHA-256 of nodes.csv, edges.tsv and meta.json as written before the sample
+# files were formatted and parsed by column
+GOLDEN_FILES = {
+    "bal2": (
+        "89e50238a560199bfed6fc6fab4d3fc5f0e5b55c9ffd74a7dcb4a2bc0e587113",
+        "3e4526b0d8e40d302ee240d68e3ccb69529366ceb3b4e7f5dfc3bf35b1fffbcd",
+        "ccac799c40a6b99ef052bdae73f6ad4b645201148a2c9e1ba67852ced214fbcd",
+    ),
+    "loop_and_parallel": (
+        "a5bae583b00c9441a465be908f6e392593485bff89bd3da5b71ce0073b9e6502",
+        "e37976a333830c46e1726779184dcfdeb415c35bb4c348cb3fa3e89b1f7f37e3",
+        "ea953b0353b3191a71fee20e100ef8a9fde45e3db5909bb451b55037a2bf449b",
+    ),
+}
+
+
+def test_sample_files_match_golden_digests(bal2, tmp_path):
+    graphs = {"bal2": generate_graph(*bal2, 300, seed=7), "loop_and_parallel": _loop_and_parallel_graph()}
+    for name, g in graphs.items():
+        write_sample(g, tmp_path / name)
+        digests = tuple(
+            hashlib.sha256((tmp_path / name / f).read_bytes()).hexdigest()
+            for f in ("nodes.csv", "edges.tsv", "meta.json")
+        )
+        assert digests == GOLDEN_FILES[name], name
+
+
+def _graph_of_edges(n, edges):
+    src = np.array([s for s, _ in edges], dtype=np.int64)
+    dst = np.array([d for _, d in edges], dtype=np.int64)
+    out_deg = np.bincount(src, minlength=n)
+    in_deg = np.bincount(dst, minlength=n)
+    return MultiGraph(in_deg, out_deg, src, dst, out_deg[src], in_deg[dst])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12),
+        )
+    )
+)
+def test_classify_and_edge_file_match_row_loops(case):
+    n, edges = case
+    g = _graph_of_edges(n, edges)
+    cls = classify_graph(g)
+    size = cls.edge_type_matrix.shape[0]
+    table = np.zeros((size, size), dtype=int)
+    for k, j in zip(g.edge_out_type.tolist(), g.edge_in_type.tolist()):
+        table[k, j] += 1
+    assert cls.edge_type_matrix.tolist() == table.tolist()
+    assert cls.self_loop_count == sum(s == d for s, d in edges)
+    assert cls.multi_edge_count == len(edges) - len(set(edges))
+    with tempfile.TemporaryDirectory() as d:
+        write_sample(g, d)
+        text = (Path(d) / "edges.tsv").read_text()
+        back = read_sample(d)
+    rows = zip(edges, g.edge_out_type.tolist(), g.edge_in_type.tolist())
+    assert text == "edge_id\tsrc\tdst\tk\tj\tself_loop\n" + "".join(
+        f"{i}\t{s}\t{d}\t{k}\t{j}\t{int(s == d)}\n" for i, ((s, d), k, j) in enumerate(rows)
+    )
+    for field in ("in_degrees", "out_degrees", "edge_src", "edge_dst", "edge_out_type", "edge_in_type"):
+        assert np.array_equal(getattr(back, field), getattr(g, field)), field
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("nodes.csv", "id,k,j\n0,1,1\n"),
+        ("nodes.csv", "id,j,k\n0,1\n"),
+        ("edges.tsv", "edge_id\tsrc\tdst\tk\tj\n"),
+        ("edges.tsv", "edge_id\tsrc\tdst\tk\tj\tself_loop\n0\t0\tx\t1\t1\t0\n"),
+    ],
+)
+def test_read_sample_rejects_a_malformed_file(bal2, tmp_path, name, text):
+    write_sample(generate_graph(*bal2, 20, seed=3), tmp_path)
+    (tmp_path / name).write_text(text)
+    with pytest.raises(MalformedSample):
+        read_sample(tmp_path)
 
 
 def test_rng_for_streams_are_stable():

@@ -113,6 +113,13 @@ def test_first_edges_length_bounds(bal2):
         sv.first_edges_distribution(p, q, n=100, length=6, reps=5, seed=1)
 
 
+def test_first_edges_needs_a_rep_per_cell(bal2):
+    p, q = bal2
+    # 4 supported types give 4^3 = 64 cells, more than 50 reps
+    with pytest.raises(ValueError, match="64"):
+        sv.first_edges_distribution(p, q, n=100, length=3, reps=50, seed=1)
+
+
 def test_self_loop_report(bal2):
     p, q = bal2
     rep = sv.self_loop_poisson(p, q, n=400, reps=200, seed=23)
