@@ -59,6 +59,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tol_arg(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    return value
+
+
 def _halves(text: str, caster, what: str):
     parts = text.split(":")
     if len(parts) != 2:
@@ -124,12 +131,18 @@ def _resolve_seed(flag_value):
     return seed, "generated"
 
 
+def _json(obj) -> str:
+    return json.dumps(sv.to_jsonable(obj), indent=2, sort_keys=True)
+
+
 def _write_json(path: Path, obj) -> None:
-    _atomic_write(path, json.dumps(sv.to_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, _json(obj) + "\n")
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(sv.to_jsonable(obj), indent=2, sort_keys=True))
+def _emit(path: Path, result, line=None) -> None:
+    """Print line (default: result as JSON), then write result as JSON to path."""
+    print(_json(result) if line is None else line)
+    _write_json(path, result)
 
 
 def _write_tsv(path: Path, header, rows) -> None:
@@ -147,21 +160,11 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _zero_slot(counts) -> np.ndarray:
     return np.concatenate([[0], np.asarray(counts, dtype=int)])
 
 
-def _cmd_generate(args) -> int:
-    p, q = load_params(args.params)
-    require_consistent(p, q)
-    seed, seed_source = _resolve_seed(args.seed)
-    out = _out_dir(args)
+def _cmd_generate(args, p, q, out) -> int:
     run_echo = {
         "command": "generate",
         "delta": args.delta,
@@ -170,14 +173,14 @@ def _cmd_generate(args) -> int:
         "n": args.n,
         "params_file": str(args.params),
         "samples": args.samples,
-        "seed": seed,
-        "seed_source": seed_source,
+        "seed": args.seed,
+        "seed_source": args.seed_source,
     }
     _write_json(out / "params.json", params_dict(p, q))
     if args.samples > 1:
         _write_json(out / "meta.json", {**run_echo, "params": params_dict(p, q)})
     for i in range(args.samples):
-        sample_seed = seed if args.samples == 1 else [seed, i]
+        sample_seed = args.seed if args.samples == 1 else [args.seed, i]
         g = generate_graph(
             p,
             q,
@@ -195,9 +198,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_exact(args) -> int:
-    p, q = load_params(args.params)
-    out = _out_dir(args)
+def _cmd_exact(args, p, q, out) -> int:
     echo = {"cap": args.cap, "command": f"exact {args.action}", "params_file": str(args.params)}
     if args.action == "partition":
         em, ep = (_zero_slot(half) for half in args.margins)
@@ -207,14 +208,12 @@ def _cmd_exact(args) -> int:
             "e_plus": ep.tolist(),
             "log_partition": kernel.log_partition(em, ep, q, cap=args.cap),
         }
-        _print_json(result)
-        _write_json(out / "exact_partition.json", {**result, "run": echo})
+        _emit(out / "exact_partition.json", {**result, "run": echo}, line=_json(result))
     elif args.action in ("mean", "var"):
         em, ep = (_zero_slot(half) for half in args.margins)
         k, j = args.type
         fn = kernel.exact_edge_mean if args.action == "mean" else kernel.exact_edge_variance
         value = float(fn(em, ep, q, k, j, cap=args.cap))
-        print(f"{value:.10f}")
         result = {
             "e_minus": em.tolist(),
             "e_plus": ep.tolist(),
@@ -222,17 +221,16 @@ def _cmd_exact(args) -> int:
             "type": [k, j],
             "value": value,
         }
-        _write_json(out / f"exact_{args.action}.json", result)
+        _emit(out / f"exact_{args.action}.json", result, line=f"{value:.10f}")
     elif args.action == "joint":
         value = float(kernel.joint_first_M_prob(args.sequence, q, args.types, cap=args.cap))
-        print(f"{value:.10f}")
         result = {
             "run": echo,
             "sequence": [list(t) for t in args.sequence],
             "types": [list(t) for t in args.types],
             "value": value,
         }
-        _write_json(out / "exact_joint.json", result)
+        _emit(out / "exact_joint.json", result, line=f"{value:.10f}")
     else:
         dist = kernel.enumerate_wirings_oracle(args.sequence, q, cap=args.cap)
         tables = [
@@ -250,14 +248,11 @@ def _cmd_exact(args) -> int:
             "tables": tables,
             "total_weight": float(dist.total_weight),
         }
-        _print_json(result)
-        _write_json(out / "exact_oracle.json", result)
+        _emit(out / "exact_oracle.json", result)
     return 0
 
 
-def _cmd_asymptotics(args) -> int:
-    p, q = load_params(args.params)
-    out = _out_dir(args)
+def _cmd_asymptotics(args, p, q, out) -> int:
     echo = {"command": f"asymptotics {args.action}", "params_file": str(args.params)}
     if args.action == "critical-point":
         x = asym.double_vector(np.asarray(args.x[0], float), np.asarray(args.x[1], float))
@@ -272,19 +267,17 @@ def _cmd_asymptotics(args) -> int:
             "iterations": res.iterations,
             "run": {**echo, "tol": args.tol, "x": [list(args.x[0]), list(args.x[1])]},
         }
-        _print_json(result)
-        _write_json(out / "asymptotics_critical_point.json", result)
+        _emit(out / "asymptotics_critical_point.json", result)
     elif args.action == "edge-mean":
         x = asym.double_vector(np.asarray(args.x[0], float), np.asarray(args.x[1], float))
         k, j = args.type
         value = asym.asymptotic_edge_mean(x, q, k, j, tol=args.tol)
-        print(f"{value:.10f}")
         result = {
             "run": {**echo, "tol": args.tol, "x": [list(args.x[0]), list(args.x[1])]},
             "type": [k, j],
             "value": value,
         }
-        _write_json(out / "asymptotics_edge_mean.json", result)
+        _emit(out / "asymptotics_edge_mean.json", result, line=f"{value:.10f}")
     else:
         e = asym.double_vector(np.asarray(args.margins[0], float), np.asarray(args.margins[1], float))
         edge_total = int(round(float(np.sum(args.margins[0]))))
@@ -301,34 +294,24 @@ def _cmd_asymptotics(args) -> int:
             "log_laplace": log_lap,
             "run": {**echo, "cap": args.cap, "margins": [list(args.margins[0]), list(args.margins[1])]},
         }
-        _print_json(result)
-        _write_json(out / "asymptotics_laplace_check.json", result)
+        _emit(out / "asymptotics_laplace_check.json", result)
     return 0
 
 
-def _load_config(path) -> cfg.ConfigurationTree:
-    with open(path) as fh:
-        return cfg.config_from_dict(json.load(fh))
-
-
-def _cmd_configs(args) -> int:
-    p, q = load_params(args.params)
-    h = _load_config(args.config)
-    out = _out_dir(args)
+def _cmd_configs(args, p, q, out) -> int:
+    with open(args.config) as fh:
+        h = cfg.config_from_dict(json.load(fh))
     if args.action == "predict":
         value = cfg.tree_config_prob(h, p, q)
-        print(f"{value:.10f}")
         result = {
             "configuration": cfg.config_to_dict(h),
             "run": {"command": "configs predict", "config_file": str(args.config), "params_file": str(args.params)},
             "value": value,
         }
-        _write_json(out / "configs_predict.json", result)
+        _emit(out / "configs_predict.json", result, line=f"{value:.10f}")
         return 0
-    require_consistent(p, q)
-    seed, seed_source = _resolve_seed(args.seed)
     graphs = [
-        generate_graph(p, q, args.n, delta=args.delta, seed=[seed, i])
+        generate_graph(p, q, args.n, delta=args.delta, seed=[args.seed, i])
         for i in range(args.samples)
     ]
     report = cfg.count_in_graphs(graphs, h, p, q)
@@ -345,44 +328,42 @@ def _cmd_configs(args) -> int:
             "n": args.n,
             "params_file": str(args.params),
             "samples": args.samples,
-            "seed": seed,
-            "seed_source": seed_source,
+            "seed": args.seed,
+            "seed_source": args.seed_source,
         },
     }
-    _print_json(result)
-    _write_json(out / "configs_count.json", result)
+    _emit(out / "configs_count.json", result)
     return 0
 
 
-def _suite_reps(args, default: int) -> int:
-    return default if args.reps is None else args.reps
+# (n, reps) of each suite when --n / --reps are not given; the LLN suites take --sizes
+_SUITE_DEFAULTS = {
+    "node-lln": (None, 5),
+    "edge-lln": (None, 5),
+    "first-edges": (10000, 2000),
+    "self-loops": (2000, 200),
+    "assortativity": (10000, 20),
+}
 
 
-def _suite_n(args, default: int) -> int:
-    return default if args.n is None else args.n
-
-
-def _run_suite(suite, p, q, args, seed):
-    if suite == "node-lln":
-        rep = sv.node_lln(p, q, args.sizes, reps=_suite_reps(args, 5), seed=seed, delta=args.delta)
-        rows = list(zip(rep.sizes, rep.max_deviations, rep.tv_distances))
-        return rep, ("size", "max_deviation", "tv_distance"), rows, f"slope={rep.slope:.3f}"
-    if suite == "edge-lln":
-        rep = sv.edge_lln(p, q, args.sizes, reps=_suite_reps(args, 5), seed=seed, delta=args.delta)
+def _run_suite(suite, p, q, args):
+    seed = args.seed
+    n_default, reps_default = _SUITE_DEFAULTS[suite]
+    n = n_default if args.n is None else args.n
+    reps = reps_default if args.reps is None else args.reps
+    if suite in ("node-lln", "edge-lln"):
+        lln = sv.node_lln if suite == "node-lln" else sv.edge_lln
+        rep = lln(p, q, args.sizes, reps=reps, seed=seed, delta=args.delta)
         rows = list(zip(rep.sizes, rep.max_deviations, rep.tv_distances))
         return rep, ("size", "max_deviation", "tv_distance"), rows, f"slope={rep.slope:.3f}"
     if suite == "first-edges":
-        rep = sv.first_edges_distribution(
-            p, q, n=_suite_n(args, 10000), length=args.length, reps=_suite_reps(args, 2000), seed=seed, delta=args.delta
-        )
+        rep = sv.first_edges_distribution(p, q, n=n, length=args.length, reps=reps, seed=seed, delta=args.delta)
         rows = [(rep.n, rep.chi_square, rep.p_value, rep.mutual_information)]
         return rep, ("n", "chi_square", "p_value", "mutual_information"), rows, f"p={rep.p_value:.4f}"
     if suite == "self-loops":
-        rep = sv.self_loop_poisson(p, q, n=_suite_n(args, 2000), reps=_suite_reps(args, 200), seed=seed, delta=args.delta)
+        rep = sv.self_loop_poisson(p, q, n=n, reps=reps, seed=seed, delta=args.delta)
         rows = [(rep.n, rep.mean, rep.predicted, rep.var_mean_ratio, rep.z_score)]
         return rep, ("n", "mean", "predicted", "var_mean_ratio", "z_score"), rows, f"mean={rep.mean:.4f}"
-    n = _suite_n(args, 10000)
-    reps = _suite_reps(args, 20)
     coeffs = []
     for i in range(reps):
         g = generate_graph(p, q, n, delta=args.delta, seed=[seed, i])
@@ -403,11 +384,7 @@ def _run_suite(suite, p, q, args, seed):
     return rep, ("rep", "coefficient"), rows, f"mean={mean_txt}"
 
 
-def _cmd_validate(args) -> int:
-    p, q = load_params(args.params)
-    require_consistent(p, q)
-    seed, seed_source = _resolve_seed(args.seed)
-    out = _out_dir(args)
+def _cmd_validate(args, p, q, out) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     _write_json(
         out / "meta.json",
@@ -419,14 +396,14 @@ def _cmd_validate(args) -> int:
             "params": params_dict(p, q),
             "params_file": str(args.params),
             "reps": args.reps,
-            "seed": seed,
-            "seed_source": seed_source,
+            "seed": args.seed,
+            "seed_source": args.seed_source,
             "sizes": list(args.sizes),
             "suites": suites,
         },
     )
     for suite in suites:
-        rep, header, rows, summary = _run_suite(suite, p, q, args, seed)
+        rep, header, rows, summary = _run_suite(suite, p, q, args)
         stem = "validate_" + suite.replace("-", "_")
         _write_json(out / f"{stem}.json", {"report": rep, "suite": suite})
         _write_tsv(out / f"{stem}.tsv", header, rows)
@@ -440,14 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Assortative configuration graphs: sampling, exact kernels, asymptotics, validation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # every command reads --params and writes to --out-dir; the sampling ones also take --seed and --delta
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument("--params", required=True, help="JSON parameter file with K, P, Q")
+    io.add_argument("--out-dir", default=".", help="output directory (default current)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (default: ACG_SEED, else random, logged)")
+    seeded.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
 
-    gen = sub.add_parser("generate", help="sample graphs and write nodes.csv / edges.tsv / meta.json")
-    gen.add_argument("--params", required=True, help="JSON parameter file with K, P, Q")
+    gen = sub.add_parser("generate", parents=[io, seeded], help="sample graphs and write nodes.csv / edges.tsv / meta.json")
     gen.add_argument("--n", type=int, required=True, help="number of nodes")
-    gen.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
-    gen.add_argument("--seed", type=int, default=None, help="RNG seed (default: ACG_SEED, else random, logged)")
     gen.add_argument("--samples", type=int, default=1, help="independent graphs to draw (default %(default)s)")
-    gen.add_argument("--out-dir", default=".", help="output directory (default current)")
     gen.add_argument("--max-redraws", type=int, default=1000, help="node sequence redraw budget")
     gen.add_argument("--max-restarts", type=int, default=10, help="wiring restart budget per graph")
     gen.set_defaults(func=_cmd_generate)
@@ -461,9 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("joint", "joint law of the first edge types for a node sequence"),
         ("oracle", "brute-force wiring enumeration for a node sequence"),
     ):
-        sp = exact_sub.add_parser(name, help=help_text)
-        sp.add_argument("--params", required=True)
-        sp.add_argument("--out-dir", default=".")
+        sp = exact_sub.add_parser(name, parents=[io], help=help_text)
         sp.add_argument(
             "--cap",
             type=int,
@@ -487,10 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("edge-mean", "asymptotic per-edge fraction of one edge type"),
         ("laplace-check", "compare the Laplace approximation against the exact partition sum"),
     ):
-        sp = asy_sub.add_parser(name, help=help_text)
-        sp.add_argument("--params", required=True)
-        sp.add_argument("--out-dir", default=".")
-        sp.add_argument("--tol", type=float, default=asym.DEFAULT_TOL, help="gradient tolerance (default %(default)s)")
+        sp = asy_sub.add_parser(name, parents=[io], help=help_text)
+        sp.add_argument("--tol", type=_tol_arg, default=asym.DEFAULT_TOL, help="gradient tolerance (default %(default)s)")
         if name == "laplace-check":
             sp.add_argument("--margins", type=_margins_arg, required=True, help="counts for degrees 1..K, '1,2:1,2'")
             sp.add_argument("--cap", type=int, default=kernel.DEFAULT_TABLE_CAP, help="exact-side edge cap")
@@ -504,31 +480,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     cfgp = sub.add_parser("configs", help="small-configuration probabilities and counts")
     cfg_sub = cfgp.add_subparsers(dest="action", required=True)
-    pred = cfg_sub.add_parser("predict", help="limiting probability of a tree configuration")
-    pred.add_argument("--params", required=True)
+    pred = cfg_sub.add_parser("predict", parents=[io], help="limiting probability of a tree configuration")
     pred.add_argument("--config", required=True, help="configuration JSON file")
-    pred.add_argument("--out-dir", default=".")
     pred.set_defaults(func=_cmd_configs, action="predict")
-    cnt = cfg_sub.add_parser("count", help="occurrence counts of a configuration in sampled graphs")
-    cnt.add_argument("--params", required=True)
+    cnt = cfg_sub.add_parser("count", parents=[io, seeded], help="occurrence counts of a configuration in sampled graphs")
     cnt.add_argument("--config", required=True, help="configuration JSON file")
     cnt.add_argument("--n", type=int, required=True, help="nodes per sampled graph")
     cnt.add_argument("--samples", type=int, default=50, help="graphs to sample (default %(default)s)")
-    cnt.add_argument("--seed", type=int, default=None)
-    cnt.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA)
-    cnt.add_argument("--out-dir", default=".")
     cnt.set_defaults(func=_cmd_configs, action="count")
 
-    val = sub.add_parser("validate", help="simulation test suites with JSON + TSV reports")
-    val.add_argument("--params", required=True)
+    val = sub.add_parser("validate", parents=[io, seeded], help="simulation test suites with JSON + TSV reports")
     val.add_argument("--suite", choices=SUITES + ("all",), required=True)
     val.add_argument("--sizes", type=_int_list, default=[1000, 10000], help="graph sizes for LLN suites")
     val.add_argument("--reps", type=int, default=None, help="repetitions (default depends on suite)")
-    val.add_argument("--seed", type=int, default=None)
     val.add_argument("--n", type=int, default=None, help="graph size for non-LLN suites")
     val.add_argument("--length", type=int, default=1, help="leading edge count for first-edges")
-    val.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA)
-    val.add_argument("--out-dir", default=".")
     val.set_defaults(func=_cmd_validate)
 
     return parser
@@ -541,7 +507,13 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        p, q = load_params(args.params)
+        if "seed" in vars(args):  # a sampling command
+            require_consistent(p, q)
+            args.seed, args.seed_source = _resolve_seed(args.seed)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, p, q, out)
     except (AcgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

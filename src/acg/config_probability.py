@@ -151,15 +151,7 @@ def config_to_dict(h: ConfigurationTree) -> dict:
     }
 
 
-def _as_node_dist(p) -> NodeTypeDist:
-    return p if isinstance(p, NodeTypeDist) else NodeTypeDist.from_weights(p)
-
-
-def _as_edge_dist(q) -> EdgeTypeDist:
-    return q if isinstance(q, EdgeTypeDist) else EdgeTypeDist.from_weights(q)
-
-
-def two_node_edge_prob(p, q, target_type, source_type) -> float:
+def two_node_edge_prob(p: NodeTypeDist, q: EdgeTypeDist, target_type, source_type) -> float:
     """Joint type probability of one edge: source (j2, k2) -> target (j1, k1).
 
     Equals j1 k2 P[j1,k1] P[j2,k2] Q[k2,j1] / (z^2 Q+[k2] Q-[j1]); terms
@@ -167,22 +159,20 @@ def two_node_edge_prob(p, q, target_type, source_type) -> float:
     """
     j1, k1 = target_type
     j2, k2 = source_type
-    pd = _as_node_dist(p)
-    qd = _as_edge_dist(q)
-    z = pd.mean_degree
-    if qd.out_marginal[k2] == 0 or qd.in_marginal[j1] == 0:
+    z = p.mean_degree
+    if q.out_marginal[k2] == 0 or q.in_marginal[j1] == 0:
         return 0.0
     return float(
         j1
         * k2
-        * pd.matrix[j1, k1]
-        * pd.matrix[j2, k2]
-        * qd.matrix[k2, j1]
-        / (z**2 * qd.out_marginal[k2] * qd.in_marginal[j1])
+        * p.matrix[j1, k1]
+        * p.matrix[j2, k2]
+        * q.matrix[k2, j1]
+        / (z**2 * q.out_marginal[k2] * q.in_marginal[j1])
     )
 
 
-def tree_config_prob(h: ConfigurationTree, p, q) -> float:
+def tree_config_prob(h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> float:
     """Limiting probability of a tree configuration, given the root's type.
 
     Each attachment contributes one conditional node-type factor and one
@@ -194,7 +184,7 @@ def tree_config_prob(h: ConfigurationTree, p, q) -> float:
     types = h.node_types()
     if any(t is None for t in types):
         raise ValueError("tree probabilities need every node type specified")
-    cond = conditional_dists(_as_node_dist(p), _as_edge_dist(q))
+    cond = conditional_dists(p, q)
     value = 1.0
     for att in h.attachments:
         j_m, k_m = types[att.node]
@@ -346,12 +336,12 @@ class ConfigCountReport:
     predicted: float | None
 
 
-def count_in_graphs(graphs, h: ConfigurationTree, p=None, q=None) -> ConfigCountReport:
+def count_in_graphs(graphs, h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> ConfigCountReport:
     """Total and per-graph occurrence count of h over a graph collection."""
     graphs = list(graphs)
     count = sum(count_config_occurrences(g, h) for g in graphs)
     predicted = None
-    if p is not None and q is not None and h.is_tree and h.n_edges:
+    if h.is_tree and h.n_edges:
         try:
             predicted = tree_config_prob(h, p, q)
         except ValueError:

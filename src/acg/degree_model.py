@@ -21,16 +21,16 @@ RENORM_TOL = 1e-9
 CONSISTENCY_TOL = 1e-9
 
 
-def _as_prob_matrix(weights, name: str, renorm_tol: float) -> np.ndarray:
+def _as_prob_matrix(weights, name: str) -> np.ndarray:
     m = np.array(weights, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise InvalidDistribution(f"{name} must be a square matrix of size K+1 >= 2, got shape {m.shape}")
     if not np.isfinite(m).all() or (m < 0).any():
         raise InvalidDistribution(f"{name} must have finite nonnegative entries")
     total = m.sum()
-    if abs(total - 1.0) > renorm_tol:
+    if abs(total - 1.0) > RENORM_TOL:
         raise InvalidDistribution(
-            f"{name} sums to {total!r}; deviation from 1 exceeds the renormalization tolerance {renorm_tol}"
+            f"{name} sums to {total!r}; deviation from 1 exceeds the renormalization tolerance {RENORM_TOL}"
         )
     m /= total
     m.setflags(write=False)
@@ -68,8 +68,8 @@ class NodeTypeDist:
     mean_degree: float
 
     @classmethod
-    def from_weights(cls, weights, renorm_tol: float = RENORM_TOL) -> "NodeTypeDist":
-        m = _as_prob_matrix(weights, "node-type weights", renorm_tol)
+    def from_weights(cls, weights) -> "NodeTypeDist":
+        m = _as_prob_matrix(weights, "node-type weights")
         p_in, p_out, z = derive_marginals(m)
         return cls(matrix=m, in_marginal=p_in, out_marginal=p_out, mean_degree=z)
 
@@ -91,8 +91,8 @@ class EdgeTypeDist:
     in_marginal: np.ndarray  # column sums, indexed by j
 
     @classmethod
-    def from_weights(cls, weights, renorm_tol: float = RENORM_TOL) -> "EdgeTypeDist":
-        m = _as_prob_matrix(weights, "edge-type weights", renorm_tol)
+    def from_weights(cls, weights) -> "EdgeTypeDist":
+        m = _as_prob_matrix(weights, "edge-type weights")
         if m[0, :].any() or m[:, 0].any():
             raise InvalidDistribution("edge-type weights must vanish on the degree-0 row and column")
         q_out = m.sum(axis=1)
@@ -114,7 +114,6 @@ class ConsistencyReport:
     max_violation: float
     out_residuals: np.ndarray  # Q+_k - k P+_k / z
     in_residuals: np.ndarray  # Q-_j - j P-_j / z
-    tol: float
 
 
 def size_biased_marginals(p: NodeTypeDist) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +124,7 @@ def size_biased_marginals(p: NodeTypeDist) -> tuple[np.ndarray, np.ndarray]:
     return out, inn
 
 
-def validate_pair(p: NodeTypeDist, q: EdgeTypeDist, tol: float = CONSISTENCY_TOL) -> ConsistencyReport:
+def validate_pair(p: NodeTypeDist, q: EdgeTypeDist) -> ConsistencyReport:
     """Check the consistency conditions between a node- and edge-type distribution."""
     if p.K != q.K:
         raise InvalidDistribution(f"degree cutoffs differ: node K={p.K}, edge K={q.K}")
@@ -134,19 +133,18 @@ def validate_pair(p: NodeTypeDist, q: EdgeTypeDist, tol: float = CONSISTENCY_TOL
     in_res = q.in_marginal - implied_in
     worst = float(max(np.abs(out_res).max(), np.abs(in_res).max()))
     return ConsistencyReport(
-        is_consistent=worst <= tol,
+        is_consistent=worst <= CONSISTENCY_TOL,
         max_violation=worst,
         out_residuals=out_res,
         in_residuals=in_res,
-        tol=tol,
     )
 
 
-def require_consistent(p: NodeTypeDist, q: EdgeTypeDist, tol: float = CONSISTENCY_TOL) -> None:
-    report = validate_pair(p, q, tol)
+def require_consistent(p: NodeTypeDist, q: EdgeTypeDist) -> None:
+    report = validate_pair(p, q)
     if not report.is_consistent:
         raise InconsistentPair(
-            f"edge-type margins violate stub balance by {report.max_violation:.3e} (tol {tol:.1e})"
+            f"edge-type margins violate stub balance by {report.max_violation:.3e} (tol {CONSISTENCY_TOL:.1e})"
         )
 
 
@@ -277,9 +275,6 @@ def derived_summary(p: NodeTypeDist, q: EdgeTypeDist) -> dict:
     }
 
 
-def params_dict(p: NodeTypeDist, q: EdgeTypeDist, include_derived: bool = True) -> dict:
+def params_dict(p: NodeTypeDist, q: EdgeTypeDist) -> dict:
     """Serializable parameter object that load_params accepts back unchanged."""
-    out = {"K": p.K, "P": p.matrix.tolist(), "Q": q.matrix.tolist()}
-    if include_derived:
-        out["derived"] = derived_summary(p, q)
-    return out
+    return {"K": p.K, "P": p.matrix.tolist(), "Q": q.matrix.tolist(), "derived": derived_summary(p, q)}

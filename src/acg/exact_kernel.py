@@ -46,6 +46,7 @@ _LN2 = math.log(2.0)
 _BALANCE_SWEEPS = 20
 _MIN_EXP = sys.float_info.min_exp + 53  # balanced weights stay normal with room to spare
 _RESCALE_BITS = 64
+_ROUTE_TOL = 1e-12  # relative agreement required of the two moment routes for float Q
 
 
 def _weights(q, tilt=None, exact=None) -> list[list]:
@@ -368,8 +369,8 @@ def wiring_probability(wiring, x, q, cap: int = DEFAULT_TABLE_CAP):
     return table_probability(table, q, cap=cap) / wiring_count(table)
 
 
-def _cross_check(what, direct, ratio, cross_tol) -> None:
-    tol = 0 if isinstance(ratio, Fraction) else cross_tol
+def _cross_check(what, direct, ratio) -> None:
+    tol = 0 if isinstance(ratio, Fraction) else _ROUTE_TOL
     if abs(direct - ratio) > tol * max(1.0, abs(direct), abs(ratio)):
         raise AcgError(f"{what} routes disagree: {direct!r} vs {ratio!r}")
 
@@ -396,23 +397,23 @@ def _falling_moment(em, ep, w, z, k, j, order):
     return _zero(w) if z2 is None else q**order * z2.over(z)
 
 
-def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP, cross_tol: float = 1e-12):
+def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP):
     """Expected count of type-(k, j) edges given the margins.
 
     Computed two ways, the program's weighted count sum and the
     margin-reduction ratio Q[k,j] Z(e - d_jk) / Z(e); the routes must
-    agree to cross_tol (exactly for Fraction Q).
+    agree to a relative 1e-12 (exactly for Fraction Q).
     """
     w = _weights(q)
     _check_type(k, j, len(w))
     em, ep, z = _margin_sum(e_minus, e_plus, w, cap, mark=(k, j))
     direct = z.acc[1] / z.acc[0]
     ratio = _falling_moment(em, ep, w, z, k, j, 1)
-    _cross_check("edge-mean", direct, ratio, cross_tol)
+    _cross_check("edge-mean", direct, ratio)
     return ratio
 
 
-def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP, cross_tol: float = 1e-12):
+def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP):
     """Variance of the type-(k, j) edge count given the margins (two routes)."""
     w = _weights(q)
     _check_type(k, j, len(w))
@@ -421,7 +422,7 @@ def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_T
     direct = z.acc[2] / z.acc[0] - mean_d * mean_d
     mean_r = _falling_moment(em, ep, w, z, k, j, 1)
     ratio = mean_r + _falling_moment(em, ep, w, z, k, j, 2) - mean_r * mean_r
-    _cross_check("edge-variance", direct, ratio, cross_tol)
+    _cross_check("edge-variance", direct, ratio)
     return ratio
 
 

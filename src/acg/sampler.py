@@ -10,8 +10,11 @@ and the code follows it:
 2. stub matching: given the types, stubs are matched uniformly without
    replacement within each class, each class independently.
 
-Randomness comes from numpy Generators; batch callers split streams with
-the rule rng_for(seed, index) = default_rng([seed, index]).
+Randomness comes from numpy Generators made by default_rng(seed).  Callers
+that draw many graphs from one base seed give each its own stream by passing
+a list: [seed, index] for the index-th graph of `acg generate --samples`,
+`acg configs count` and the self-loop and assortativity suites, and
+[seed, size, rep] for the edge-LLN suite.
 """
 
 from __future__ import annotations
@@ -36,11 +39,7 @@ DEFAULT_DELTA = 0.25
 DEFAULT_MAX_RESTARTS = 10
 DEFAULT_MAX_REDRAWS = 1000
 _REFRESH_EVERY = 4096  # steps between exact refreshes of drifting weight sums
-
-
-def rng_for(seed, index: int) -> np.random.Generator:
-    """Independent stream for one sample index under a shared base seed."""
-    return np.random.default_rng([int(seed), int(index)])
+_WRITE_ROWS = 1 << 16  # rows per chunk of a sample file, which bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -418,35 +417,24 @@ def generate_graph(
     seed=0,
     max_redraws: int = DEFAULT_MAX_REDRAWS,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
-    rng: np.random.Generator | None = None,
 ) -> MultiGraph:
     """Draw, clip and wire one multigraph of n nodes (see accept_sequence)."""
     if p.K != q.K:
         raise InvalidDistribution(f"node K={p.K} does not match edge K={q.K}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     x, d_raw, redraws = accept_sequence(p, n, delta, rng, max_redraws)
     g = sequential_wiring(x, q, rng, max_restarts=max_restarts)
     g.meta.update(
         {
             "n": n,
             "delta": delta,
-            "seed": _seed_repr(seed),
+            "seed": seed,
             "redraws": redraws,
             "discrepancy": d_raw,
             "clip_count": abs(d_raw),
         }
     )
     return g
-
-
-def _seed_repr(seed):
-    if seed is None or isinstance(seed, (int, str)):
-        return seed
-    try:
-        return [int(v) for v in seed]
-    except TypeError:
-        return repr(seed)
 
 
 @dataclass(frozen=True)
@@ -513,11 +501,14 @@ def read_sample(sample_dir) -> MultiGraph:
     return MultiGraph(*nodes, *edges, meta=meta)
 
 
-def _columns(sep: str, header, cols) -> str:
-    """The header line, then one line per row: the row index and the integer columns."""
+def _columns(sep: str, header, cols):
+    """Yield the header line, then the rows (row index and integer columns) in chunks of lines."""
     row = sep.join(["%d"] * len(header)) + "\n"
-    rows = zip(range(len(cols[0])), *(c.tolist() for c in cols))
-    return sep.join(header) + "\n" + "".join(map(row.__mod__, rows))
+    yield sep.join(header) + "\n"
+    for start in range(0, len(cols[0]), _WRITE_ROWS):
+        stop = start + _WRITE_ROWS
+        rows = zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
+        yield "".join(map(row.__mod__, rows))
 
 
 def _read_columns(path: Path, sep: str, header) -> np.ndarray:
@@ -539,7 +530,9 @@ def _read_columns(path: Path, sep: str, header) -> np.ndarray:
     return table[1:]
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text) -> None:
+    """Write a string, or an iterable of strings in order, to a temp file, then rename it to path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
     tmp.replace(path)

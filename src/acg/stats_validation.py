@@ -18,7 +18,7 @@ import numpy as np
 
 from .degree_model import EdgeTypeDist, NodeTypeDist, self_loop_rate
 from .errors import DegenerateVariance
-from .sampler import DEFAULT_DELTA, accept_sequence, classify_graph, first_edge_types, generate_graph
+from .sampler import DEFAULT_DELTA, accept_sequence, first_edge_types, generate_graph
 
 SLOPE_WINDOW = (-0.65, -0.35)
 
@@ -79,6 +79,25 @@ def _fit_slope(sizes, deviations) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def _lln_report(kind, sizes, diffs, reps, seed, acceptance_rates=None) -> LLNReport:
+    """Summarize |empirical - target| tables; diffs[i] holds one per rep at sizes[i]."""
+    devs = [float(np.mean([d.max() for d in at_size])) for at_size in diffs]
+    tvs = [float(np.mean([0.5 * d.sum() for d in at_size])) for at_size in diffs]
+    slope = _fit_slope(sizes, devs)
+    return LLNReport(
+        kind=kind,
+        sizes=tuple(sizes),
+        max_deviations=tuple(devs),
+        tv_distances=tuple(tvs),
+        slope=slope,
+        slope_window=SLOPE_WINDOW,
+        slope_ok=bool(SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]),
+        acceptance_rates=acceptance_rates,
+        reps=reps,
+        seed=seed,
+    )
+
+
 def node_lln(
     p: NodeTypeDist,
     q: EdgeTypeDist,
@@ -86,7 +105,6 @@ def node_lln(
     reps: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-    slope_window=SLOPE_WINDOW,
 ) -> LLNReport:
     """Deviation of clipped node-type frequencies from P at each size.
 
@@ -94,44 +112,20 @@ def node_lln(
     the clip threshold.
     """
     sizes = [int(v) for v in sizes]
-    devs, tvs, rates = [], [], []
+    diffs, rates = [], []
     for size in sizes:
         rng = np.random.default_rng([seed, size])
-        rep_devs, rep_tvs = [], []
-        accepted = 0
+        at_size = []
         attempts = 0
         for _ in range(reps):
             x, _, redraws = accept_sequence(p, size, delta, rng)
-            accepted += 1
             attempts += redraws + 1
             freq = np.zeros_like(p.matrix)
             np.add.at(freq, (x.in_degrees, x.out_degrees), 1.0 / size)
-            diff = np.abs(freq - p.matrix)
-            rep_devs.append(diff.max())
-            rep_tvs.append(0.5 * diff.sum())
-        devs.append(float(np.mean(rep_devs)))
-        tvs.append(float(np.mean(rep_tvs)))
-        rates.append(accepted / attempts if attempts else float("nan"))
-    slope = _fit_slope(sizes, devs)
-    return LLNReport(
-        kind="node",
-        sizes=tuple(sizes),
-        max_deviations=tuple(devs),
-        tv_distances=tuple(tvs),
-        slope=slope,
-        slope_window=tuple(slope_window),
-        slope_ok=bool(slope_window[0] <= slope <= slope_window[1]),
-        acceptance_rates=tuple(rates),
-        reps=reps,
-        seed=seed,
-    )
-
-
-def _padded(table: np.ndarray, size: int) -> np.ndarray:
-    out = np.zeros((size, size))
-    s = min(size, table.shape[0])
-    out[:s, :s] = table[:s, :s]
-    return out
+            at_size.append(np.abs(freq - p.matrix))
+        diffs.append(at_size)
+        rates.append(reps / attempts if attempts else float("nan"))
+    return _lln_report("node", sizes, diffs, reps, seed, acceptance_rates=tuple(rates))
 
 
 def edge_lln(
@@ -141,34 +135,20 @@ def edge_lln(
     reps: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-    slope_window=SLOPE_WINDOW,
 ) -> LLNReport:
     """Deviation of sampled edge-type frequencies from Q at each size."""
     sizes = [int(v) for v in sizes]
-    devs, tvs = [], []
+    width = q.K + 1
+    diffs = []
     for size in sizes:
-        rep_devs, rep_tvs = [], []
+        at_size = []
         for rep in range(reps):
             g = generate_graph(p, q, size, delta=delta, seed=[seed, size, rep])
-            table = _padded(classify_graph(g).edge_type_matrix, q.K + 1)
-            diff = np.abs(table / g.n_edges - q.matrix)
-            rep_devs.append(diff.max())
-            rep_tvs.append(0.5 * diff.sum())
-        devs.append(float(np.mean(rep_devs)))
-        tvs.append(float(np.mean(rep_tvs)))
-    slope = _fit_slope(sizes, devs)
-    return LLNReport(
-        kind="edge",
-        sizes=tuple(sizes),
-        max_deviations=tuple(devs),
-        tv_distances=tuple(tvs),
-        slope=slope,
-        slope_window=tuple(slope_window),
-        slope_ok=bool(slope_window[0] <= slope <= slope_window[1]),
-        acceptance_rates=None,
-        reps=reps,
-        seed=seed,
-    )
+            codes = g.edge_out_type * width + g.edge_in_type
+            table = np.bincount(codes, minlength=width * width).reshape(width, width)
+            at_size.append(np.abs(table / g.n_edges - q.matrix))
+        diffs.append(at_size)
+    return _lln_report("edge", sizes, diffs, reps, seed)
 
 
 def _mutual_information(pair_counts: dict, reps: int) -> float:

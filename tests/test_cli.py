@@ -368,3 +368,21 @@ def test_cli_import_leaves_scipy_out():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-point", "--x", "0.4,0.6:0.3,0.7"],
+        ["edge-mean", "--x", "0.4,0.6:0.3,0.7", "--type", "2,2"],
+        ["laplace-check", "--margins", "4,8:4,8"],
+    ],
+)
+def test_bad_tol_is_rejected(bal2_file, tmp_path, capsys, argv, value):
+    out_dir = tmp_path / "out"
+    code = cli.run(["asymptotics", *argv, "--params", bal2_file, f"--tol={value}", "--out-dir", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "--tol" in err
+    assert not out_dir.exists()

@@ -29,7 +29,6 @@ from acg.sampler import (
     first_edge_types,
     generate_graph,
     read_sample,
-    rng_for,
     sequential_wiring,
     stub_census,
     write_sample,
@@ -304,14 +303,6 @@ def test_read_sample_rejects_a_malformed_file(bal2, tmp_path, name, text):
     (tmp_path / name).write_text(text)
     with pytest.raises(MalformedSample):
         read_sample(tmp_path)
-
-
-def test_rng_for_streams_are_stable():
-    a = rng_for(3, 1).integers(0, 1 << 30, 4)
-    b = rng_for(3, 1).integers(0, 1 << 30, 4)
-    c = rng_for(3, 2).integers(0, 1 << 30, 4)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, c)
 
 
 def test_clip_acceptance_is_high(bal2):
