@@ -101,15 +101,17 @@ def config_from_dict(d) -> ConfigurationTree:
 
     The layout is an object with an optional "root" type and an optional
     "attachments" list of objects with "node", "parent", "edge" and an
-    optional "type"; a type is a [j, k] pair or null.  Any other shape
-    raises InvalidConfiguration.
+    optional "type"; a type is a [j, k] pair or null.  Any other shape,
+    an unknown key included, raises InvalidConfiguration.
     """
     if not isinstance(d, dict) or not isinstance(d.get("attachments", []), list):
         raise InvalidConfiguration("a configuration is an object with an 'attachments' list")
+    _known_keys(d, {"root", "attachments"}, "a configuration")
     atts = []
     for pos, a in enumerate(d.get("attachments", [])):
         if not isinstance(a, dict) or not {"node", "parent", "edge"} <= a.keys():
             raise InvalidConfiguration(f"attachment {pos} needs 'node', 'parent' and 'edge'")
+        _known_keys(a, {"node", "parent", "edge", "type"}, f"attachment {pos}")
         atts.append(
             Attachment(
                 node=_integer(a["node"]),
@@ -119,6 +121,12 @@ def config_from_dict(d) -> ConfigurationTree:
             )
         )
     return ConfigurationTree(root_type=_type_pair(d.get("root")), attachments=atts)
+
+
+def _known_keys(d: dict, allowed: set, what: str) -> None:
+    unknown = sorted(map(str, d.keys() - allowed))
+    if unknown:
+        raise InvalidConfiguration(f"{what} has unknown keys {unknown}; allowed: {sorted(allowed)}")
 
 
 def _type_pair(value):

@@ -10,6 +10,12 @@ and the code follows it:
 2. stub matching: given the types, stubs are matched uniformly without
    replacement within each class, each class independently.
 
+Both stages have two backends that give the same bytes: a compiled C
+kernel (acg._wiring, built with the system C compiler on the first wiring
+call and cached in __pycache__) and the Python loops _type_chain and
+_assign_stubs, which run when no compiler is found or the build fails and
+serve as the kernel's test oracle.
+
 Randomness comes from numpy Generators made by default_rng(seed).  Callers
 that draw many graphs from one base seed give each its own stream by passing
 a list: [seed, index] for the index-th graph of `acg generate --samples`,
@@ -19,6 +25,7 @@ a list: [seed, index] for the index-th graph of `acg generate --samples`,
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -299,10 +306,10 @@ def _type_chain(census: StubCensus, rate, us: np.ndarray, fallback_uniform: bool
             s = _row_sums(rate, em, cols)
         kt[t] = kk
         jt[t] = jj
-    return kt, jt, used_fallback
+    return np.array(kt, dtype=np.int64), np.array(jt, dtype=np.int64), used_fallback
 
 
-def _assign_stubs(degrees: np.ndarray, types, us: np.ndarray, col: int) -> np.ndarray:
+def _assign_stubs(degrees: np.ndarray, types: np.ndarray, us: np.ndarray, col: int) -> np.ndarray:
     """Owner of the stub each step uses, drawn uniformly within its class.
 
     Step t takes the stub at position int(us[t, col] * size) of the pool of
@@ -312,7 +319,7 @@ def _assign_stubs(degrees: np.ndarray, types, us: np.ndarray, col: int) -> np.nd
     pools = [np.repeat(np.flatnonzero(degrees == d), d).tolist() for d in range(size)]
     u = us[:, col].tolist()
     owners = [0] * len(types)
-    for t, d in enumerate(types):
+    for t, d in enumerate(types.tolist()):
         pool = pools[d]
         idx = int(u[t] * len(pool))
         if idx >= len(pool):
@@ -321,6 +328,43 @@ def _assign_stubs(degrees: np.ndarray, types, us: np.ndarray, col: int) -> np.nd
         pool[idx] = pool[-1]
         pool.pop()
     return np.array(owners, dtype=np.int64)
+
+
+@functools.cache
+def _kernel():
+    """The compiled wiring kernel, or None to run the Python loops.
+
+    Built and loaded on the first wiring call, never at import.
+    """
+    from . import _wiring
+
+    return _wiring.load()
+
+
+def _chain(census: StubCensus, rate, us: np.ndarray, fallback_uniform: bool):
+    """_type_chain, run by the compiled kernel when it loads."""
+    lib = _kernel()
+    if lib is None:
+        return _type_chain(census, rate, us, fallback_uniform)
+    steps = len(us)
+    kt, jt = np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64)
+    em, ep = np.array(census.e_minus, dtype=np.int64), np.array(census.e_plus, dtype=np.int64)  # consumed
+    rc = lib.acg_type_chain(len(rate), np.array(rate), em, ep, us, steps, fallback_uniform, _REFRESH_EVERY, kt, jt)
+    if rc < 0:
+        raise _WiringDeadEnd()
+    return kt, jt, bool(rc)
+
+
+def _owners(degrees: np.ndarray, types: np.ndarray, us: np.ndarray, col: int) -> np.ndarray:
+    """_assign_stubs for a whole wiring, run by the compiled kernel when it loads."""
+    lib = _kernel()
+    if lib is None:
+        return _assign_stubs(degrees, types, us, col)
+    degrees = np.ascontiguousarray(degrees)
+    steps = len(types)
+    pool, owners = np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64)  # one step per stub
+    lib.acg_assign_stubs(int(degrees.max(initial=0)) + 1, len(degrees), degrees, steps, types, us, col, pool, owners)
+    return owners
 
 
 def sequential_wiring(
@@ -345,7 +389,7 @@ def sequential_wiring(
     while True:
         us = rng.random((census.n_edges, 4))
         try:
-            kt, jt, used_fallback = _type_chain(census, rate, us, restarts == max_restarts)
+            kt, jt, used_fallback = _chain(census, rate, us, restarts == max_restarts)
             break
         except _WiringDeadEnd:
             restarts += 1
@@ -354,10 +398,10 @@ def sequential_wiring(
     return MultiGraph(
         in_degrees=np.array(x.in_degrees),
         out_degrees=np.array(x.out_degrees),
-        edge_src=_assign_stubs(x.out_degrees, kt, us, 3),
-        edge_dst=_assign_stubs(x.in_degrees, jt, us, 2),
-        edge_out_type=np.array(kt, dtype=np.int64),
-        edge_in_type=np.array(jt, dtype=np.int64),
+        edge_src=_owners(x.out_degrees, kt, us, 3),
+        edge_dst=_owners(x.in_degrees, jt, us, 2),
+        edge_out_type=kt,
+        edge_in_type=jt,
         meta={"wiring_restarts": restarts, "uniform_fallback": used_fallback},
     )
 
@@ -376,10 +420,10 @@ def first_edge_types(
     if count > census.n_edges:
         raise InfeasibleSequence(f"asked for {count} edges, sequence has {census.n_edges}")
     try:
-        kt, jt, _ = _type_chain(census, _type_rate_matrix(q), rng.random((count, 4)), False)
+        kt, jt, _ = _chain(census, _type_rate_matrix(q), rng.random((count, 4)), False)
     except _WiringDeadEnd:
         raise DeadEnd("wiring stalled before reaching the requested edge count") from None
-    return list(zip(kt, jt))
+    return list(zip(kt.tolist(), jt.tolist()))
 
 
 def accept_sequence(

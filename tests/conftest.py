@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from acg import sampler
 from acg.degree_model import load_params
 
 BAL2_PARAMS = {
@@ -55,3 +56,13 @@ def disas_file(tmp_path):
     path = tmp_path / "disas.json"
     path.write_text(json.dumps(DISAS_PARAMS))
     return str(path)
+
+
+@pytest.fixture(params=["native", "python"])
+def wiring_path(request, monkeypatch):
+    """Run the test with the compiled wiring kernel, then with the Python loops."""
+    if request.param == "python":
+        monkeypatch.setattr(sampler, "_kernel", lambda: None)
+    elif sampler._kernel() is None:
+        pytest.skip("no C compiler to build the wiring kernel")
+    return request.param

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +333,18 @@ def test_configs_reject_malformed_configuration(bal2_file, tmp_path, capsys, bod
     if action == "count":
         argv += ["--n", "50", "--samples", "1", "--seed", "1"]
     code = cli.run(argv + ["--out-dir", str(tmp_path)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_configs_count_rejects_a_params_file_as_configuration(tmp_path, capsys):
+    fixtures = Path(__file__).resolve().parents[1] / "clibench" / "fixtures"
+    code = cli.run([
+        "configs", "count", "--params", str(fixtures / "assort_k10.json"),
+        "--config", str(fixtures / "exact_k3.json"), "--n", "50", "--seed", "1", "--out-dir", str(tmp_path),
+    ])
     _, err = capsys.readouterr()
     assert code == 1
     assert err.startswith("error:")

@@ -197,6 +197,9 @@ def test_configuration_validation():
         {"root": None, "attachments": [{"node": None, "parent": 0, "edge": "in"}]},
         {"root": None, "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": 5}]},
         {"root": None, "attachments": {"node": 1}},
+        {"K": 3, "P": [[0]], "Q": "independent"},
+        {"root": [1, 1], "attachments": [], "roots": [1, 1]},
+        {"root": None, "attachments": [{"node": 1, "parent": 0, "edge": "in", "typ": [1, 1]}]},
     ],
 )
 def test_config_from_dict_rejects_malformed_layouts(body):

@@ -107,3 +107,8 @@ def test_cli_output_digest(name, bal2_file, tmp_path, capsys, monkeypatch):
     argv, digest = GOLDEN[name]
     monkeypatch.chdir(tmp_path)
     assert output_digest(argv, tmp_path, capsys) == digest
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_digest_on_each_wiring_path(name, wiring_path, bal2_file, tmp_path, capsys, monkeypatch):
+    test_cli_output_digest(name, bal2_file, tmp_path, capsys, monkeypatch)

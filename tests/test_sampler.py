@@ -1,4 +1,5 @@
 import hashlib
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from acg import sampler
 from acg.degree_model import EdgeTypeDist, NodeTypeDist
 from acg.errors import (
     AcgError,
     ClipOverflow,
+    DeadEnd,
     InfeasibleSequence,
     InvalidDistribution,
     MalformedSample,
@@ -18,6 +21,7 @@ from acg.errors import (
 )
 from acg.sampler import (
     DEFAULT_DELTA,
+    DEFAULT_MAX_RESTARTS,
     _row_sums,
     MultiGraph,
     accept_sequence,
@@ -432,3 +436,91 @@ def test_accept_sequence_counts_redraws(bal2):
     # an odd node count never balances, and the threshold admits only D = 0
     with pytest.raises(RetriesExhausted):
         accept_sequence(p, 3, -10.0, np.random.default_rng(0), max_redraws=5)
+
+
+def test_golden_digests_hold_on_each_wiring_path(wiring_path, bal2, disas, tmp_path):
+    test_seeded_edges_match_golden_digests(bal2, disas)
+    test_sample_files_match_golden_digests(bal2, tmp_path)
+
+
+def _outcome(call):
+    """What call() returns, as comparable bytes, or the AcgError type it raises."""
+    try:
+        result = call()
+    except AcgError as exc:
+        return type(exc)
+    if isinstance(result, MultiGraph):
+        fields = (result.edge_src, result.edge_dst, result.edge_out_type, result.edge_in_type)
+        return tuple((a.dtype.str, a.tobytes()) for a in fields), result.meta
+    return result
+
+
+def _on_both_paths(call):
+    """call() with the compiled wiring kernel, then with the Python loops."""
+    assert sampler._kernel() is not None
+    native = call()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_kernel", lambda: None)
+        return native, call()
+
+
+needs_compiler = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+
+
+def _wiring_outcomes(x, q, seed, max_restarts=DEFAULT_MAX_RESTARTS):
+    """Outcomes of the wiring and of first_edge_types for 0, E/2 and E edges, equal on both paths."""
+    e = int(x.out_degrees.sum())
+
+    def run():
+        out = [_outcome(lambda: sequential_wiring(x, q, np.random.default_rng(seed), max_restarts))]
+        for count in (0, e // 2, e):
+            out.append(_outcome(lambda: first_edge_types(x, q, np.random.default_rng(seed), count)))
+        return out
+
+    native, python = _on_both_paths(run)
+    assert native == python
+    return native
+
+
+@needs_compiler
+@settings(max_examples=80, deadline=None)
+@given(sampler_cases(), st.integers(0, 2))
+def test_native_and_python_wiring_agree(case, max_restarts):
+    p_w, q_w, n, seed = case
+    assume(p_w.sum() > 0 and q_w.sum() > 0)
+    try:
+        p = NodeTypeDist.from_weights(p_w / p_w.sum())
+        q = EdgeTypeDist.from_weights(q_w / q_w.sum())
+        x, _, _ = accept_sequence(p, n, DEFAULT_DELTA, np.random.default_rng(seed), max_redraws=20)
+    except AcgError:
+        assume(False)
+    _wiring_outcomes(x, q, seed, max_restarts)
+
+
+@needs_compiler
+def test_native_and_python_wiring_agree_at_the_edges(disas):
+    _, q = disas  # forbids the (1, 1) cell
+    # all nodes (1, 1): the chain stalls at its first step, so first_edge_types
+    # raises DeadEnd and the wiring finishes under the uniform fallback
+    stalled = seq([(1, 1)] * 12)
+    for max_restarts in (0, 2):
+        wired, none, half, full = _wiring_outcomes(stalled, q, 1, max_restarts)
+        assert (none, half, full) == ([], DeadEnd, DeadEnd)
+        assert wired[1] == {"wiring_restarts": max_restarts, "uniform_fallback": True}
+    # no stub to wire
+    wired, none, half, full = _wiring_outcomes(seq([(0, 0)] * 5), q, 2)
+    assert wired[0] == tuple(("<i8", b"") for _ in range(4))
+    assert none == half == full == []
+
+
+@needs_compiler
+def test_native_and_python_wiring_agree_across_refreshes():
+    # In-class 1 runs out while out-classes 1 and 2 still hold 6,000 stubs that
+    # reach in-class 3 only at rates near 1e-17: their float weight sums are then
+    # mostly rounding error, which only the refresh every 4096 steps clears, so
+    # the picks of the E = 14,000 steps depend on it.
+    x = seq([(3, 1)] * 4000 + [(1, 3)] * 2000 + [(0, 2)] * 2000)
+    m = np.zeros((4, 4))
+    m[1:3, 1:3] = m[3, 3] = 1.0
+    m[3, 1:3] = m[1:3, 3] = 1e-17
+    _wiring_outcomes(x, EdgeTypeDist.from_weights(m / m.sum()), 0)
