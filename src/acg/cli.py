@@ -66,6 +66,21 @@ def _tol_arg(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _halves(text: str, caster, what: str):
     parts = text.split(":")
     if len(parts) != 2:
@@ -427,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", parents=[io, seeded], help="sample graphs and write nodes.csv / edges.tsv / meta.json")
     gen.add_argument("--n", type=int, required=True, help="number of nodes")
-    gen.add_argument("--samples", type=int, default=1, help="independent graphs to draw (default %(default)s)")
-    gen.add_argument("--max-redraws", type=int, default=1000, help="node sequence redraw budget")
-    gen.add_argument("--max-restarts", type=int, default=10, help="wiring restart budget per graph")
+    gen.add_argument("--samples", type=_int_at_least(1), default=1, help="independent graphs to draw (default %(default)s)")
+    gen.add_argument("--max-redraws", type=_int_at_least(0), default=1000, help="node sequence redraw budget")
+    gen.add_argument("--max-restarts", type=_int_at_least(0), default=10, help="wiring restart budget per graph")
     gen.set_defaults(func=_cmd_generate)
 
     exact = sub.add_parser("exact", help="finite-size exact quantities from the wiring distribution")
@@ -486,13 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     cnt = cfg_sub.add_parser("count", parents=[io, seeded], help="occurrence counts of a configuration in sampled graphs")
     cnt.add_argument("--config", required=True, help="configuration JSON file")
     cnt.add_argument("--n", type=int, required=True, help="nodes per sampled graph")
-    cnt.add_argument("--samples", type=int, default=50, help="graphs to sample (default %(default)s)")
+    cnt.add_argument("--samples", type=_int_at_least(1), default=50, help="graphs to sample (default %(default)s)")
     cnt.set_defaults(func=_cmd_configs, action="count")
 
     val = sub.add_parser("validate", parents=[io, seeded], help="simulation test suites with JSON + TSV reports")
     val.add_argument("--suite", choices=SUITES + ("all",), required=True)
     val.add_argument("--sizes", type=_int_list, default=[1000, 10000], help="graph sizes for LLN suites")
-    val.add_argument("--reps", type=int, default=None, help="repetitions (default depends on suite)")
+    val.add_argument("--reps", type=_int_at_least(1), default=None, help="repetitions (default depends on suite)")
     val.add_argument("--n", type=int, default=None, help="graph size for non-LLN suites")
     val.add_argument("--length", type=int, default=1, help="leading edge count for first-edges")
     val.set_defaults(func=_cmd_validate)

@@ -9,6 +9,12 @@ factor and one conditional edge factor per attachment.  Configurations
 with cycles carry no limiting constant; their occurrence counts in
 sampled graphs stay bounded as the graph grows, which is checked
 empirically here.
+
+Occurrences are counted by a breadth-first frontier join in numpy: the
+partial embeddings of all roots advance together, one attachment at a
+time, over CSR adjacency built once per graph.  A fixed row budget
+(_ROW_BUDGET) caps the rows built in one expansion by splitting the
+frontier, so memory grows with the graph, not with its embedding count.
 """
 
 from dataclasses import dataclass
@@ -19,6 +25,8 @@ from .degree_model import EdgeTypeDist, NodeTypeDist, conditional_dists
 from .errors import InvalidConfiguration, NotATree
 
 MAX_EMBED_EDGES = 4
+# largest frontier expansion built at once by count_config_occurrences
+_ROW_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -246,19 +254,18 @@ def lti_factorization(h: ConfigurationTree, root: int, p, q):
     return left, right, left * right
 
 
-def _adjacency(g):
-    out_edges = [[] for _ in range(g.n_nodes)]
-    in_edges = [[] for _ in range(g.n_nodes)]
-    for eid in range(g.n_edges):
-        out_edges[g.edge_src[eid]].append(eid)
-        in_edges[g.edge_dst[eid]].append(eid)
-    return out_edges, in_edges
+def _csr(ends, n_nodes):
+    """Edge ids grouped by the node at one end, in edge order, with row pointers."""
+    order = np.argsort(ends, kind="stable")
+    ptr = np.zeros(n_nodes + 1, dtype=np.intp)
+    np.cumsum(np.bincount(ends, minlength=n_nodes), out=ptr[1:])
+    return order, ptr
 
 
-def _type_matches(g, node, wanted) -> bool:
-    return wanted is None or (
-        g.in_degrees[node] == wanted[0] and g.out_degrees[node] == wanted[1]
-    )
+def _type_mask(g, wanted):
+    if wanted is None:
+        return None
+    return (g.in_degrees == wanted[0]) & (g.out_degrees == wanted[1])
 
 
 def count_config_occurrences(g, h: ConfigurationTree) -> int:
@@ -266,54 +273,67 @@ def count_config_occurrences(g, h: ConfigurationTree) -> int:
 
     Distinct node indices of h map to distinct nodes of g, so tree
     embeddings never use self-loops; parallel edges count as separate
-    embeddings because the edge map must be injective too.
+    embeddings because the edge map must be injective too.  A node's type
+    may be given on any attachment that names it, revisits included;
+    conflicting types raise InvalidConfiguration.
+
+    The partial embeddings are held as rows of a frontier, one column of
+    graph node ids per mapped node and one of edge ids per placed edge,
+    starting from every root of matching type.  Each attachment expands
+    every row by its parent's in- or out-edges (CSR adjacency built once)
+    and drops the rows that reuse an edge, map a fresh node onto a mapped
+    one or onto a node of the wrong type, or close a cycle onto the wrong
+    node.  The count is the number of rows left after the last
+    attachment.  An expansion larger than _ROW_BUDGET rows splits its
+    frontier in halves, so the working set stays near that many rows
+    however many embeddings there are.
     """
     if h.n_edges > MAX_EMBED_EDGES:
         raise ValueError(f"embedding search is limited to {MAX_EMBED_EDGES} edges")
-    out_edges, in_edges = _adjacency(g)
-    atts = h.attachments
-    total = 0
+    masks = [_type_mask(g, t) for t in h.node_types()]
+    n = g.n_nodes
+    # per orientation: parent's edges by node (CSR), then the edge's far end
+    by_orientation = {
+        "out": (*_csr(g.edge_src, n), g.edge_dst),
+        "in": (*_csr(g.edge_dst, n), g.edge_src),
+    }
+    steps = [(*by_orientation[a.orientation], a.parent, a.node, masks[a.node]) for a in h.attachments]
+    roots = np.arange(n) if masks[0] is None else np.flatnonzero(masks[0])
+    return int(_extend(steps, roots[None, :], np.empty((0, len(roots)), dtype=np.intp)))
 
-    def extend(pos, mapping, used):
-        nonlocal total
-        if pos == len(atts):
-            total += 1
-            return
-        att = atts[pos]
-        parent = mapping[att.parent]
-        fresh = att.node not in mapping
-        if att.orientation == "in":
-            candidates = in_edges[parent]
-            far_end = g.edge_src
-        else:
-            candidates = out_edges[parent]
-            far_end = g.edge_dst
-        for eid in candidates:
-            if eid in used:
-                continue
-            other = far_end[eid]
-            if fresh:
-                if other in mapping.values():
-                    continue
-                if not _type_matches(g, other, att.node_type):
-                    continue
-                mapping[att.node] = other
-                used.add(eid)
-                extend(pos + 1, mapping, used)
-                used.discard(eid)
-                del mapping[att.node]
-            else:
-                if other != mapping[att.node]:
-                    continue
-                used.add(eid)
-                extend(pos + 1, mapping, used)
-                used.discard(eid)
 
-    wanted_root = h.root_type
-    for root in range(g.n_nodes):
-        if _type_matches(g, root, wanted_root):
-            extend(0, {0: root}, set())
-    return total
+def _extend(steps, nodes, edges):
+    """Number of completions of the frontier rows (columns of nodes/edges)."""
+    pos = edges.shape[0]
+    rows = nodes.shape[1]
+    if pos == len(steps):
+        return rows
+    order, ptr, far_end, parent, node, mask = steps[pos]
+    start = ptr[nodes[parent]]
+    width = ptr[nodes[parent] + 1] - start
+    total = int(width.sum())
+    if total > _ROW_BUDGET and rows > 1:
+        half = rows // 2
+        return _extend(steps, nodes[:, :half], edges[:, :half]) + _extend(steps, nodes[:, half:], edges[:, half:])
+    row = np.repeat(np.arange(rows), width)
+    eid = order[start[row] + np.arange(total) - np.repeat(np.cumsum(width) - width, width)]
+    other = far_end[eid]
+    keep = np.ones(total, dtype=bool)
+    for used in edges:
+        keep &= eid != used[row]
+    fresh = node == nodes.shape[0]
+    if fresh:
+        for mapped in nodes:
+            keep &= other != mapped[row]
+        if mask is not None:
+            keep &= mask[other]
+    else:
+        keep &= other == nodes[node][row]
+    if pos + 1 == len(steps):
+        return int(np.count_nonzero(keep))
+    row = row[keep]
+    nodes = np.vstack([nodes[:, row], other[keep]]) if fresh else nodes[:, row]
+    return _extend(steps, nodes, np.vstack([edges[:, row], eid[keep]]))
 
 
 def edge_pair_fraction(g, target_type, source_type) -> float:

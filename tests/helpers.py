@@ -163,3 +163,66 @@ def weighted_tables(e_minus, e_plus, rows):
                 weight = weight * rows[k][j] ** int(v) / math.factorial(int(v))
         out.append((table, weight))
     return out
+
+
+def count_embeddings_oracle(g, h) -> int:
+    """Embeddings of configuration h in multigraph g by depth-first recursion.
+
+    Walks h's attachments one edge at a time from every root of matching
+    type, keeping the node map and the set of used edge ids.  A type is
+    read only from the root and from the attachment that makes a node
+    fresh.
+    """
+    out_edges = [[] for _ in range(g.n_nodes)]
+    in_edges = [[] for _ in range(g.n_nodes)]
+    for eid in range(g.n_edges):
+        out_edges[g.edge_src[eid]].append(eid)
+        in_edges[g.edge_dst[eid]].append(eid)
+
+    def type_matches(node, wanted) -> bool:
+        return wanted is None or (
+            g.in_degrees[node] == wanted[0] and g.out_degrees[node] == wanted[1]
+        )
+
+    atts = h.attachments
+    total = 0
+
+    def extend(pos, mapping, used):
+        nonlocal total
+        if pos == len(atts):
+            total += 1
+            return
+        att = atts[pos]
+        parent = mapping[att.parent]
+        fresh = att.node not in mapping
+        if att.orientation == "in":
+            candidates = in_edges[parent]
+            far_end = g.edge_src
+        else:
+            candidates = out_edges[parent]
+            far_end = g.edge_dst
+        for eid in candidates:
+            if eid in used:
+                continue
+            other = far_end[eid]
+            if fresh:
+                if other in mapping.values():
+                    continue
+                if not type_matches(other, att.node_type):
+                    continue
+                mapping[att.node] = other
+                used.add(eid)
+                extend(pos + 1, mapping, used)
+                used.discard(eid)
+                del mapping[att.node]
+            else:
+                if other != mapping[att.node]:
+                    continue
+                used.add(eid)
+                extend(pos + 1, mapping, used)
+                used.discard(eid)
+
+    for root in range(g.n_nodes):
+        if type_matches(root, h.root_type):
+            extend(0, {0: root}, set())
+    return total

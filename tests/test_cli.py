@@ -325,6 +325,13 @@ def test_entry_point_subprocess(bal2_file, tmp_path):
         {"root": [1, 2], "attachments": [{"parent": 0, "edge": "in", "type": [2, 1]}]},
         [SINGLE_IN_EDGE],
         {"root": [1], "attachments": []},
+        {
+            "root": None,
+            "attachments": [
+                {"node": 1, "parent": 0, "edge": "in", "type": [1, 1]},
+                {"node": 1, "parent": 0, "edge": "out", "type": [2, 2]},
+            ],
+        },
     ],
 )
 @pytest.mark.parametrize("action", ["predict", "count"])
@@ -368,6 +375,30 @@ def test_non_finite_delta_is_rejected(bal2_file, tmp_path, capsys, argv, value):
     assert code == 2
     assert "finite" in err
     assert not (out_dir / "meta.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "50", "--seed", "1", "--samples", "0"],
+        ["generate", "--n", "50", "--seed", "1", "--samples", "-2"],
+        ["generate", "--n", "50", "--seed", "1", "--max-redraws", "-1"],
+        ["generate", "--n", "50", "--seed", "1", "--max-restarts", "-1"],
+        ["configs", "count", "--n", "50", "--seed", "1", "--samples", "0"],
+        ["configs", "count", "--n", "50", "--seed", "1", "--samples", "-2"],
+        ["validate", "--suite", "self-loops", "--seed", "1", "--reps", "0"],
+        ["validate", "--suite", "node-lln", "--seed", "1", "--reps", "-1"],
+        ["validate", "--suite", "assortativity", "--seed", "1", "--reps", "0"],
+    ],
+)
+def test_count_flags_below_their_lower_bound_are_rejected(bal2_file, tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    extra = ["--config", config_file(tmp_path, SINGLE_IN_EDGE)] if argv[0] == "configs" else []
+    code = cli.run([*argv, "--params", bal2_file, *extra, "--out-dir", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert f"argument {argv[-2]}: expected an integer >=" in err
+    assert not out_dir.exists()
 
 
 def test_cli_import_leaves_scipy_out():

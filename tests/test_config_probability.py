@@ -1,9 +1,16 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acg import config_probability as cfg
+from acg.degree_model import load_params
 from acg.errors import InvalidConfiguration, NotATree
 from acg.sampler import MultiGraph, generate_graph
+
+from helpers import count_embeddings_oracle
 
 
 def graph(in_deg, out_deg, src, dst):
@@ -122,6 +129,87 @@ def test_count_respects_types():
     assert cfg.count_config_occurrences(G_PATH, typed) == 1
     wrong = cfg.ConfigurationTree((2, 2), [cfg.Attachment(1, 0, "in")])
     assert cfg.count_config_occurrences(G_PATH, wrong) == 0
+
+
+def test_count_reads_a_type_given_on_a_revisit():
+    typed_revisit = cfg.ConfigurationTree(
+        None, [cfg.Attachment(1, 0, "in"), cfg.Attachment(1, 0, "out", (5, 5))]
+    )
+    assert cfg.count_config_occurrences(G_CYCLE2, typed_revisit) == 0
+    matching_revisit = cfg.ConfigurationTree(
+        None, [cfg.Attachment(1, 0, "in"), cfg.Attachment(1, 0, "out", (1, 1))]
+    )
+    assert cfg.count_config_occurrences(G_CYCLE2, matching_revisit) == 2
+
+
+def test_count_rejects_conflicting_types():
+    conflicted = cfg.ConfigurationTree(
+        None, [cfg.Attachment(1, 0, "in", (1, 1)), cfg.Attachment(1, 0, "out", (2, 2))]
+    )
+    with pytest.raises(InvalidConfiguration):
+        cfg.count_config_occurrences(G_CYCLE2, conflicted)
+
+
+@st.composite
+def graphs_and_configurations(draw):
+    """A small multigraph (self-loops, parallel edges) and a configuration of up to 4 edges.
+
+    Attachments may close cycles, and any of them may carry a type, drawn
+    mostly from the types present in the graph.
+    """
+    n = draw(st.integers(1, 7))
+    n_edges = draw(st.integers(0, 14))
+    src = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n_edges, max_size=n_edges)), dtype=np.int64)
+    dst = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n_edges, max_size=n_edges)), dtype=np.int64)
+    g = graph(np.bincount(dst, minlength=n), np.bincount(src, minlength=n), src, dst)
+    present = sorted({(int(j), int(k)) for j, k in zip(g.in_degrees, g.out_degrees)})
+    types = st.none() | st.sampled_from(present) | st.tuples(st.integers(0, 3), st.integers(0, 3))
+    atts = []
+    seen = 1
+    for _ in range(draw(st.integers(0, cfg.MAX_EMBED_EDGES))):
+        node = draw(st.integers(0, seen))
+        atts.append(cfg.Attachment(node, draw(st.integers(0, seen - 1)), draw(st.sampled_from(["in", "out"])), draw(types)))
+        seen += node == seen
+    return g, cfg.ConfigurationTree(draw(types), atts)
+
+
+def types_on_fresh_attachments(h):
+    """The same configuration with each node's type on the attachment that adds it."""
+    types = h.node_types()
+    seen = 1
+    atts = []
+    for a in h.attachments:
+        fresh = a.node == seen
+        seen += fresh
+        atts.append(cfg.Attachment(a.node, a.parent, a.orientation, types[a.node] if fresh else None))
+    return cfg.ConfigurationTree(types[0], atts)
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_configurations())
+def test_count_matches_recursive_oracle(budget, case):
+    g, h = case
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr(cfg, "_ROW_BUDGET", budget)
+        try:
+            oracle_h = types_on_fresh_attachments(h)
+        except InvalidConfiguration:
+            with pytest.raises(InvalidConfiguration):
+                cfg.count_config_occurrences(g, h)
+            return
+        count = cfg.count_config_occurrences(g, h)
+    assert type(count) is int
+    assert count == count_embeddings_oracle(g, oracle_h)
+
+
+def test_count_single_in_edge_is_edges_minus_self_loops():
+    fixture = Path(__file__).resolve().parents[1] / "clibench" / "fixtures" / "assort_k10.json"
+    p, q = load_params(fixture)
+    g = generate_graph(p, q, 2000, seed=1)
+    expected = g.n_edges - int(g.self_loop_mask.sum())
+    assert cfg.count_config_occurrences(g, H_EDGE_IN) == expected
 
 
 def test_count_rejects_oversized_configuration():
