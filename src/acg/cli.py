@@ -40,12 +40,15 @@ SUITES = ("node-lln", "edge-lln", "first-edges", "self-loops", "assortativity")
 
 
 def _int_list(text: str) -> list:
+    """argparse type: comma-separated integers, each at least 1."""
     try:
         values = [int(tok) for tok in text.split(",") if tok]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"expected integers >= 1, got {text!r}")
     return values
 
 
@@ -325,11 +328,8 @@ def _cmd_configs(args, p, q, out) -> int:
         }
         _emit(out / "configs_predict.json", result, line=f"{value:.10f}")
         return 0
-    graphs = [
-        generate_graph(p, q, args.n, delta=args.delta, seed=[args.seed, i])
-        for i in range(args.samples)
-    ]
-    report = cfg.count_in_graphs(graphs, h, p, q)
+    graphs = (generate_graph(p, q, args.n, delta=args.delta, seed=[args.seed, i]) for i in range(args.samples))
+    report = cfg.count_in_graphs(graphs, h, p, q)  # checks h before it draws the first graph
     result = {
         "configuration": cfg.config_to_dict(h),
         "count": report.count,
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
 
     gen = sub.add_parser("generate", parents=[io, seeded], help="sample graphs and write nodes.csv / edges.tsv / meta.json")
-    gen.add_argument("--n", type=int, required=True, help="number of nodes")
+    gen.add_argument("--n", type=_int_at_least(1), required=True, help="number of nodes")
     gen.add_argument("--samples", type=_int_at_least(1), default=1, help="independent graphs to draw (default %(default)s)")
     gen.add_argument("--max-redraws", type=_int_at_least(0), default=1000, help="node sequence redraw budget")
     gen.add_argument("--max-restarts", type=_int_at_least(0), default=10, help="wiring restart budget per graph")
@@ -500,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     pred.set_defaults(func=_cmd_configs, action="predict")
     cnt = cfg_sub.add_parser("count", parents=[io, seeded], help="occurrence counts of a configuration in sampled graphs")
     cnt.add_argument("--config", required=True, help="configuration JSON file")
-    cnt.add_argument("--n", type=int, required=True, help="nodes per sampled graph")
+    cnt.add_argument("--n", type=_int_at_least(1), required=True, help="nodes per sampled graph")
     cnt.add_argument("--samples", type=_int_at_least(1), default=50, help="graphs to sample (default %(default)s)")
     cnt.set_defaults(func=_cmd_configs, action="count")
 
@@ -508,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--suite", choices=SUITES + ("all",), required=True)
     val.add_argument("--sizes", type=_int_list, default=[1000, 10000], help="graph sizes for LLN suites")
     val.add_argument("--reps", type=_int_at_least(1), default=None, help="repetitions (default depends on suite)")
-    val.add_argument("--n", type=int, default=None, help="graph size for non-LLN suites")
-    val.add_argument("--length", type=int, default=1, help="leading edge count for first-edges")
+    val.add_argument("--n", type=_int_at_least(1), default=None, help="graph size for non-LLN suites")
+    val.add_argument("--length", type=int, choices=range(1, 6), default=1, help="leading edge count for first-edges")
     val.set_defaults(func=_cmd_validate)
 
     return parser

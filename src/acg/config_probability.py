@@ -288,9 +288,7 @@ def count_config_occurrences(g, h: ConfigurationTree) -> int:
     frontier in halves, so the working set stays near that many rows
     however many embeddings there are.
     """
-    if h.n_edges > MAX_EMBED_EDGES:
-        raise ValueError(f"embedding search is limited to {MAX_EMBED_EDGES} edges")
-    masks = [_type_mask(g, t) for t in h.node_types()]
+    masks = [_type_mask(g, t) for t in _countable_types(h)]
     n = g.n_nodes
     # per orientation: parent's edges by node (CSR), then the edge's far end
     by_orientation = {
@@ -300,6 +298,13 @@ def count_config_occurrences(g, h: ConfigurationTree) -> int:
     steps = [(*by_orientation[a.orientation], a.parent, a.node, masks[a.node]) for a in h.attachments]
     roots = np.arange(n) if masks[0] is None else np.flatnonzero(masks[0])
     return int(_extend(steps, roots[None, :], np.empty((0, len(roots)), dtype=np.intp)))
+
+
+def _countable_types(h: ConfigurationTree) -> list:
+    """h's node types, after every check the counter makes of h alone."""
+    if h.n_edges > MAX_EMBED_EDGES:
+        raise ValueError(f"embedding search is limited to {MAX_EMBED_EDGES} edges")
+    return h.node_types()
 
 
 def _extend(steps, nodes, edges):
@@ -365,20 +370,29 @@ class ConfigCountReport:
 
 
 def count_in_graphs(graphs, h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> ConfigCountReport:
-    """Total and per-graph occurrence count of h over a graph collection."""
-    graphs = list(graphs)
-    count = sum(count_config_occurrences(g, h) for g in graphs)
+    """Total and per-graph occurrence count of h, streamed over any one-pass iterable of graphs.
+
+    h is checked before the first graph is taken, so a generator that
+    samples graphs draws none for a configuration the counter rejects.
+    Each graph is counted and dropped before the next is taken.
+    """
+    _countable_types(h)
     predicted = None
     if h.is_tree and h.n_edges:
         try:
             predicted = tree_config_prob(h, p, q)
         except ValueError:
             predicted = None
+    count = scanned = 0
+    for g in graphs:
+        count += count_config_occurrences(g, h)
+        scanned += 1
+        del g
     return ConfigCountReport(
         configuration=h,
         count=count,
-        graphs_scanned=len(graphs),
-        frequency=count / len(graphs) if graphs else 0.0,
+        graphs_scanned=scanned,
+        frequency=count / scanned if scanned else 0.0,
         predicted=predicted,
     )
 

@@ -9,6 +9,7 @@ margins equal the degree-size-biased margins of P.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,9 @@ from .errors import InconsistentPair, InvalidDistribution, ZeroMeanDegree
 
 RENORM_TOL = 1e-9
 CONSISTENCY_TOL = 1e-9
+# buckets of the node-type guide table; a power of two, so u * GUIDE_BUCKETS
+# only shifts u's exponent and its floor is the exact bucket of u
+GUIDE_BUCKETS = 1 << 14
 
 
 def _as_prob_matrix(weights, name: str) -> np.ndarray:
@@ -77,6 +81,35 @@ class NodeTypeDist:
     def K(self) -> int:
         return self.matrix.shape[0] - 1
 
+    @functools.cached_property
+    def cells(self) -> "CellTable":
+        """Tables for drawing node types by inverse cdf over the flattened cells j * (K+1) + k."""
+        size = self.K + 1
+        cdf = self.matrix.reshape(-1).cumsum()
+        cdf /= cdf[-1]  # as Generator.choice normalises it
+        guide = cdf.searchsorted(np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right")
+        degrees = np.arange(size, dtype=np.int64)
+        arrays = (cdf, guide, np.repeat(degrees, size), np.tile(degrees, size))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return CellTable(*arrays)
+
+
+@dataclass(frozen=True)
+class CellTable:
+    """Inverse-cdf tables over the flattened cells of a node-type matrix.
+
+    cdf is the cumulative sum of the cells divided by its last entry.
+    guide[b] is the first cell whose cdf exceeds b / GUIDE_BUCKETS: a
+    lower bound on the cell of every uniform in bucket b.  in_degree and
+    out_degree map a cell to its (j, k).
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+    in_degree: np.ndarray
+    out_degree: np.ndarray
+
 
 @dataclass(frozen=True)
 class EdgeTypeDist:
@@ -104,6 +137,19 @@ class EdgeTypeDist:
     @property
     def K(self) -> int:
         return self.matrix.shape[0] - 1
+
+    @functools.cached_property
+    def rate(self) -> np.ndarray:
+        """Read-only float64 R[k, j] = Q[k, j] / (Q+_k Q-_j); zero wherever a margin vanishes.
+
+        Each entry is the product of the margins, then one division, as a
+        scalar loop would compute it.
+        """
+        live = (self.out_marginal > 0)[:, None] & (self.in_marginal > 0)[None, :]
+        rate = np.zeros(self.matrix.shape)
+        np.divide(self.matrix, np.outer(self.out_marginal, self.in_marginal), out=rate, where=live)
+        rate.setflags(write=False)
+        return rate
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,17 @@
 
 The pipeline: draw N node types i.i.d., redraw or clip the stub-count
 discrepancy (accept_sequence), then wire in- to out-stubs sequentially
-with type-dependent weights.  The wiring measure factors in two stages,
-and the code follows it:
+with type-dependent weights.
+
+The node draw consumes exactly rng.random(N) and returns the cells that
+Generator.choice(len(p), size=N, p=p) returns for the same uniforms: both
+invert the same cdf, the cumulative sum of P's flattened cells divided by
+its last entry.  Instead of a binary search per uniform it starts from a
+guide table, the first cell whose cdf exceeds the lower end of the
+uniform's bucket, and steps up while the cdf does not exceed the uniform
+(see draw_node_sequence).
+
+The wiring measure factors in two stages, and the code follows it:
 
 1. type chain: the edge type (k, j) of each step depends only on the
    integer stub counts per degree class;
@@ -32,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .degree_model import EdgeTypeDist, NodeTypeDist
+from .degree_model import GUIDE_BUCKETS, EdgeTypeDist, NodeTypeDist
 from .errors import (
     ClipOverflow,
     DeadEnd,
@@ -61,7 +70,7 @@ class NodeTypeSequence:
         object.__setattr__(self, "out_degrees", np.asarray(self.out_degrees, dtype=np.int64))
         if self.in_degrees.shape != self.out_degrees.shape or self.in_degrees.ndim != 1:
             raise InvalidDistribution("degree arrays must be 1-d and equally long")
-        if (self.in_degrees < 0).any() or (self.out_degrees < 0).any():
+        if self.in_degrees.min(initial=0) < 0 or self.out_degrees.min(initial=0) < 0:
             raise InvalidDistribution("degrees must be nonnegative")
         self.in_degrees.setflags(write=False)
         self.out_degrees.setflags(write=False)
@@ -76,9 +85,9 @@ class NodeTypeSequence:
     def __len__(self) -> int:
         return len(self.in_degrees)
 
-    @property
+    @functools.cached_property
     def discrepancy(self) -> int:
-        """Out-stub excess D = sum(k_i - j_i)."""
+        """Out-stub excess D = sum(k_i - j_i), summed once: the degrees are read-only."""
         return int(self.out_degrees.sum() - self.in_degrees.sum())
 
     def pairs(self) -> list[tuple[int, int]]:
@@ -96,12 +105,28 @@ class StubCensus:
 
 
 def draw_node_sequence(p: NodeTypeDist, n: int, rng: np.random.Generator) -> NodeTypeSequence:
-    """Draw n node types i.i.d. from P."""
+    """Draw n node types i.i.d. from P, consuming exactly rng.random(n).
+
+    Uniform u falls in cell i, the first cell of P (flattened, j-major)
+    whose cdf exceeds u; the cdf is p.cells.cdf, formed as
+    Generator.choice(len(flat), size=n, p=flat) forms it, which finds the
+    same i by a binary search over the same uniforms.  Here bucket
+    b = floor(u * GUIDE_BUCKETS) is exact, because GUIDE_BUCKETS is a power
+    of two, and its guide entry, the first cell whose cdf exceeds
+    b / GUIDE_BUCKETS <= u, is a lower bound on i.  Stepping up while
+    cdf <= u compares the same doubles as the search, so it stops at i
+    (the last cdf entry is 1 > u).  Same cells, same generator state.
+    """
     if n < 1:
         raise InvalidDistribution(f"need at least one node, got n={n}")
-    size = p.K + 1
-    flat = rng.choice(size * size, size=n, p=p.matrix.reshape(-1))
-    return NodeTypeSequence(in_degrees=flat // size, out_degrees=flat % size)
+    cells = p.cells
+    u = rng.random(n)
+    idx = cells.guide[(u * GUIDE_BUCKETS).astype(np.intp)]
+    behind = np.flatnonzero(cells.cdf[idx] <= u)
+    while behind.size:
+        idx[behind] += 1
+        behind = behind[cells.cdf[idx[behind]] <= u[behind]]
+    return NodeTypeSequence(in_degrees=cells.in_degree[idx], out_degrees=cells.out_degree[idx])
 
 
 def clip_threshold(n: int, delta: float) -> float:
@@ -188,21 +213,6 @@ class MultiGraph:
     @property
     def self_loop_mask(self) -> np.ndarray:
         return self.edge_src == self.edge_dst
-
-
-def _type_rate_matrix(q: EdgeTypeDist) -> list[list[float]]:
-    """R[k][j] = Q[k,j] / (Q+_k Q-_j); zero wherever a margin vanishes."""
-    size = q.K + 1
-    rate = [[0.0] * size for _ in range(size)]
-    for k in range(1, size):
-        qp = q.out_marginal[k]
-        if qp <= 0:
-            continue
-        for j in range(1, size):
-            qm = q.in_marginal[j]
-            if qm > 0:
-                rate[k][j] = float(q.matrix[k, j]) / (qp * float(qm))
-    return rate
 
 
 class _WiringDeadEnd(Exception):
@@ -341,15 +351,15 @@ def _kernel():
     return _wiring.load()
 
 
-def _chain(census: StubCensus, rate, us: np.ndarray, fallback_uniform: bool):
-    """_type_chain, run by the compiled kernel when it loads."""
+def _chain(census: StubCensus, rate: np.ndarray, us: np.ndarray, fallback_uniform: bool):
+    """_type_chain, run by the compiled kernel when it loads; rate is EdgeTypeDist.rate."""
     lib = _kernel()
     if lib is None:
-        return _type_chain(census, rate, us, fallback_uniform)
+        return _type_chain(census, rate.tolist(), us, fallback_uniform)
     steps = len(us)
     kt, jt = np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64)
     em, ep = np.array(census.e_minus, dtype=np.int64), np.array(census.e_plus, dtype=np.int64)  # consumed
-    rc = lib.acg_type_chain(len(rate), np.array(rate), em, ep, us, steps, fallback_uniform, _REFRESH_EVERY, kt, jt)
+    rc = lib.acg_type_chain(len(rate), rate, em, ep, us, steps, fallback_uniform, _REFRESH_EVERY, kt, jt)
     if rc < 0:
         raise _WiringDeadEnd()
     return kt, jt, bool(rc)
@@ -384,12 +394,11 @@ def sequential_wiring(
     matching if it stalls too (flagged in meta).
     """
     census = stub_census(x, k_cut=q.K)
-    rate = _type_rate_matrix(q)
     restarts = 0
     while True:
         us = rng.random((census.n_edges, 4))
         try:
-            kt, jt, used_fallback = _chain(census, rate, us, restarts == max_restarts)
+            kt, jt, used_fallback = _chain(census, q.rate, us, restarts == max_restarts)
             break
         except _WiringDeadEnd:
             restarts += 1
@@ -420,7 +429,7 @@ def first_edge_types(
     if count > census.n_edges:
         raise InfeasibleSequence(f"asked for {count} edges, sequence has {census.n_edges}")
     try:
-        kt, jt, _ = _chain(census, _type_rate_matrix(q), rng.random((count, 4)), False)
+        kt, jt, _ = _chain(census, q.rate, rng.random((count, 4)), False)
     except _WiringDeadEnd:
         raise DeadEnd("wiring stalled before reaching the requested edge count") from None
     return list(zip(kt.tolist(), jt.tolist()))

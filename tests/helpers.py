@@ -165,6 +165,28 @@ def weighted_tables(e_minus, e_plus, rows):
     return out
 
 
+def rate_matrix_oracle(q: EdgeTypeDist) -> list:
+    """R[k][j] = Q[k,j] / (Q+_k Q-_j) by a scalar loop; zero wherever a margin vanishes."""
+    size = q.K + 1
+    rate = [[0.0] * size for _ in range(size)]
+    for k in range(1, size):
+        qp = q.out_marginal[k]
+        if qp <= 0:
+            continue
+        for j in range(1, size):
+            qm = q.in_marginal[j]
+            if qm > 0:
+                rate[k][j] = float(q.matrix[k, j]) / (qp * float(qm))
+    return rate
+
+
+def draw_cells_oracle(p: NodeTypeDist, n: int, rng) -> tuple:
+    """(in-degrees, out-degrees) of n node types drawn by Generator.choice over P's flattened cells."""
+    size = p.K + 1
+    flat = rng.choice(size * size, size=n, p=p.matrix.reshape(-1))
+    return flat // size, flat % size
+
+
 def count_embeddings_oracle(g, h) -> int:
     """Embeddings of configuration h in multigraph g by depth-first recursion.
 

@@ -401,6 +401,57 @@ def test_count_flags_below_their_lower_bound_are_rejected(bal2_file, tmp_path, c
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--seed", "1", "--n", "0"],
+        ["generate", "--seed", "1", "--n", "-3"],
+        ["configs", "count", "--seed", "1", "--n", "0"],
+        ["validate", "--suite", "node-lln", "--seed", "1", "--sizes", "0"],
+        ["validate", "--suite", "edge-lln", "--seed", "1", "--sizes", "100,-1"],
+        ["validate", "--suite", "self-loops", "--seed", "1", "--n", "-5"],
+        ["validate", "--suite", "assortativity", "--seed", "1", "--n", "0"],
+        ["validate", "--suite", "first-edges", "--seed", "1", "--length", "0"],
+        ["validate", "--suite", "first-edges", "--seed", "1", "--length", "6"],
+    ],
+)
+def test_size_flags_out_of_range_are_rejected(bal2_file, tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    extra = ["--config", config_file(tmp_path, SINGLE_IN_EDGE)] if argv[0] == "configs" else []
+    code = cli.run([*argv, "--params", bal2_file, *extra, "--out-dir", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert f"argument {argv[-2]}:" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "attachments",
+    [
+        [
+            {"node": 1, "parent": 0, "edge": "in", "type": [1, 1]},
+            {"node": 1, "parent": 0, "edge": "out", "type": [2, 2]},
+        ],
+        [{"node": i + 1, "parent": i, "edge": "out"} for i in range(5)],
+    ],
+    ids=["conflicting-types", "too-many-edges"],
+)
+def test_configs_count_checks_the_configuration_before_sampling(bal2_file, tmp_path, capsys, monkeypatch, attachments):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a graph was drawn for a configuration the counter rejects")
+
+    monkeypatch.setattr(cli, "generate_graph", no_sampling)
+    code = cli.run([
+        "configs", "count", "--params", bal2_file, "--config", config_file(tmp_path, {"attachments": attachments}),
+        "--n", "10000", "--seed", "1", "--out-dir", str(tmp_path),
+    ])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "configs_count.json").exists()
+
+
 def test_cli_import_leaves_scipy_out():
     proc = subprocess.run(
         [

@@ -236,6 +236,33 @@ def test_count_in_graphs_report(bal2):
     assert cyc.predicted is None
 
 
+def test_count_in_graphs_streams_a_generator(bal2):
+    p, q = bal2
+    h = cfg.ConfigurationTree((1, 2), [cfg.Attachment(1, 0, "in", (2, 1))])
+    graphs = [generate_graph(p, q, 200, seed=[31, i]) for i in range(3)]
+    streamed = cfg.count_in_graphs((generate_graph(p, q, 200, seed=[31, i]) for i in range(3)), h, p, q)
+    assert streamed == cfg.count_in_graphs(graphs, h, p, q)
+    assert streamed.graphs_scanned == 3
+    assert cfg.count_in_graphs(iter([]), h, p, q).frequency == 0.0
+
+
+def test_count_in_graphs_checks_the_configuration_before_the_first_graph(bal2):
+    p, q = bal2
+
+    def graphs():
+        raise AssertionError("a graph was drawn")
+        yield
+
+    conflicting = cfg.ConfigurationTree(
+        None, [cfg.Attachment(1, 0, "in", (1, 1)), cfg.Attachment(1, 0, "out", (2, 2))]
+    )
+    with pytest.raises(InvalidConfiguration):
+        cfg.count_in_graphs(graphs(), conflicting, p, q)
+    oversized = cfg.ConfigurationTree(None, [cfg.Attachment(i + 1, i, "out") for i in range(5)])
+    with pytest.raises(ValueError):
+        cfg.count_in_graphs(graphs(), oversized, p, q)
+
+
 def test_cycle_order_estimate_single_edge_scales(bal2):
     p, q = bal2
     samples = {

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acg import sampler
-from acg.degree_model import EdgeTypeDist, NodeTypeDist
+from acg.degree_model import EdgeTypeDist, NodeTypeDist, load_params
 from acg.errors import (
     AcgError,
     ClipOverflow,
@@ -38,7 +38,7 @@ from acg.sampler import (
     write_sample,
 )
 
-from helpers import random_consistent_pair
+from helpers import draw_cells_oracle, random_consistent_pair, rate_matrix_oracle
 
 
 def seq(pairs):
@@ -51,6 +51,74 @@ def test_draw_node_sequence_frequencies(bal2):
     frac_12 = np.mean((x.in_degrees == 1) & (x.out_degrees == 2))
     assert frac_12 == pytest.approx(0.5, abs=0.02)
     assert set(x.pairs()) <= {(1, 2), (2, 1)}
+
+
+@st.composite
+def node_laws(draw):
+    """Node-type law on K <= 10 with zero cells, zero rows and columns, and cells near 1e-12 beside large ones.
+
+    Built without from_weights, which also demands equal mean in- and
+    out-degree: the draw reads only the matrix.
+    """
+    size = draw(st.integers(1, 10)) + 1
+    cell = st.sampled_from([0.0, 1e-12, 3e-12, 0.25, 1.0, 1e3]) | st.floats(1e-13, 1e3)
+    m = np.array([[draw(cell) for _ in range(size)] for _ in range(size)])
+    m[sorted(draw(st.sets(st.integers(0, size - 1), max_size=size - 1))), :] = 0.0
+    m[:, sorted(draw(st.sets(st.integers(0, size - 1), max_size=size - 1)))] = 0.0
+    assume(m.sum() > 0)
+    m /= m.sum()
+    return NodeTypeDist(matrix=m, in_marginal=m.sum(axis=1), out_marginal=m.sum(axis=0), mean_degree=1.0)
+
+
+def _assert_draw_matches_choice(p, n, seed):
+    fast, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    x = draw_node_sequence(p, n, fast)
+    in_degrees, out_degrees = draw_cells_oracle(p, n, oracle)
+    assert x.in_degrees.dtype == in_degrees.dtype
+    assert np.array_equal(x.in_degrees, in_degrees)
+    assert np.array_equal(x.out_degrees, out_degrees)
+    assert fast.random() == oracle.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(node_laws(), st.integers(1, 10**4), st.integers(0, 2**32 - 1))
+def test_draw_node_sequence_matches_generator_choice(p, n, seed):
+    _assert_draw_matches_choice(p, n, seed)
+
+
+def test_draw_node_sequence_matches_generator_choice_on_the_fixtures():
+    # assort_k10's tail cells crowd into the last buckets, so the step-up runs several passes
+    fixtures = Path(__file__).resolve().parents[1] / "clibench" / "fixtures"
+    for name in ("assort_k2.json", "assort_k10.json"):
+        p, _ = load_params(fixtures / name)
+        for seed in range(20):
+            for n in (1, 7, 1000, 10**4):
+                _assert_draw_matches_choice(p, n, [seed, n])
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random(n) returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+def test_draw_node_sequence_breaks_ties_as_the_right_sided_search():
+    # a uniform equal to a cdf entry belongs to the next cell, as in searchsorted(side="right");
+    # the cells of 0.1 and 0.3 put cdf entries inside buckets, the 0.25 cells on their bounds
+    m = np.array([[0.25, 0.0, 0.1], [0.0, 0.3, 0.0], [0.1, 0.0, 0.25]])
+    p = NodeTypeDist(matrix=m, in_marginal=m.sum(axis=1), out_marginal=m.sum(axis=0), mean_degree=1.0)
+    cdf = p.cells.cdf
+    edges = np.concatenate([cdf[cdf < 1], [0.0, 2.0**-53]])
+    u = np.concatenate([edges, np.nextafter(edges, 1.0), np.nextafter(edges, 0.0)[edges > 0], [1 - 2.0**-53]])
+    x = draw_node_sequence(p, len(u), _FixedUniforms(u))
+    cell = cdf.searchsorted(u, side="right")
+    assert np.array_equal(x.in_degrees, cell // 3)
+    assert np.array_equal(x.out_degrees, cell % 3)
 
 
 def test_clip_balanced_sequence_is_identity():
@@ -348,6 +416,27 @@ def test_generate_graph_realizes_sequence_or_raises(case):
     assert np.array_equal(np.bincount(g.edge_dst, minlength=g.n_nodes), g.in_degrees)
     assert np.array_equal(g.out_degrees[g.edge_src], g.edge_out_type)
     assert np.array_equal(g.in_degrees[g.edge_dst], g.edge_in_type)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sampler_cases())
+def test_rate_matrix_matches_the_scalar_loop(case):
+    _, q_w, _, _ = case
+    assume(q_w.sum() > 0)
+    q = EdgeTypeDist.from_weights(q_w / q_w.sum())
+    assert q.rate.tobytes() == np.array(rate_matrix_oracle(q)).tobytes()
+
+
+def test_rate_matrix_is_zero_on_a_vanishing_margin(disas):
+    _, q = disas
+    m = q.matrix.copy()
+    m[1, 2] += m[1, 1] + m[2, 1]  # in-class 1 loses its mass; both out-classes keep theirs
+    m[1, 1] = m[2, 1] = 0.0
+    q = EdgeTypeDist.from_weights(m)
+    assert q.in_marginal[1] == 0 and q.out_marginal[1:].all()
+    assert q.rate.tobytes() == np.array(rate_matrix_oracle(q)).tobytes()
+    assert not q.rate[:, 1].any()
+    assert q.rate.dtype == np.float64 and q.rate.flags.c_contiguous and not q.rate.flags.writeable
 
 
 # seeds of the pair below whose float row sums drifted positive after an
