@@ -141,9 +141,12 @@ def _resolve_seed(flag_value):
     env = os.environ.get("ACG_SEED")
     if env is not None:
         try:
-            return int(env), "env"
+            seed = int(env)
         except ValueError:
             raise AcgError(f"ACG_SEED must be an integer, got {env!r}")
+        if seed < 0:
+            raise AcgError(f"ACG_SEED must be a nonnegative integer, got {env!r}")
+        return seed, "env"
     seed = secrets.randbits(32)
     print(f"no seed given; drew seed={seed}", file=sys.stderr)
     return seed, "generated"
@@ -361,11 +364,15 @@ _SUITE_DEFAULTS = {
 }
 
 
+def _suite_size(suite, args):
+    """(n, reps) of a suite: the flags, else the suite's defaults."""
+    n_default, reps_default = _SUITE_DEFAULTS[suite]
+    return (n_default if args.n is None else args.n), (reps_default if args.reps is None else args.reps)
+
+
 def _run_suite(suite, p, q, args):
     seed = args.seed
-    n_default, reps_default = _SUITE_DEFAULTS[suite]
-    n = n_default if args.n is None else args.n
-    reps = reps_default if args.reps is None else args.reps
+    n, reps = _suite_size(suite, args)
     if suite in ("node-lln", "edge-lln"):
         lln = sv.node_lln if suite == "node-lln" else sv.edge_lln
         rep = lln(p, q, args.sizes, reps=reps, seed=seed, delta=args.delta)
@@ -401,6 +408,8 @@ def _run_suite(suite, p, q, args):
 
 def _cmd_validate(args, p, q, out) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
+    if "first-edges" in suites:  # before meta.json, so a rejected run writes nothing
+        sv.first_edges_support(q, args.length, _suite_size("first-edges", args)[1])
     _write_json(
         out / "meta.json",
         {
@@ -437,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--params", required=True, help="JSON parameter file with K, P, Q")
     io.add_argument("--out-dir", default=".", help="output directory (default current)")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="RNG seed (default: ACG_SEED, else random, logged)")
+    seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="RNG seed (default: ACG_SEED, else random, logged)")
     seeded.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
 
     gen = sub.add_parser("generate", parents=[io, seeded], help="sample graphs and write nodes.csv / edges.tsv / meta.json")
@@ -459,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = exact_sub.add_parser(name, parents=[io], help=help_text)
         sp.add_argument(
             "--cap",
-            type=int,
+            type=_int_at_least(0),
             default=kernel.ORACLE_CAP if name == "oracle" else kernel.DEFAULT_TABLE_CAP,
             help="edge-count cap (default %(default)s)",
         )
@@ -484,11 +493,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=_tol_arg, default=asym.DEFAULT_TOL, help="gradient tolerance (default %(default)s)")
         if name == "laplace-check":
             sp.add_argument("--margins", type=_margins_arg, required=True, help="counts for degrees 1..K, '1,2:1,2'")
-            sp.add_argument("--cap", type=int, default=kernel.DEFAULT_TABLE_CAP, help="exact-side edge cap")
+            sp.add_argument("--cap", type=_int_at_least(0), default=kernel.DEFAULT_TABLE_CAP, help="exact-side edge cap")
         else:
             sp.add_argument("--x", type=_point_arg, required=True, help="margin point 'a,b:c,d' for degrees 1..K")
         if name == "critical-point":
-            sp.add_argument("--max-iter", type=int, default=asym.DEFAULT_MAX_ITER)
+            sp.add_argument("--max-iter", type=_int_at_least(1), default=asym.DEFAULT_MAX_ITER)
         if name == "edge-mean":
             sp.add_argument("--type", type=_type_arg, required=True, help="edge type 'k,j'")
         sp.set_defaults(func=_cmd_asymptotics, action=name)

@@ -555,13 +555,65 @@ def read_sample(sample_dir) -> MultiGraph:
 
 
 def _columns(sep: str, header, cols):
-    """Yield the header line, then the rows (row index and integer columns) in chunks of lines."""
-    row = sep.join(["%d"] * len(header)) + "\n"
-    yield sep.join(header) + "\n"
-    for start in range(0, len(cols[0]), _WRITE_ROWS):
-        stop = start + _WRITE_ROWS
-        rows = zip(range(start, stop), *(c[start:stop].tolist() for c in cols))
-        yield "".join(map(row.__mod__, rows))
+    """Yield the header line, then the rows (row index and integer columns) as ASCII bytes in chunks of lines.
+
+    The bytes are those of "%d" per field, joined by sep and ended by "\n",
+    but no string is formatted per row.  Each chunk of _WRITE_ROWS rows is
+    one (rows, width) uint8 block in which every field has a fixed width:
+    a column whose chunk holds only 0..9 takes one byte, v + 48; any other
+    takes four bytes per group of four digits, each group looked up in a
+    table of the zero-padded digits of 0..9999 by v % 10^4, then
+    v //= 10^4.  A nonnegative v has one digit more than there are powers
+    10, 100, ... not above it, and "%d" writes exactly those digits, no
+    sign and no leading zero ("0" for zero).  So one boolean mask that
+    drops each field's pad bytes before them leaves the "%d" bytes.  A
+    negative entry raises MalformedSample.
+    """
+    yield (sep.join(header) + "\n").encode("ascii")
+    rows = len(cols[0])
+    for start in range(0, rows, _WRITE_ROWS):
+        stop = min(start + _WRITE_ROWS, rows)
+        fields = [np.arange(start, stop, dtype=np.int64)]
+        fields += [np.asarray(c[start:stop], dtype=np.int64) for c in cols]
+        yield _format_rows(fields, ord(sep))
+
+
+@functools.cache
+def _digit_tables():
+    """(10, 100, ..., 10^18; the four zero-padded ASCII digits of 0..9999 as a (10^4, 4) uint8 array)."""
+    quads = np.arange(10_000)
+    digits = np.stack([quads // 1000, quads // 100 % 10, quads // 10 % 10, quads % 10], axis=1)
+    tables = 10 ** np.arange(1, 19, dtype=np.int64), (digits + ord("0")).astype(np.uint8)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _format_rows(fields, sep: int) -> bytes:
+    """The lines of equally long int64 columns, fields joined by the byte sep (see _columns)."""
+    powers, quads = _digit_tables()
+    for v in fields:
+        if v.min() < 0:
+            raise MalformedSample(f"cannot write the negative entry {int(v.min())} to a sample file")
+    counts = [np.searchsorted(powers, v, side="right") + 1 if v.max() >= 10 else None for v in fields]
+    widths = [1 if n is None else 4 * ((int(n.max()) + 3) // 4) for n in counts]
+    block = np.empty((len(fields[0]), sum(widths) + len(widths)), dtype=np.uint8)
+    keep = np.ones(block.shape, dtype=bool)
+    at = 0
+    for v, n, w in zip(fields, counts, widths):
+        if n is None:
+            block[:, at] = v + ord("0")
+        else:
+            for group in range(at + w - 4, at - 1, -4):
+                high = v // 10_000
+                block[:, group : group + 4] = np.take(quads, v - high * 10_000, axis=0)
+                v = high
+            last_bytes = np.arange(w) >= w - np.arange(w + 1)[:, None]  # row d keeps the last d bytes
+            keep[:, at : at + w] = np.take(last_bytes, n, axis=0)
+        block[:, at + w] = sep
+        at += w + 1
+    block[:, -1] = ord("\n")
+    return block[keep].tobytes()
 
 
 def _read_columns(path: Path, sep: str, header) -> np.ndarray:
@@ -583,9 +635,18 @@ def _read_columns(path: Path, sep: str, header) -> np.ndarray:
     return table[1:]
 
 
-def _atomic_write(path: Path, text) -> None:
-    """Write a string, or an iterable of strings in order, to a temp file, then rename it to path."""
+def _atomic_write(path: Path, parts) -> None:
+    """Write a string, or an iterable of strings or bytes in order, to a temp file, then rename it to path.
+
+    Strings are written as UTF-8 and nothing translates line ends.  A
+    failed write removes the temp file and leaves path as it was.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines([text] if isinstance(text, str) else text)
+    try:
+        with open(tmp, "wb") as fh:
+            for part in [parts] if isinstance(parts, str) else parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     tmp.replace(path)

@@ -165,6 +165,24 @@ def _mutual_information(pair_counts: dict, reps: int) -> float:
     return mi
 
 
+def first_edges_support(q: EdgeTypeDist, length: int, reps: int) -> list[tuple[int, int]]:
+    """The supported edge types (k, j) of Q, once `length` and `reps` fit the first-edges suite.
+
+    ValueError unless 1 <= length <= 5 and there are at least as many reps
+    as tuples of `length` supported types (chi-square cells).
+    """
+    if length < 1 or length > 5:
+        raise ValueError("length must be between 1 and 5")
+    support = [(k, j) for k in range(q.K + 1) for j in range(q.K + 1) if q.matrix[k, j] > 0]
+    n_cells = len(support) ** length
+    if n_cells > reps:
+        raise ValueError(
+            f"{n_cells} tuples of {length} edge types exceed {reps} reps: "
+            "under one expected count per cell, the chi-square means nothing"
+        )
+    return support
+
+
 def first_edges_distribution(
     p: NodeTypeDist,
     q: EdgeTypeDist,
@@ -179,23 +197,9 @@ def first_edges_distribution(
     Chi-square compares the empirical counts with reps * prod Q over the
     supported type tuples; for length >= 2 the mutual information
     between the first two edge types is reported in nats.  ValueError
-    when the support has more type tuples of this length than there are
-    reps.
+    as first_edges_support raises it.
     """
-    if length < 1 or length > 5:
-        raise ValueError("length must be between 1 and 5")
-    support = [
-        (k, j)
-        for k in range(q.K + 1)
-        for j in range(q.K + 1)
-        if q.matrix[k, j] > 0
-    ]
-    n_cells = len(support) ** length
-    if n_cells > reps:
-        raise ValueError(
-            f"{n_cells} tuples of {length} edge types exceed {reps} reps: "
-            "under one expected count per cell, the chi-square means nothing"
-        )
+    support = first_edges_support(q, length, reps)
     counts = {}
     pair_counts = {}
     for rep in range(reps):

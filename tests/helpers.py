@@ -248,3 +248,10 @@ def count_embeddings_oracle(g, h) -> int:
         if type_matches(root, h.root_type):
             extend(0, {0: root}, set())
     return total
+
+
+def columns_oracle(sep: str, header, cols) -> bytes:
+    """A sample file's bytes by one "%d" format per row: the header line, then row index and columns."""
+    row = sep.join(["%d"] * len(header)) + "\n"
+    rows = zip(range(len(cols[0])), *(np.asarray(c).tolist() for c in cols))
+    return (sep.join(header) + "\n" + "".join(map(row.__mod__, rows))).encode("ascii")

@@ -481,3 +481,62 @@ def test_bad_tol_is_rejected(bal2_file, tmp_path, capsys, argv, value):
     assert code == 2
     assert "--tol" in err
     assert not out_dir.exists()
+
+
+def nothing_written(out_dir) -> bool:
+    return not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "10", "--seed", "-1"],
+        ["configs", "count", "--n", "10", "--seed", "-1"],
+        ["validate", "--suite", "node-lln", "--seed", "-1"],
+        ["asymptotics", "critical-point", "--x", "0.4,0.6:0.3,0.7", "--max-iter", "-5"],
+        ["asymptotics", "critical-point", "--x", "0.4,0.6:0.3,0.7", "--max-iter", "0"],
+        ["exact", "partition", "--margins", "1,2:1,2", "--cap", "-1"],
+        ["exact", "oracle", "--sequence", "1,2;2,1", "--cap", "-1"],
+        ["asymptotics", "laplace-check", "--margins", "4,8:4,8", "--cap", "-1"],
+    ],
+)
+def test_integer_flags_below_their_floor_are_rejected(bal2_file, tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    extra = ["--config", config_file(tmp_path, SINGLE_IN_EDGE)] if argv[0] == "configs" else []
+    code = cli.run([*argv, "--params", bal2_file, *extra, "--out-dir", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert f"argument {argv[-2]}: expected an integer >=" in err
+    assert nothing_written(out_dir)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", "10"],
+        ["validate", "--suite", "node-lln"],
+    ],
+)
+def test_negative_env_seed_is_rejected_before_writing(bal2_file, tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setenv("ACG_SEED", "-3")
+    out_dir = tmp_path / "out"
+    code = cli.run([*argv, "--params", bal2_file, "--out-dir", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "ACG_SEED" in err
+    assert nothing_written(out_dir)
+
+
+@pytest.mark.parametrize("suite", ["first-edges", "all"])
+def test_validate_rejects_too_few_first_edges_reps_before_writing(bal2_file, tmp_path, capsys, suite):
+    # bal2 supports 4 edge types: 4^2 = 16 cells for 10 reps
+    out_dir = tmp_path / "out"
+    code = cli.run([
+        "validate", "--params", bal2_file, "--suite", suite, "--length", "2", "--reps", "10", "--seed", "1",
+        "--out-dir", str(out_dir),
+    ])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "16 tuples" in err
+    assert "Traceback" not in err
+    assert nothing_written(out_dir)

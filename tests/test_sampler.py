@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from acg import sampler
@@ -38,7 +38,7 @@ from acg.sampler import (
     write_sample,
 )
 
-from helpers import draw_cells_oracle, random_consistent_pair, rate_matrix_oracle
+from helpers import columns_oracle, draw_cells_oracle, random_consistent_pair, rate_matrix_oracle
 
 
 def seq(pairs):
@@ -319,6 +319,63 @@ def test_sample_files_match_golden_digests(bal2, tmp_path):
             for f in ("nodes.csv", "edges.tsv", "meta.json")
         )
         assert digests == GOLDEN_FILES[name], name
+
+
+# SHA-256 of nodes.csv and edges.tsv of generate_graph(*bal2, 100_000, seed=7), recorded
+# with the "%d" row formatter; its 150,156 edge rows cross two chunks of _WRITE_ROWS rows
+GOLDEN_FILES_100K = (
+    "6195f60885ccae054eeeede7fde3b954ba81d1d5267f6e97a0751868a5641928",
+    "efe1434cfa7907e7363e717c13ee5cb4f898d8edb4dacb8894c1b59efaf86d72",
+)
+
+
+def test_sample_files_across_chunks_match_golden_digests(wiring_path, bal2, tmp_path):
+    g = generate_graph(*bal2, 100_000, seed=7)
+    assert g.n_edges > 2 * sampler._WRITE_ROWS
+    write_sample(g, tmp_path)
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("nodes.csv", "edges.tsv"))
+    assert digests == GOLDEN_FILES_100K
+
+
+# entries where the digit count or the four-digit group count changes, and the widest int64
+WRITER_EDGE_VALUES = [0, 9, 10, 99, 100, 9999, 10000, 10**7, 2**40, 2**63 - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(0, 300) | st.sampled_from([2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3]),
+    n_ints=st.integers(1, 4),
+    sep=st.sampled_from([",", "\t"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(rows=0, n_ints=1, sep=",", seed=0)
+@example(rows=1, n_ints=2, sep="\t", seed=1)
+@example(rows=2**16 - 1, n_ints=2, sep=",", seed=2)
+@example(rows=2**16, n_ints=3, sep="\t", seed=3)
+@example(rows=2**16 + 1, n_ints=1, sep=",", seed=4)
+@example(rows=2**17 + 3, n_ints=4, sep="\t", seed=5)
+def test_columns_match_the_percent_d_oracle(rows, n_ints, sep, seed):
+    rng = np.random.default_rng(seed)
+    cols = []
+    for _ in range(n_ints):
+        top = rng.choice([10, 10**4, 10**7, 2**40, 2**63 - 1])
+        col = rng.integers(0, top, rows, dtype=np.int64)
+        at = rng.integers(0, rows, len(WRITER_EDGE_VALUES)) if rows else []
+        col[at] = WRITER_EDGE_VALUES[: len(at)]
+        cols.append(col)
+    cols.append(rng.random(rows) < 0.5)
+    header = tuple(f"c{i}" for i in range(len(cols) + 1))
+    assert b"".join(sampler._columns(sep, header, cols)) == columns_oracle(sep, header, cols)
+
+
+def test_columns_reject_a_negative_entry(tmp_path):
+    with pytest.raises(AcgError):
+        b"".join(sampler._columns(",", ("id", "v"), [np.array([3, 10**5, -1])]))
+    g = _graph_of_edges(2, [(0, 1)])
+    g.edge_dst = np.array([-1])
+    with pytest.raises(MalformedSample):
+        write_sample(g, tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["nodes.csv"]
 
 
 def _graph_of_edges(n, edges):
