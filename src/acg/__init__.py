@@ -10,10 +10,8 @@ from .asymptotics import (
     CriticalPointResult,
     asymptotic_edge_mean,
     double_vector,
-    exact_I,
     h_derivatives,
     h_value,
-    laplace_I_approx,
     solve_critical_point,
     split_parts,
 )
@@ -24,7 +22,6 @@ from .config_probability import (
     config_to_dict,
     count_config_occurrences,
     count_in_graphs,
-    lti_factorization,
     tree_config_prob,
     two_node_edge_prob,
 )
@@ -96,7 +93,6 @@ __all__ = [
     "draw_node_sequence",
     "edge_lln",
     "enumerate_wirings_oracle",
-    "exact_I",
     "exact_edge_mean",
     "exact_edge_variance",
     "first_edges_distribution",
@@ -105,10 +101,8 @@ __all__ = [
     "h_value",
     "independent_edge_dist",
     "joint_first_M_prob",
-    "laplace_I_approx",
     "load_params",
     "log_partition",
-    "lti_factorization",
     "node_lln",
     "self_loop_poisson",
     "self_loop_rate",

@@ -8,8 +8,10 @@ controlled by the convex function
 over "double vectors" alpha = (alpha^-, alpha^+) of length 2K.  H is
 invariant along the gauge direction (1, ..., 1, -1, ..., -1), so the
 critical point is pinned to the subspace orthogonal to it.  The Laplace
-approximation built at that critical point estimates the Fourier
-integral whose exact value is (2 pi)^(2K) times the table partition sum.
+approximation built at that critical point, log_laplace_I_approx,
+estimates the Fourier integral whose exact value, log_exact_I, is
+(2 pi)^(2K) times the table partition sum.  Both stay in the log domain,
+since the integral leaves the float range quickly as E grows.
 """
 
 import math
@@ -42,15 +44,6 @@ def split_parts(v):
         raise ValueError(f"double vectors have even length, got shape {v.shape}")
     half = v.shape[0] // 2
     return v[:half], v[half:]
-
-
-def from_margins(e_minus, e_plus):
-    """Build a double vector from margin arrays carrying the degree-0 slot."""
-    em = np.asarray(e_minus)
-    ep = np.asarray(e_plus)
-    if em[0] != 0 or ep[0] != 0:
-        raise MarginMismatch("degree-0 stubs cannot exist; margin entry 0 must be zero")
-    return double_vector(em[1:], ep[1:])
 
 
 def to_margins(v):
@@ -248,28 +241,17 @@ def det0_hessian(alpha, q):
     return float(math.exp(logdet))
 
 
-def fourier_integrand(u, e, q):
-    """Integrand exp(H(-iu; e)) of the margin-constraint integral."""
-    u = np.asarray(u, dtype=float)
-    return np.exp(h_value(-1j * u, np.asarray(e, dtype=float), q))
-
-
 def log_exact_I(e, q, cap=exact_kernel.DEFAULT_TABLE_CAP):
-    """log of the margin-constraint integral, (2K) log(2 pi) + log Z."""
+    """log of the margin-constraint integral, (2K) log(2 pi) + log Z.
+
+    The integral of exp(H(-iu; e)) over a period box picks out the tables
+    with margins e, so it equals (2 pi)^(2K) times the partition sum Z(e)
+    of exact_kernel.log_partition.
+    """
     em, ep = to_margins(e)
     size = em.shape[0] - 1
     lp = exact_kernel.log_partition(em, ep, q, cap=cap)
     return 2 * size * math.log(TWO_PI) + lp
-
-
-def exact_I(e, q, cap=exact_kernel.DEFAULT_TABLE_CAP):
-    """The integral of exp(H(-iu; e)) over a period box, evaluated exactly.
-
-    The integral picks out the tables with margins e, so it equals
-    (2 pi)^(2K) times the partition sum Z(e) of exact_kernel.log_partition.
-    """
-    lv = log_exact_I(e, q, cap=cap)
-    return math.exp(lv) if lv > -math.inf else 0.0
 
 
 def _edge_total(e):
@@ -307,11 +289,6 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
         + total * result.h_at_min
         - 0.5 * math.log(det0)
     )
-
-
-def laplace_I_approx(e, q, tol=DEFAULT_TOL):
-    """Linear-domain saddlepoint estimate; underflows to 0 for large E."""
-    return math.exp(log_laplace_I_approx(e, q, tol=tol))
 
 
 def asymptotic_edge_mean(x, q, k, j, tol=DEFAULT_TOL):

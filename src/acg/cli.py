@@ -64,8 +64,8 @@ def _finite_float(text: str) -> float:
 
 def _tol_arg(text: str) -> float:
     value = _finite_float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative number, got {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
     return value
 
 
@@ -197,9 +197,6 @@ def _cmd_generate(args, p, q, out) -> int:
         "seed": args.seed,
         "seed_source": args.seed_source,
     }
-    _write_json(out / "params.json", params_dict(p, q))
-    if args.samples > 1:
-        _write_json(out / "meta.json", {**run_echo, "params": params_dict(p, q)})
     for i in range(args.samples):
         sample_seed = args.seed if args.samples == 1 else [args.seed, i]
         g = generate_graph(
@@ -216,6 +213,10 @@ def _cmd_generate(args, p, q, out) -> int:
         target.mkdir(parents=True, exist_ok=True)
         write_sample(g, target)
         print(f"wrote {target} ({g.n_nodes} nodes, {g.n_edges} edges)")
+    # written once every graph is drawn, so a failed draw leaves no partial tree
+    _write_json(out / "params.json", params_dict(p, q))
+    if args.samples > 1:
+        _write_json(out / "meta.json", {**run_echo, "params": params_dict(p, q)})
     return 0
 
 

@@ -212,48 +212,6 @@ def tree_config_prob(h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> 
     return value
 
 
-def _branch_of(h: ConfigurationTree) -> list:
-    """For each node index, the root-child branch it belongs to (root: 0)."""
-    branch = [0] * h.n_nodes
-    for att in h.attachments:
-        branch[att.node] = att.node if att.parent == 0 else branch[att.parent]
-    return branch
-
-
-def lti_factorization(h: ConfigurationTree, root: int, p, q):
-    """Split a tree at its root and check the two branches factorize.
-
-    The split separates the branch through the first attached node from
-    the rest; both halves are standalone configurations with the same
-    root.  Returns (left, right, product) where product = left * right
-    matches tree_config_prob(h) because the attachment factors of the
-    two halves are disjoint.
-    """
-    if not h.is_tree:
-        raise NotATree("factorization is defined for tree configurations")
-    if root != 0:
-        raise ValueError("the split point is the configuration root, index 0")
-    branch = _branch_of(h)
-    first = branch[1] if h.n_nodes > 1 else None
-
-    def rebuild(keep):
-        atts = [a for a in h.attachments if keep(branch[a.node])]
-        index = {0: 0}
-        renamed = []
-        for a in atts:
-            index[a.node] = len(index)
-            renamed.append(
-                Attachment(index[a.node], index[a.parent], a.orientation, a.node_type)
-            )
-        return ConfigurationTree(h.root_type, renamed)
-
-    left_h = rebuild(lambda b: b == first)
-    right_h = rebuild(lambda b: b != first)
-    left = tree_config_prob(left_h, p, q) if left_h.n_edges else 1.0
-    right = tree_config_prob(right_h, p, q) if right_h.n_edges else 1.0
-    return left, right, left * right
-
-
 def _csr(ends, n_nodes):
     """Edge ids grouped by the node at one end, in edge order, with row pointers."""
     order = np.argsort(ends, kind="stable")
@@ -339,23 +297,6 @@ def _extend(steps, nodes, edges):
     row = row[keep]
     nodes = np.vstack([nodes[:, row], other[keep]]) if fresh else nodes[:, row]
     return _extend(steps, nodes, np.vstack([edges[:, row], eid[keep]]))
-
-
-def edge_pair_fraction(g, target_type, source_type) -> float:
-    """Fraction of edges whose endpoint types match (source -> target)."""
-    if g.n_edges == 0:
-        return 0.0
-    j1, k1 = target_type
-    j2, k2 = source_type
-    src = g.edge_src
-    dst = g.edge_dst
-    mask = (
-        (g.in_degrees[dst] == j1)
-        & (g.out_degrees[dst] == k1)
-        & (g.in_degrees[src] == j2)
-        & (g.out_degrees[src] == k2)
-    )
-    return float(mask.sum() / g.n_edges)
 
 
 @dataclass(frozen=True)

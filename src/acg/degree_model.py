@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -251,26 +250,6 @@ def self_loop_rate(p: NodeTypeDist, q: EdgeTypeDist) -> float:
     num = jk * p.matrix * q.matrix.T  # Q[k, j] transposed onto (j, k)
     mask = denom > 0
     return float((num[mask] / denom[mask]).sum() / z)
-
-
-def self_loop_rate_exact(p_weights, q_weights) -> Fraction:
-    """Rational-arithmetic twin of self_loop_rate for golden tests.
-
-    Returns the expected number of self-loops per graph, the Poisson mean,
-    by the same stub-pairing derivation as self_loop_rate.
-    """
-    p = [[Fraction(x) for x in row] for row in p_weights]
-    q = [[Fraction(x) for x in row] for row in q_weights]
-    n = len(p)
-    z = sum(k * p[j][k] for j in range(n) for k in range(n))
-    q_out = [sum(q[k][j] for j in range(n)) for k in range(n)]
-    q_in = [sum(q[k][j] for k in range(n)) for j in range(n)]
-    total = Fraction(0)
-    for j in range(n):
-        for k in range(n):
-            if q_in[j] > 0 and q_out[k] > 0:
-                total += Fraction(j * k) * p[j][k] * q[k][j] / (q_out[k] * q_in[j])
-    return total / z
 
 
 def load_params(source) -> tuple[NodeTypeDist, EdgeTypeDist]:

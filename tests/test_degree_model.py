@@ -15,12 +15,12 @@ from acg.degree_model import (
     params_dict,
     require_consistent,
     self_loop_rate,
-    self_loop_rate_exact,
     validate_pair,
 )
 from acg.errors import InconsistentPair, InvalidDistribution
 
 from conftest import ASSORT_PARAMS, BAL2_PARAMS, DISAS_PARAMS
+from helpers import self_loop_rate_exact
 
 
 def test_balanced_pair_marginals(bal2):

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from acg import exact_kernel as kernel
 from acg.errors import AcgError, CapExceeded, MarginMismatch, ZeroPartition
 
-from helpers import ORACLE_SEQUENCES, iter_tables, weighted_tables
+from helpers import (
+    ORACLE_SEQUENCES,
+    iter_tables,
+    partition_Z,
+    table_of_wiring,
+    weighted_tables,
+    wiring_count,
+    wiring_probability,
+)
 
 E3_SEQUENCE = [(1, 2), (2, 1)]
 E3_MINUS = np.array([0, 1, 2])
@@ -41,8 +49,8 @@ def test_margins_of_sequence():
 
 
 def test_wiring_counts_of_e3_tables():
-    assert kernel.wiring_count(TABLE_A) == 12
-    assert kernel.wiring_count(TABLE_B) == 24
+    assert wiring_count(TABLE_A) == 12
+    assert wiring_count(TABLE_B) == 24
 
 
 def test_iter_tables_enumerates_margin_polytope():
@@ -111,7 +119,7 @@ def test_oracle_matches_kernel_on_small_sequences(bal2, disas):
                 continue
             for key, prob in dist.tables.items():
                 assert kernel.table_probability(np.array(key), qq) == pytest.approx(prob, rel=1e-12)
-                assert kernel.wiring_count(np.array(key)) == dist.wiring_counts[key]
+                assert wiring_count(np.array(key)) == dist.wiring_counts[key]
             assert sum(dist.tables.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -165,20 +173,6 @@ def test_joint_reads_a_tuple_of_pairs_as_a_sequence_at_k1():
     assert kernel.joint_first_M_prob((np.array([0, 2]), np.array([0, 2])), q, [(1, 1)]) == 1.0
 
 
-def test_cumulant_function_derivative_is_mean(bal2):
-    _, q = bal2
-    h = 1e-6
-    tilt = np.zeros((3, 3))
-    tilt[2, 2] = h
-    f_plus = kernel.cumulant_generating_F(tilt, E3_MINUS, E3_PLUS, q)
-    f_minus = kernel.cumulant_generating_F(-tilt, E3_MINUS, E3_PLUS, q)
-    mean = kernel.exact_edge_mean(E3_MINUS, E3_PLUS, q, 2, 2)
-    assert (f_plus - f_minus) / (2 * h) == pytest.approx(mean, abs=1e-7)
-    second = (f_plus - 2 * kernel.cumulant_generating_F(np.zeros((3, 3)), E3_MINUS, E3_PLUS, q) + f_minus) / h**2
-    var = kernel.exact_edge_variance(E3_MINUS, E3_PLUS, q, 2, 2)
-    assert second == pytest.approx(var, abs=1e-3)
-
-
 def test_zero_partition_raised_off_support(disas):
     _, qd = disas
     with pytest.raises(ZeroPartition):
@@ -202,10 +196,10 @@ def test_wiring_probability_consistency(bal2):
     # a full wiring's probability is its table's probability split evenly
     # over the equally likely wirings of that table
     wiring = [(0, 1), (0, 1), (1, 0)]
-    table = kernel.table_of_wiring(wiring, E3_SEQUENCE)
-    p_w = kernel.wiring_probability(wiring, E3_SEQUENCE, q)
+    table = table_of_wiring(wiring, E3_SEQUENCE)
+    p_w = wiring_probability(wiring, E3_SEQUENCE, q)
     p_t = kernel.table_probability(table, q)
-    assert p_w * kernel.wiring_count(table) == pytest.approx(p_t, rel=1e-12)
+    assert p_w * wiring_count(table) == pytest.approx(p_t, rel=1e-12)
 
 
 @st.composite
@@ -237,16 +231,16 @@ def test_partition_program_matches_table_enumeration(case):
     tables = weighted_tables(em, ep, rows)
     z_exact = sum((w for _, w in tables), Fraction(0))
     z_float = math.fsum(w for _, w in weighted_tables(em, ep, rows_f))
-    got = kernel.tilted_partition_Z(em, ep, rows)
+    got = partition_Z(em, ep, rows)
     assert isinstance(got, Fraction) and got == z_exact
     if z_exact == 0:
-        assert kernel.tilted_partition_Z(em, ep, rows_f) == 0.0
+        assert partition_Z(em, ep, rows_f) == 0.0
         assert kernel.log_partition(em, ep, rows_f) == -math.inf
         for qq in (rows, rows_f):
             with pytest.raises(ZeroPartition):
                 kernel.exact_edge_mean(em, ep, qq, k, j)
         return
-    assert kernel.tilted_partition_Z(em, ep, rows_f) == pytest.approx(z_float, rel=1e-12)
+    assert partition_Z(em, ep, rows_f) == pytest.approx(z_float, rel=1e-12)
     assert kernel.log_partition(em, ep, rows_f) == pytest.approx(math.log(z_float), rel=1e-12, abs=1e-12)
     mean = sum((t[k, j] * w for t, w in tables), Fraction(0)) / z_exact
     second = sum((t[k, j] ** 2 * w for t, w in tables), Fraction(0)) / z_exact
@@ -273,7 +267,7 @@ def test_float_partition_follows_far_margins():
     ]
     rows_f = [[float(x) for x in row] for row in rows]
     em, ep = np.array([0, 50, 50, 50]), np.array([0, 20, 5, 125])
-    z = kernel.tilted_partition_Z(em, ep, rows, cap=150)
+    z = partition_Z(em, ep, rows, cap=150)
     assert z > 0
     got = kernel.log_partition(em, ep, rows_f, cap=150)
     assert got == pytest.approx(_log_fraction(z), rel=1e-10)
@@ -291,7 +285,7 @@ def test_float_partition_redone_exactly_when_target_underflows():
     ]
     rows = [[Fraction(x) for x in row] for row in rows_f]
     em, ep = np.array([0, 0, 3, 2]), np.array([0, 2, 0, 3])
-    z = kernel.tilted_partition_Z(em, ep, rows)
+    z = partition_Z(em, ep, rows)
     assert kernel.log_partition(em, ep, rows_f) == pytest.approx(_log_fraction(z), rel=1e-10)
 
 
