@@ -43,6 +43,7 @@ from .exact_kernel import (
     exact_edge_variance,
     joint_first_M_prob,
     log_partition,
+    margins_of_sequence,
     table_probability,
 )
 from .sampler import (
@@ -103,6 +104,7 @@ __all__ = [
     "joint_first_M_prob",
     "load_params",
     "log_partition",
+    "margins_of_sequence",
     "node_lln",
     "self_loop_poisson",
     "self_loop_rate",

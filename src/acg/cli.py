@@ -23,6 +23,7 @@ import json
 import math
 import os
 import secrets
+import shutil
 import sys
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from . import exact_kernel as kernel
 from . import stats_validation as sv
 from .degree_model import load_params, params_dict, require_consistent
 from .errors import AcgError
-from .sampler import DEFAULT_DELTA, _atomic_write, generate_graph, write_sample
+from .sampler import DEFAULT_DELTA, DEFAULT_MAX_REDRAWS, DEFAULT_MAX_RESTARTS, _atomic_write, generate_graph, write_sample
 
 SUITES = ("node-lln", "edge-lln", "first-edges", "self-loops", "assortativity")
 
@@ -197,26 +198,34 @@ def _cmd_generate(args, p, q, out) -> int:
         "seed": args.seed,
         "seed_source": args.seed_source,
     }
-    for i in range(args.samples):
-        sample_seed = args.seed if args.samples == 1 else [args.seed, i]
-        g = generate_graph(
-            p,
-            q,
-            args.n,
-            delta=args.delta,
-            seed=sample_seed,
-            max_redraws=args.max_redraws,
-            max_restarts=args.max_restarts,
-        )
-        g.meta.update({"run": run_echo, "sample_index": i})
-        target = out if args.samples == 1 else out / f"sample_{i:03d}"
-        target.mkdir(parents=True, exist_ok=True)
-        write_sample(g, target)
-        print(f"wrote {target} ({g.n_nodes} nodes, {g.n_edges} edges)")
-    # written once every graph is drawn, so a failed draw leaves no partial tree
-    _write_json(out / "params.json", params_dict(p, q))
-    if args.samples > 1:
-        _write_json(out / "meta.json", {**run_echo, "params": params_dict(p, q)})
+    created = []  # sample directories this run made, removed again if it fails
+    try:
+        for i in range(args.samples):
+            sample_seed = args.seed if args.samples == 1 else [args.seed, i]
+            g = generate_graph(
+                p,
+                q,
+                args.n,
+                delta=args.delta,
+                seed=sample_seed,
+                max_redraws=args.max_redraws,
+                max_restarts=args.max_restarts,
+            )
+            g.meta.update({"run": run_echo, "sample_index": i})
+            target = out if args.samples == 1 else out / f"sample_{i:03d}"
+            if not target.exists():
+                created.append(target)
+            target.mkdir(parents=True, exist_ok=True)
+            write_sample(g, target)
+            print(f"wrote {target} ({g.n_nodes} nodes, {g.n_edges} edges)")
+        # written once every graph is drawn, so a failed draw leaves no partial tree
+        _write_json(out / "params.json", params_dict(p, q))
+        if args.samples > 1:
+            _write_json(out / "meta.json", {**run_echo, "params": params_dict(p, q)})
+    except BaseException:
+        for target in created:
+            shutil.rmtree(target, ignore_errors=True)
+        raise
     return 0
 
 
@@ -245,7 +254,8 @@ def _cmd_exact(args, p, q, out) -> int:
         }
         _emit(out / f"exact_{args.action}.json", result, line=f"{value:.10f}")
     elif args.action == "joint":
-        value = float(kernel.joint_first_M_prob(args.sequence, q, args.types, cap=args.cap))
+        em, ep = kernel.margins_of_sequence(args.sequence, q.K + 1)
+        value = float(kernel.joint_first_M_prob(em, ep, q, args.types, cap=args.cap))
         result = {
             "run": echo,
             "sequence": [list(t) for t in args.sequence],
@@ -254,7 +264,8 @@ def _cmd_exact(args, p, q, out) -> int:
         }
         _emit(out / "exact_joint.json", result, line=f"{value:.10f}")
     else:
-        dist = kernel.enumerate_wirings_oracle(args.sequence, q, cap=args.cap)
+        em, ep = kernel.margins_of_sequence(args.sequence, q.K + 1)
+        dist = kernel.enumerate_wirings_oracle(em, ep, q, cap=args.cap)
         tables = [
             {
                 "probability": float(prob),
@@ -375,8 +386,10 @@ def _run_suite(suite, p, q, args):
     seed = args.seed
     n, reps = _suite_size(suite, args)
     if suite in ("node-lln", "edge-lln"):
-        lln = sv.node_lln if suite == "node-lln" else sv.edge_lln
-        rep = lln(p, q, args.sizes, reps=reps, seed=seed, delta=args.delta)
+        if suite == "node-lln":
+            rep = sv.node_lln(p, args.sizes, reps=reps, seed=seed, delta=args.delta)
+        else:
+            rep = sv.edge_lln(p, q, args.sizes, reps=reps, seed=seed, delta=args.delta)
         rows = list(zip(rep.sizes, rep.max_deviations, rep.tv_distances))
         return rep, ("size", "max_deviation", "tv_distance"), rows, f"slope={rep.slope:.3f}"
     if suite == "first-edges":
@@ -453,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", parents=[io, seeded], help="sample graphs and write nodes.csv / edges.tsv / meta.json")
     gen.add_argument("--n", type=_int_at_least(1), required=True, help="number of nodes")
     gen.add_argument("--samples", type=_int_at_least(1), default=1, help="independent graphs to draw (default %(default)s)")
-    gen.add_argument("--max-redraws", type=_int_at_least(0), default=1000, help="node sequence redraw budget")
-    gen.add_argument("--max-restarts", type=_int_at_least(0), default=10, help="wiring restart budget per graph")
+    gen.add_argument("--max-redraws", type=_int_at_least(0), default=DEFAULT_MAX_REDRAWS, help="node sequence redraw budget")
+    gen.add_argument("--max-restarts", type=_int_at_least(0), default=DEFAULT_MAX_RESTARTS, help="wiring restart budget per graph")
     gen.set_defaults(func=_cmd_generate)
 
     exact = sub.add_parser("exact", help="finite-size exact quantities from the wiring distribution")

@@ -2,9 +2,12 @@
 
 Everything here conditions on the stub-count margins e- (in-stubs per
 degree) and e+ (out-stubs per degree), both indexed 0..K with entry 0
-identically zero.  A wiring is an ordered pairing of in- and out-stubs;
-its probability depends only on the edge-type contingency table e[k, j],
-through the table weight prod_kj Q[k, j]^e[k, j] / e[k, j]!.
+identically zero, and takes them as the pair (e_minus, e_plus);
+margins_of_sequence turns a node-type sequence of (j, k) pairs into
+that pair.  A wiring is an ordered pairing of in- and out-stubs; its
+probability depends only on the edge-type contingency table e[k, j],
+through the table weight prod_kj Q[k, j]^e[k, j] / e[k, j]!, and
+table_probability gives the law of that table.
 
 The partition sum of those weights factorizes by columns,
 
@@ -13,12 +16,12 @@ The partition sum of those weights factorizes by columns,
 and one dynamic program computes it: in-stubs are taken one at a time,
 column by column, and the state is the vector s of out-stubs used per
 class (s <= e+), so a stub of column j moves s to s + d_k with factor
-Q[k, j].  The same code runs on floats and, when Q is given as nested
-Fractions, in exact rational arithmetic.  Edge-count moments ride along
-on the program, and the margin-reduction ratio Q[k, j] Z(e - d_jk) / Z(e)
-checks them by an independent route.  Sizes are capped explicitly:
-DEFAULT_TABLE_CAP total edges for the program, ORACLE_CAP for the
-brute-force stub-permutation oracle.
+Q[k, j].  The same code runs in exact rational arithmetic when any
+entry of Q is a Fraction, and on floats otherwise.  Edge-count moments
+ride along on the program, and the margin-reduction ratio
+Q[k, j] Z(e - d_jk) / Z(e) checks them by an independent route.  Sizes
+are capped explicitly: DEFAULT_TABLE_CAP total edges for the program,
+ORACLE_CAP for the brute-force stub-permutation oracle.
 """
 
 from __future__ import annotations
@@ -48,19 +51,11 @@ _RESCALE_BITS = 64
 _ROUTE_TOL = 1e-12  # relative agreement required of the two moment routes for float Q
 
 
-def _weights(q, exact=None) -> list[list]:
-    """Q as nested lists of Fractions (exact) or floats.
-
-    Exactness follows Q's entries unless forced: an object array or
-    nested Fractions/ints is exact.
-    """
-    m = getattr(q, "matrix", q)
-    if exact is None:
-        exact = m.dtype == object if isinstance(m, np.ndarray) else isinstance(m[0][0], (Fraction, int))
-    rows = m.tolist() if isinstance(m, np.ndarray) else [list(row) for row in m]
-    if exact:
-        return [[Fraction(x) for x in row] for row in rows]
-    return [[float(x) for x in row] for row in rows]
+def _weights(q) -> list[list]:
+    """Q as nested lists: of Fractions when any entry is a Fraction, else of floats."""
+    rows = [list(row) for row in getattr(q, "matrix", q)]
+    cast = Fraction if any(isinstance(x, Fraction) for row in rows for x in row) else float
+    return [[cast(x) for x in row] for row in rows]
 
 
 def _zero(w):
@@ -92,30 +87,20 @@ def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[np.ndarray, np
     return em, ep, total_minus
 
 
-def _sequence_degrees(x) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (in-degree, out-degree) arrays from a node-type sequence.
-
-    Accepts anything with .in_degrees/.out_degrees, or an iterable of
-    (j, k) pairs.
-    """
-    if hasattr(x, "in_degrees"):
-        return np.asarray(x.in_degrees, dtype=int), np.asarray(x.out_degrees, dtype=int)
-    pairs = np.asarray(list(x), dtype=int)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise MarginMismatch(f"expected a sequence of (j, k) pairs, got shape {pairs.shape}")
-    return pairs[:, 0].copy(), pairs[:, 1].copy()
-
-
-def margins_of_sequence(x, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stub-count margins (e-, e+) of a node-type sequence."""
-    j_seq, k_seq = _sequence_degrees(x)
-    if j_seq.max(initial=0) >= size or k_seq.max(initial=0) >= size:
-        raise MarginMismatch("sequence contains degrees beyond the distribution cutoff")
-    em = np.zeros(size, dtype=int)
-    ep = np.zeros(size, dtype=int)
-    for d in range(1, size):
-        em[d] = d * int((j_seq == d).sum())
-        ep[d] = d * int((k_seq == d).sum())
+def margins_of_sequence(pairs, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stub-count margins (e-, e+) of a node-type sequence of (j, k) pairs with degrees 0..size-1."""
+    try:
+        seq = np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):
+        raise MarginMismatch("expected a sequence of (j, k) integer pairs") from None
+    if seq.ndim != 2 or seq.shape[1] != 2:
+        raise MarginMismatch(f"expected a sequence of (j, k) pairs, got shape {seq.shape}")
+    if not np.array_equal(seq, np.floor(seq)) or seq.min(initial=0) < 0 or seq.max(initial=0) >= size:
+        raise MarginMismatch(f"sequence degrees must be integers in 0..{size - 1}")
+    seq = seq.astype(int)
+    degrees = np.arange(size)
+    em = degrees * np.bincount(seq[:, 0], minlength=size)
+    ep = degrees * np.bincount(seq[:, 1], minlength=size)
     if em.sum() != ep.sum():
         raise MarginMismatch(f"stub totals differ: {em.sum()} vs {ep.sum()}")
     return em, ep
@@ -255,7 +240,7 @@ def _margin_sum(e_minus, e_plus, w, cap, mark=None):
 
 def log_partition(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP) -> float:
     """log of the partition sum over tables, in float arithmetic; -inf when no table has weight."""
-    w = _weights(q, exact=False)
+    w = [[float(x) for x in row] for row in _weights(q)]
     em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
     z = _partition_sum(em, ep, w)
     return -math.inf if z is None else z.log()
@@ -365,25 +350,18 @@ def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_T
     return ratio
 
 
-def joint_first_M_prob(x, q, types, cap: int = DEFAULT_TABLE_CAP):
+def joint_first_M_prob(e_minus, e_plus, q, types, cap: int = DEFAULT_TABLE_CAP):
     """Probability that the first M wired edges have the given (k, j) types, in order.
 
-    x is a margins pair (e-, e+) when it is a tuple of two numpy arrays,
-    and a node-type sequence of (j, k) pairs otherwise; so at K = 1 a
-    tuple of two pairs is a sequence, not margins.  The value
-    telescopes through conditional edge means Q[k,j] Z(e - d_jk) / Z(e)
-    over shrinking margins; a vanished partition mid-product means the
-    prefix is impossible.
+    The value telescopes through conditional edge means
+    Q[k,j] Z(e - d_jk) / Z(e) over shrinking margins; a vanished
+    partition mid-product means the prefix is impossible.
     """
     w = _weights(q)
     size = len(w)
     for k, j in types:
         _check_type(k, j, size)
-    if isinstance(x, tuple) and len(x) == 2 and all(isinstance(v, np.ndarray) for v in x):
-        em, ep, total = _check_margins(x[0], x[1], size, cap)
-    else:
-        em, ep = margins_of_sequence(x, size)
-        em, ep, total = _check_margins(em, ep, size, cap)
+    em, ep, total = _check_margins(e_minus, e_plus, size, cap)
     if len(types) > total:
         raise MarginMismatch(f"asked for {len(types)} leading edges but only {total} exist")
     prob = _zero(w) + 1
@@ -410,83 +388,32 @@ class OracleDistribution:
     wiring_counts: dict  # table tuple -> number of ordered wirings
     total_weight: object  # partition constant C
     n_edges: int
-    _matchings: list  # (weight, type list) per stub bijection
-
-    @property
-    def _zero(self):
-        return Fraction(0) if isinstance(self.total_weight, Fraction) else 0.0
-
-    def table_probability(self, table):
-        key = tuple(map(tuple, np.asarray(table, dtype=int).tolist()))
-        return self.tables.get(key, self._zero)
-
-    def first_m_prob(self, types):
-        """Probability of a leading type sequence, recomputed from raw matchings.
-
-        Each stub bijection is equally likely to appear in any of its E!
-        edge orders, so the leading types follow sequential sampling
-        without replacement from the bijection's type multiset.
-        """
-        norm = sum(w for w, _ in self._matchings)
-        if norm == 0:
-            raise ZeroPartition("oracle total weight is zero")
-        total = self._zero
-        for weight, tlist in self._matchings:
-            if weight == 0:
-                continue
-            counts = {}
-            for t in tlist:
-                counts[t] = counts.get(t, 0) + 1
-            piece = weight / norm
-            remaining = self.n_edges
-            ok = True
-            for t in types:
-                c = counts.get(t, 0)
-                if c == 0:
-                    ok = False
-                    break
-                piece = piece * c / remaining
-                counts[t] = c - 1
-                remaining -= 1
-            if ok:
-                total += piece
-        return total
 
 
-def enumerate_wirings_oracle(x, q, cap: int = ORACLE_CAP) -> OracleDistribution:
-    """Enumerate every stub bijection of a node-type sequence, weighted by Q.
+def enumerate_wirings_oracle(e_minus, e_plus, q, cap: int = ORACLE_CAP) -> OracleDistribution:
+    """Enumerate every stub bijection for the margins (e-, e+), weighted by Q.
 
     Ordered wirings are bijections plus an edge ordering; the ordering
     multiplies counts by E! and leaves probabilities untouched, so the
     total weight reported is E! times the bijection-weight sum.
     """
     rows = _weights(q)
-    exact = isinstance(rows[0][0], Fraction)
     size = len(rows)
-    em, ep = margins_of_sequence(x, size)
-    total = int(em.sum())
-    if total > cap:
-        raise CapExceeded(f"oracle over {total} edges exceeds cap {cap}")
+    em, ep, total = _check_margins(e_minus, e_plus, size, cap)
     in_stub_deg = [d for d in range(1, size) for _ in range(em[d])]
     out_stub_deg = [d for d in range(1, size) for _ in range(ep[d])]
-    zero = Fraction(0) if exact else 0.0
+    zero = _zero(rows)
     table_weights: dict = {}
     bijection_counts: dict = {}
-    matchings = []
-    for perm in itertools.permutations(range(total)):
-        weight = Fraction(1) if exact else 1.0
+    for perm in itertools.permutations(out_stub_deg):
+        weight = zero + 1
         table = np.zeros((size, size), dtype=int)
-        tlist = []
-        for pos, out_slot in enumerate(perm):
-            k = out_stub_deg[out_slot]
-            j = in_stub_deg[pos]
+        for k, j in zip(perm, in_stub_deg):
             weight = weight * rows[k][j]
             table[k, j] += 1
-            tlist.append((k, j))
         key = tuple(map(tuple, table.tolist()))
         table_weights[key] = table_weights.get(key, zero) + weight
         bijection_counts[key] = bijection_counts.get(key, 0) + 1
-        matchings.append((weight, tlist))
     weight_sum = sum(table_weights.values(), zero)
     fact = math.factorial(total)
     if weight_sum == 0:
@@ -498,5 +425,4 @@ def enumerate_wirings_oracle(x, q, cap: int = ORACLE_CAP) -> OracleDistribution:
         wiring_counts={k: v * fact for k, v in bijection_counts.items()},
         total_weight=weight_sum * fact,
         n_edges=total,
-        _matchings=matchings,
     )

@@ -100,7 +100,6 @@ def _lln_report(kind, sizes, diffs, reps, seed, acceptance_rates=None) -> LLNRep
 
 def node_lln(
     p: NodeTypeDist,
-    q: EdgeTypeDist,
     sizes,
     reps: int,
     seed: int,

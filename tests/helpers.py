@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import numpy as np
 from acg import exact_kernel as kernel
 from acg.asymptotics import double_vector, h_value
 from acg.degree_model import EdgeTypeDist, NodeTypeDist
-from acg.errors import AcgError, MarginMismatch
+from acg.errors import AcgError, MarginMismatch, ZeroPartition
 
 # feasible node-type sequences with E <= 5 and degrees <= 2
 ORACLE_SEQUENCES = [
@@ -286,7 +287,8 @@ def table_of_wiring(wiring, x) -> np.ndarray:
 
     Raises InconsistentWiring unless every node's stubs are used exactly.
     """
-    j_seq, k_seq = kernel._sequence_degrees(x)
+    pairs = np.asarray(x, dtype=int)
+    j_seq, k_seq = pairs[:, 0], pairs[:, 1]
     n = len(j_seq)
     size = int(max(j_seq.max(initial=0), k_seq.max(initial=0))) + 1
     out_used = np.zeros(n, dtype=int)
@@ -307,6 +309,40 @@ def wiring_probability(wiring, x, q, cap: int = kernel.DEFAULT_TABLE_CAP):
     """Probability of one ordered wiring: all wirings sharing a table are equally likely."""
     table = table_of_wiring(wiring, x)
     return kernel.table_probability(table, q, cap=cap) / wiring_count(table)
+
+
+def first_m_prob(e_minus, e_plus, q, types):
+    """Probability of a leading edge-type sequence, by brute force over stub bijections.
+
+    Each bijection of in-stubs to out-stubs weighs prod Q[k, j] and is
+    equally likely to appear in any of its E! edge orders, so the
+    leading types follow sequential sampling without replacement from
+    the bijection's type multiset.
+    """
+    rows = q.matrix.tolist() if isinstance(q, EdgeTypeDist) else q
+    in_deg = [j for j, n in enumerate(e_minus) for _ in range(int(n))]
+    out_deg = [k for k, n in enumerate(e_plus) for _ in range(int(n))]
+    norm = total = 0
+    for perm in itertools.permutations(out_deg):
+        tlist = list(zip(perm, in_deg))
+        weight = math.prod(rows[k][j] for k, j in tlist)
+        if weight == 0:
+            continue
+        norm += weight
+        counts = Counter(tlist)
+        piece = weight
+        remaining = len(tlist)
+        for t in types:
+            if counts[t] == 0:
+                break
+            piece = piece * counts[t] / remaining
+            counts[t] -= 1
+            remaining -= 1
+        else:
+            total += piece
+    if norm == 0:
+        raise ZeroPartition("no stub bijection has positive weight")
+    return total / norm
 
 
 def partition_Z(e_minus, e_plus, q, cap: int = kernel.DEFAULT_TABLE_CAP):

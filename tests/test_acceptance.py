@@ -28,6 +28,7 @@ from acg.sampler import DEFAULT_DELTA, clip_sequence, draw_node_sequence, genera
 from helpers import (
     ORACLE_SEQUENCES,
     coordinate_descent_alpha,
+    first_m_prob,
     from_margins,
     random_consistent_pair,
     table_of_wiring,
@@ -74,7 +75,7 @@ def test_criterion_01_wiring_oracle_agreement(bal2, disas):
             em, ep = kernel.margins_of_sequence(x, 3)
             assert int(em.sum()) <= 5
             for qq in (q, qd):
-                dist = kernel.enumerate_wirings_oracle(x, qq)
+                dist = kernel.enumerate_wirings_oracle(em, ep, qq)
                 assert kernel.partition_C(em, ep, qq) == pytest.approx(
                     dist.total_weight, rel=1e-12, abs=1e-300
                 )
@@ -94,7 +95,8 @@ def test_criterion_01_wiring_oracle_agreement(bal2, disas):
                 assert wiring_count(table) == count
                 total += wiring_probability(wiring, seq, qq) * count
             assert total == pytest.approx(1.0, abs=1e-12)
-        assert sorted(kernel.enumerate_wirings_oracle(seq, q).wiring_counts.values()) == [12, 24]
+        em, ep = kernel.margins_of_sequence(seq, 3)
+        assert sorted(kernel.enumerate_wirings_oracle(em, ep, q).wiring_counts.values()) == [12, 24]
         assert time.monotonic() - start < 10.0
 
 
@@ -107,7 +109,7 @@ def test_criterion_02_exact_edge_moments(bal2, disas):
         for x in ORACLE_SEQUENCES:
             em, ep = kernel.margins_of_sequence(x, 3)
             for qq in (q, qd):
-                dist = kernel.enumerate_wirings_oracle(x, qq)
+                dist = kernel.enumerate_wirings_oracle(em, ep, qq)
                 if dist.total_weight == 0:
                     continue
                 for k, j in itertools.product((1, 2), repeat=2):
@@ -132,20 +134,20 @@ def test_criterion_03_leading_edge_joint_law(bal2, disas):
     with criterion(3, "leading-edge joint law sums to one and matches the oracle"):
         support = list(itertools.product((1, 2), repeat=2))
         for x in ORACLE_SEQUENCES:
-            em, _ = kernel.margins_of_sequence(x, 3)
+            em, ep = kernel.margins_of_sequence(x, 3)
             n_edges = int(em.sum())
             if n_edges > 4:
                 continue
             for qq in (q, qd):
-                dist = kernel.enumerate_wirings_oracle(x, qq)
+                dist = kernel.enumerate_wirings_oracle(em, ep, qq)
                 if dist.total_weight == 0:
                     continue
                 for m in range(1, n_edges + 1):
                     total = 0.0
                     for types in itertools.product(support, repeat=m):
-                        val = kernel.joint_first_M_prob(x, qq, list(types))
+                        val = kernel.joint_first_M_prob(em, ep, qq, list(types))
                         total += val
-                        assert val == pytest.approx(dist.first_m_prob(types), abs=1e-12)
+                        assert val == pytest.approx(first_m_prob(em, ep, qq, types), abs=1e-12)
                     assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -211,7 +213,7 @@ def test_criterion_07_type_frequency_concentration(bal2):
     start = time.monotonic()
     with criterion(7, "type frequencies concentrate at the square-root rate"):
         sizes = [1000, 10000, 100000]
-        node = sv.node_lln(p, q, sizes, reps=5, seed=701)
+        node = sv.node_lln(p, sizes, reps=5, seed=701)
         edge = sv.edge_lln(p, q, sizes, reps=5, seed=702)
         assert -0.65 <= node.slope <= -0.35
         assert -0.65 <= edge.slope <= -0.35

@@ -554,3 +554,50 @@ def test_validate_rejects_too_few_first_edges_reps_before_writing(bal2_file, tmp
     assert err.startswith("error:") and "16 tuples" in err
     assert "Traceback" not in err
     assert nothing_written(out_dir)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exact", "joint", "--sequence=-1,1;1,0", "--types", "1,1"],
+        ["exact", "oracle", "--sequence=-1,1;1,0"],
+    ],
+)
+def test_exact_sequence_with_a_negative_degree_is_rejected(bal2_file, tmp_path, capsys, argv):
+    # the in-degree -1 balances the stub totals if it is dropped instead of rejected
+    out_dir = tmp_path / "out"
+    code = cli.run([*argv, "--params", bal2_file, "--out-dir", str(out_dir)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert nothing_written(out_dir)
+
+
+ASSORT_K2 = Path(__file__).resolve().parents[1] / "clibench" / "fixtures" / "assort_k2.json"
+# seed 1 draws two graphs, then finds no clipped node sequence for the third
+FAILS_AT_THIRD_SAMPLE = [
+    "generate", "--params", str(ASSORT_K2), "--n", "4", "--delta", "0", "--max-redraws", "0", "--seed", "1",
+    "--samples", "3",
+]
+
+
+def test_generate_samples_that_fail_midway_remove_their_directories(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = cli.run([*FAILS_AT_THIRD_SAMPLE, "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "redraws" in err
+    assert "sample_001" in out  # the first two graphs were written before the failure
+    assert nothing_written(out_dir)
+
+
+def test_generate_samples_that_fail_midway_keep_directories_made_before(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    (out_dir / "sample_000").mkdir(parents=True)
+    (out_dir / "sample_000" / "sentinel").write_text("kept\n")
+    code = cli.run([*FAILS_AT_THIRD_SAMPLE, "--out-dir", str(out_dir)])
+    capsys.readouterr()
+    assert code == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["sample_000"]
+    assert (out_dir / "sample_000" / "sentinel").read_text() == "kept\n"

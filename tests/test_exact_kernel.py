@@ -12,6 +12,7 @@ from acg.errors import AcgError, CapExceeded, MarginMismatch, ZeroPartition
 
 from helpers import (
     ORACLE_SEQUENCES,
+    first_m_prob,
     iter_tables,
     partition_Z,
     table_of_wiring,
@@ -46,6 +47,34 @@ def test_margins_of_sequence():
         kernel.margins_of_sequence([(1, 2)], 3)  # unbalanced stubs
     with pytest.raises(MarginMismatch):
         kernel.margins_of_sequence([(3, 3)], 3)  # beyond cutoff
+
+
+def test_margins_of_sequence_rejects_negative_and_fractional_degrees():
+    # dropping the -1, or truncating the 1.5, would leave balanced stub totals
+    for pairs in ([(-1, 1), (1, 0)], [(1, -1), (0, 1)], [(1.5, 2), (2, 1)]):
+        with pytest.raises(MarginMismatch):
+            kernel.margins_of_sequence(pairs, 3)
+
+
+def test_float_q_with_integer_zeros_runs_in_floats():
+    q = [[0, 0, 0], [0, 1 / 9, 2 / 9], [0, 2 / 9, 4 / 9]]
+    for value in (
+        kernel.partition_C(E3_MINUS, E3_PLUS, q),
+        kernel.exact_edge_mean(E3_MINUS, E3_PLUS, q, 2, 2),
+        kernel.table_probability(TABLE_A, q),
+        kernel.joint_first_M_prob(E3_MINUS, E3_PLUS, q, [(2, 2)]),
+    ):
+        assert type(value) is float
+    assert kernel.exact_edge_mean(E3_MINUS, E3_PLUS, q, 2, 2) == pytest.approx(4 / 3, abs=1e-13)
+
+
+def test_q_with_a_fraction_entry_runs_exactly():
+    q = [[0.0, 0, 0], [0, Fraction(1, 9), Fraction(2, 9)], [0, Fraction(2, 9), Fraction(4, 9)]]
+    assert kernel.partition_C(E3_MINUS, E3_PLUS, q) == Fraction(64, 81)
+    assert kernel.exact_edge_mean(E3_MINUS, E3_PLUS, q, 2, 2) == Fraction(4, 3)
+    assert kernel.table_probability(TABLE_A, q) == Fraction(1, 3)
+    assert kernel.joint_first_M_prob(E3_MINUS, E3_PLUS, q, [(2, 2)]) == Fraction(4, 9)
+    assert kernel.enumerate_wirings_oracle(E3_MINUS, E3_PLUS, q).total_weight == Fraction(64, 81)
 
 
 def test_wiring_counts_of_e3_tables():
@@ -111,8 +140,8 @@ def test_oracle_matches_kernel_on_small_sequences(bal2, disas):
     _, qd = disas
     for x in ORACLE_SEQUENCES:
         for qq in (q, qd):
-            dist = kernel.enumerate_wirings_oracle(x, qq)
             em, ep = kernel.margins_of_sequence(x, 3)
+            dist = kernel.enumerate_wirings_oracle(em, ep, qq)
             c = kernel.partition_C(em, ep, qq)
             assert dist.total_weight == pytest.approx(c, rel=1e-12, abs=1e-300)
             if dist.total_weight == 0:
@@ -125,7 +154,7 @@ def test_oracle_matches_kernel_on_small_sequences(bal2, disas):
 
 def test_oracle_e3_wiring_counts(bal2):
     _, q = bal2
-    dist = kernel.enumerate_wirings_oracle(E3_SEQUENCE, q)
+    dist = kernel.enumerate_wirings_oracle(E3_MINUS, E3_PLUS, q)
     counts = {key: count for key, count in dist.wiring_counts.items()}
     assert counts[tuple(map(tuple, TABLE_A))] == 12
     assert counts[tuple(map(tuple, TABLE_B))] == 24
@@ -137,7 +166,7 @@ def test_joint_first_prob_sums_to_one(bal2):
     for x in [E3_SEQUENCE, [(1, 1), (2, 2)], [(2, 2), (2, 2)]]:
         for m in (1, 2, 3):
             total = sum(
-                kernel.joint_first_M_prob(x, q, list(types))
+                kernel.joint_first_M_prob(*kernel.margins_of_sequence(x, 3), q, list(types))
                 for types in itertools.product(support, repeat=m)
             )
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -149,28 +178,15 @@ def test_joint_first_prob_matches_oracle(bal2, disas):
     support = [(1, 1), (1, 2), (2, 1), (2, 2)]
     for x in [E3_SEQUENCE, [(2, 2), (2, 2)], [(1, 1), (1, 2), (2, 1)]]:
         for qq in (q, qd):
-            dist = kernel.enumerate_wirings_oracle(x, qq)
+            em, ep = kernel.margins_of_sequence(x, 3)
+            dist = kernel.enumerate_wirings_oracle(em, ep, qq)
             if dist.total_weight == 0:
                 continue
             for m in (1, 2):
                 for types in itertools.product(support, repeat=m):
-                    got = kernel.joint_first_M_prob(x, qq, list(types))
-                    want = dist.first_m_prob(list(types))
+                    got = kernel.joint_first_M_prob(em, ep, qq, list(types))
+                    want = first_m_prob(em, ep, qq, list(types))
                     assert got == pytest.approx(want, abs=1e-12)
-
-
-def test_joint_accepts_margin_pair(bal2):
-    _, q = bal2
-    by_seq = kernel.joint_first_M_prob(E3_SEQUENCE, q, [(2, 2)])
-    by_margins = kernel.joint_first_M_prob((E3_MINUS, E3_PLUS), q, [(2, 2)])
-    assert by_seq == pytest.approx(by_margins, abs=1e-15)
-
-
-def test_joint_reads_a_tuple_of_pairs_as_a_sequence_at_k1():
-    q = [[0, 0], [0, 1.0]]
-    assert kernel.joint_first_M_prob(((1, 1), (1, 1)), q, [(1, 1)]) == 1.0
-    assert kernel.joint_first_M_prob([(1, 1), (1, 1)], q, [(1, 1)]) == 1.0
-    assert kernel.joint_first_M_prob((np.array([0, 2]), np.array([0, 2])), q, [(1, 1)]) == 1.0
 
 
 def test_zero_partition_raised_off_support(disas):
@@ -188,7 +204,7 @@ def test_margin_validation_errors(bal2):
     with pytest.raises(CapExceeded):
         kernel.log_partition(np.array([0, 1, 2]), np.array([0, 1, 2]), q, cap=2)
     with pytest.raises(CapExceeded):
-        kernel.enumerate_wirings_oracle([(2, 2)] * 5, q)
+        kernel.enumerate_wirings_oracle(*kernel.margins_of_sequence([(2, 2)] * 5, 3), q)
 
 
 def test_wiring_probability_consistency(bal2):
@@ -307,7 +323,7 @@ def test_edge_type_outside_the_cutoff_is_rejected(k):
     with pytest.raises(MarginMismatch):
         kernel.exact_edge_variance(K3_MINUS, K3_PLUS, Q_K3, k, 1)
     with pytest.raises(MarginMismatch):
-        kernel.joint_first_M_prob((K3_MINUS, K3_PLUS), Q_K3, [(1, 1), (k, 1)])
+        kernel.joint_first_M_prob(K3_MINUS, K3_PLUS, Q_K3, [(1, 1), (k, 1)])
 
 
 def test_partition_constant_past_the_float_range_of_its_factors():

@@ -17,7 +17,7 @@ SINGLE_TYPE = {
 
 def test_node_lln_fields_and_determinism(bal2):
     p, q = bal2
-    rep = sv.node_lln(p, q, sizes=[100, 400], reps=3, seed=7)
+    rep = sv.node_lln(p, sizes=[100, 400], reps=3, seed=7)
     assert rep.kind == "node"
     assert rep.sizes == (100, 400)
     assert len(rep.max_deviations) == 2
@@ -25,13 +25,13 @@ def test_node_lln_fields_and_determinism(bal2):
     assert all(0 < r <= 1 for r in rep.acceptance_rates)
     assert rep.max_deviations[1] < rep.max_deviations[0]
     assert all(0 <= tv <= 1 for tv in rep.tv_distances)
-    again = sv.node_lln(p, q, sizes=[100, 400], reps=3, seed=7)
+    again = sv.node_lln(p, sizes=[100, 400], reps=3, seed=7)
     assert again == rep
 
 
 def test_node_lln_degenerate_law_has_zero_deviation():
     p, q = load_params(SINGLE_TYPE)
-    rep = sv.node_lln(p, q, sizes=[50], reps=2, seed=1)
+    rep = sv.node_lln(p, sizes=[50], reps=2, seed=1)
     assert rep.max_deviations[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.acceptance_rates[0] == 1.0
 
@@ -47,7 +47,7 @@ def test_edge_lln_fields_and_determinism(bal2):
 
 def test_lln_slope_over_three_decades(bal2):
     p, q = bal2
-    rep = sv.node_lln(p, q, sizes=[100, 1000, 10000], reps=3, seed=3)
+    rep = sv.node_lln(p, sizes=[100, 1000, 10000], reps=3, seed=3)
     # sqrt(n) concentration: log-log slope near -1/2
     assert -0.7 < rep.slope < -0.3
     assert rep.slope_window == (-0.65, -0.35)
