@@ -1,4 +1,5 @@
-/* Compiled twin of acg.sampler._type_chain and acg.sampler._assign_stubs.
+/* Compiled twin of acg.sampler._type_chain and acg.sampler._assign_stubs,
+ * and the formatter of the sample files' rows.
  *
  * Plain C with no Python C-API, loaded through ctypes by acg._wiring.  It
  * does the same double arithmetic in the same order as the Python loops,
@@ -6,6 +7,8 @@
  * with -ffast-math.  Cell (k, j) of the row-major size x size rate matrix
  * takes part where its rate is > 0, as in the Python cols and hits lists.
  * size is K + 1, small enough for per-class arrays on the stack.
+ * acg_format_rows writes the bytes of the "%d" row formatter in
+ * acg.sampler._columns, which runs when the kernel does not load.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -121,4 +124,32 @@ void acg_assign_stubs(int64_t size, int64_t n, const int64_t *degrees, int64_t s
         owners[t] = base[idx];
         base[idx] = base[--len[d]];
     }
+}
+
+/* Rows start .. start + rows - 1 of a sample file, written to out: the row
+ * index, then entry r of each of the ncols columns (column c is
+ * cols[c * rows .. c * rows + rows - 1]) as "%d" digits, fields joined by
+ * the byte sep and each row ended by '\n'.  A nonnegative int64 has at most
+ * 19 digits, so out holds rows * (ncols + 1) * 20 bytes.  Returns the bytes
+ * written, or -1 at a negative entry, of which no digit is written. */
+int64_t acg_format_rows(int64_t start, int64_t rows, int64_t ncols, const int64_t *cols, int sep,
+                        char *out)
+{
+    char digits[20], *at = out;
+    for (int64_t r = 0; r < rows; r++)
+        for (int64_t c = -1; c < ncols; c++) {
+            int64_t entry = c < 0 ? start + r : cols[c * rows + r];
+            uint64_t v = (uint64_t)entry;
+            int n = 0;
+            if (entry < 0)
+                return -1;
+            do {
+                digits[n++] = (char)('0' + v % 10);
+                v /= 10;
+            } while (v);
+            while (n)
+                *at++ = digits[--n];
+            *at++ = (char)(c == ncols - 1 ? '\n' : sep);
+        }
+    return at - out;
 }

@@ -1,13 +1,14 @@
 """Build and load the compiled wiring kernel, `_wiring.c`, through ctypes.
 
-The kernel is compiled on first use with the system C compiler into the
+The kernel runs both wiring stages and formats the rows of the sample
+files.  It is compiled on first use with the system C compiler into the
 `__pycache__` directory beside this file, or into a temporary directory
 where that one cannot be written.  The library is named by the SHA-256 of
 the source, the flags and the machine type, and written under a temporary
 name then renamed, so processes that build at once never load a partial
 file.  load() returns None when there is no compiler or the build or the
-load fails; the sampler then runs its Python loops, which give the same
-bytes.
+load fails; the sampler then runs its Python loops and its "%d" row
+formatter, which give the same bytes.
 """
 
 from __future__ import annotations
@@ -68,8 +69,11 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     i64 = ctypes.c_int64
     floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    text = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
     lib.acg_type_chain.argtypes = [i64, floats, ints, ints, floats, i64, ctypes.c_int, i64, ints, ints]
     lib.acg_type_chain.restype = ctypes.c_int
     lib.acg_assign_stubs.argtypes = [i64, i64, ints, i64, ints, floats, i64, ints, ints]
     lib.acg_assign_stubs.restype = None
+    lib.acg_format_rows.argtypes = [i64, i64, i64, ints, ctypes.c_int, text]
+    lib.acg_format_rows.restype = i64
     return lib

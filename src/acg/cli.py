@@ -422,8 +422,11 @@ def _run_suite(suite, p, q, args):
 
 def _cmd_validate(args, p, q, out) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    if "first-edges" in suites:  # before meta.json, so a rejected run writes nothing
+    # before meta.json, so a rejected run writes nothing
+    if "first-edges" in suites:
         sv.first_edges_support(q, args.length, _suite_size("first-edges", args)[1])
+    if "self-loops" in suites:
+        sv.self_loop_reps(_suite_size("self-loops", args)[1])
     _write_json(
         out / "meta.json",
         {

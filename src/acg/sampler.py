@@ -23,7 +23,9 @@ Both stages have two backends that give the same bytes: a compiled C
 kernel (acg._wiring, built with the system C compiler on the first wiring
 call and cached in __pycache__) and the Python loops _type_chain and
 _assign_stubs, which run when no compiler is found or the build fails and
-serve as the kernel's test oracle.
+serve as the kernel's test oracle.  The same kernel formats the rows of
+nodes.csv and edges.tsv (_columns); without it one "%d" format per row
+writes the same bytes.
 
 Randomness comes from numpy Generators made by default_rng(seed).  Callers
 that draw many graphs from one base seed give each its own stream by passing
@@ -545,75 +547,58 @@ def write_sample(g: MultiGraph, out_dir) -> None:
 
 
 def read_sample(sample_dir) -> MultiGraph:
-    """Load a sample written by write_sample; MalformedSample if a file does not parse."""
+    """Load a sample written by write_sample.
+
+    MalformedSample if a file does not parse, holds a negative field, or
+    has an edge whose endpoint is not a node or whose k or j is not its
+    source's out-degree or its target's in-degree.
+    """
     directory = Path(sample_dir)
-    nodes = _read_columns(directory / "nodes.csv", *_NODES_CSV)
-    edges = _read_columns(directory / "edges.tsv", *_EDGES_TSV)[:4]  # self_loop is derived
+    in_degrees, out_degrees = _read_columns(directory / "nodes.csv", *_NODES_CSV)
+    src, dst, k, j = _read_columns(directory / "edges.tsv", *_EDGES_TSV)[:4]  # self_loop is derived
+    n = len(in_degrees)
+    outside = np.flatnonzero((src >= n) | (dst >= n))
+    if outside.size:
+        raise MalformedSample(f"edges.tsv: edge {outside[0]} has an endpoint outside the nodes 0..{n - 1}")
+    mismatched = np.flatnonzero((k != out_degrees[src]) | (j != in_degrees[dst]))
+    if mismatched.size:
+        raise MalformedSample(
+            f"edges.tsv: edge {mismatched[0]} has a k or j other than its endpoints' out- and in-degree"
+        )
     meta_path = directory / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
-    return MultiGraph(*nodes, *edges, meta=meta)
+    return MultiGraph(in_degrees, out_degrees, src, dst, k, j, meta=meta)
 
 
 def _columns(sep: str, header, cols):
     """Yield the header line, then the rows (row index and integer columns) as ASCII bytes in chunks of lines.
 
-    The bytes are those of "%d" per field, joined by sep and ended by "\n",
-    but no string is formatted per row.  Each chunk of _WRITE_ROWS rows is
-    one (rows, width) uint8 block in which every field has a fixed width:
-    a column whose chunk holds only 0..9 takes one byte, v + 48; any other
-    takes four bytes per group of four digits, each group looked up in a
-    table of the zero-padded digits of 0..9999 by v % 10^4, then
-    v //= 10^4.  A nonnegative v has one digit more than there are powers
-    10, 100, ... not above it, and "%d" writes exactly those digits, no
-    sign and no leading zero ("0" for zero).  So one boolean mask that
-    drops each field's pad bytes before them leaves the "%d" bytes.  A
-    negative entry raises MalformedSample.
+    The bytes are those of "%d" per field, joined by sep and ended by "\n":
+    no sign and no leading zero.  Each chunk of _WRITE_ROWS rows is copied
+    into one int64 block, which converts the bool self_loop column a chunk
+    at a time, and formatted by the compiled kernel when it loads, else by
+    one "%d" format per row.  A negative entry raises MalformedSample.
     """
     yield (sep.join(header) + "\n").encode("ascii")
+    lib = _kernel()
+    line = sep.join(["%d"] * (len(cols) + 1)) + "\n"
     rows = len(cols[0])
+    if lib is not None:
+        out = np.empty(min(rows, _WRITE_ROWS) * (len(cols) + 1) * 20, dtype=np.uint8)  # 19 digits and sep
     for start in range(0, rows, _WRITE_ROWS):
         stop = min(start + _WRITE_ROWS, rows)
-        fields = [np.arange(start, stop, dtype=np.int64)]
-        fields += [np.asarray(c[start:stop], dtype=np.int64) for c in cols]
-        yield _format_rows(fields, ord(sep))
-
-
-@functools.cache
-def _digit_tables():
-    """(10, 100, ..., 10^18; the four zero-padded ASCII digits of 0..9999 as a (10^4, 4) uint8 array)."""
-    quads = np.arange(10_000)
-    digits = np.stack([quads // 1000, quads // 100 % 10, quads // 10 % 10, quads % 10], axis=1)
-    tables = 10 ** np.arange(1, 19, dtype=np.int64), (digits + ord("0")).astype(np.uint8)
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _format_rows(fields, sep: int) -> bytes:
-    """The lines of equally long int64 columns, fields joined by the byte sep (see _columns)."""
-    powers, quads = _digit_tables()
-    for v in fields:
-        if v.min() < 0:
-            raise MalformedSample(f"cannot write the negative entry {int(v.min())} to a sample file")
-    counts = [np.searchsorted(powers, v, side="right") + 1 if v.max() >= 10 else None for v in fields]
-    widths = [1 if n is None else 4 * ((int(n.max()) + 3) // 4) for n in counts]
-    block = np.empty((len(fields[0]), sum(widths) + len(widths)), dtype=np.uint8)
-    keep = np.ones(block.shape, dtype=bool)
-    at = 0
-    for v, n, w in zip(fields, counts, widths):
-        if n is None:
-            block[:, at] = v + ord("0")
+        block = np.empty((len(cols), stop - start), dtype=np.int64)
+        for row, col in zip(block, cols):
+            row[:] = col[start:stop]
+        if lib is None:
+            lines = map(line.__mod__, zip(range(start, stop), *block.tolist()))
+            text = None if block.min() < 0 else "".join(lines).encode("ascii")
         else:
-            for group in range(at + w - 4, at - 1, -4):
-                high = v // 10_000
-                block[:, group : group + 4] = np.take(quads, v - high * 10_000, axis=0)
-                v = high
-            last_bytes = np.arange(w) >= w - np.arange(w + 1)[:, None]  # row d keeps the last d bytes
-            keep[:, at : at + w] = np.take(last_bytes, n, axis=0)
-        block[:, at + w] = sep
-        at += w + 1
-    block[:, -1] = ord("\n")
-    return block[keep].tobytes()
+            written = lib.acg_format_rows(start, stop - start, len(cols), block, ord(sep), out)
+            text = None if written < 0 else out[:written].tobytes()
+        if text is None:
+            raise MalformedSample(f"cannot write the negative entry {int(block.min())} to a sample file")
+        yield text
 
 
 def _read_columns(path: Path, sep: str, header) -> np.ndarray:
@@ -632,6 +617,8 @@ def _read_columns(path: Path, sep: str, header) -> np.ndarray:
             raise MalformedSample(f"{path.name}: {exc}") from None
     if len(table) != len(header):
         raise MalformedSample(f"{path.name} has {len(table)} columns, expected {len(header)}")
+    if table.min() < 0:  # the format rule _columns enforces
+        raise MalformedSample(f"{path.name} holds the negative entry {table.min()}")
     return table[1:]
 
 

@@ -258,6 +258,12 @@ def _chi2_sf(x, dof):
     return total
 
 
+def self_loop_reps(reps: int) -> None:
+    """ValueError unless reps >= 2: one count has no sample variance, so no standard error."""
+    if reps < 2:
+        raise ValueError(f"the self-loop suite needs at least 2 reps, got {reps}")
+
+
 def self_loop_poisson(
     p: NodeTypeDist,
     q: EdgeTypeDist,
@@ -270,17 +276,18 @@ def self_loop_poisson(
 
     The mean is flagged against the predicted rate at 4 standard errors
     and the variance/mean ratio is reported; a Poisson count keeps that
-    ratio near 1.
+    ratio near 1.  ValueError as self_loop_reps raises it.
     """
+    self_loop_reps(reps)
     counts = []
     for rep in range(reps):
         g = generate_graph(p, q, n, delta=delta, seed=[seed, rep])
         counts.append(int(g.self_loop_mask.sum()))
     arr = np.array(counts, dtype=float)
     mean = float(arr.mean())
-    variance = float(arr.var(ddof=1)) if reps > 1 else 0.0
+    variance = float(arr.var(ddof=1))
     predicted = self_loop_rate(p, q)
-    se = math.sqrt(variance / reps) if reps > 1 else float("nan")
+    se = math.sqrt(variance / reps)
     if se > 0:
         z = (mean - predicted) / se
     elif mean == predicted:

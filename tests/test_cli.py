@@ -556,6 +556,19 @@ def test_validate_rejects_too_few_first_edges_reps_before_writing(bal2_file, tmp
     assert nothing_written(out_dir)
 
 
+def test_validate_rejects_one_self_loop_rep_before_writing(bal2_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code = cli.run([
+        "validate", "--params", bal2_file, "--suite", "self-loops", "--reps", "1", "--n", "300", "--seed", "1",
+        "--out-dir", str(out_dir),
+    ])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("error:") and "at least 2 reps" in err
+    assert "Traceback" not in err
+    assert nothing_written(out_dir)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from acg import sampler
@@ -341,7 +341,8 @@ def test_sample_files_across_chunks_match_golden_digests(wiring_path, bal2, tmp_
 WRITER_EDGE_VALUES = [0, 9, 10, 99, 100, 9999, 10000, 10**7, 2**40, 2**63 - 1]
 
 
-@settings(max_examples=40, deadline=None)
+# the wiring_path fixture only picks the formatter, which every example shares
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     rows=st.integers(0, 300) | st.sampled_from([2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3]),
     n_ints=st.integers(1, 4),
@@ -354,7 +355,7 @@ WRITER_EDGE_VALUES = [0, 9, 10, 99, 100, 9999, 10000, 10**7, 2**40, 2**63 - 1]
 @example(rows=2**16, n_ints=3, sep="\t", seed=3)
 @example(rows=2**16 + 1, n_ints=1, sep=",", seed=4)
 @example(rows=2**17 + 3, n_ints=4, sep="\t", seed=5)
-def test_columns_match_the_percent_d_oracle(rows, n_ints, sep, seed):
+def test_columns_match_the_percent_d_oracle(wiring_path, rows, n_ints, sep, seed):
     rng = np.random.default_rng(seed)
     cols = []
     for _ in range(n_ints):
@@ -368,9 +369,14 @@ def test_columns_match_the_percent_d_oracle(rows, n_ints, sep, seed):
     assert b"".join(sampler._columns(sep, header, cols)) == columns_oracle(sep, header, cols)
 
 
-def test_columns_reject_a_negative_entry(tmp_path):
+def test_columns_reject_a_negative_entry(wiring_path, tmp_path):
     with pytest.raises(AcgError):
         b"".join(sampler._columns(",", ("id", "v"), [np.array([3, 10**5, -1])]))
+    late = np.arange(2**16 + 5)
+    late[2**16 + 1] = -7  # in the second chunk, after the first was written
+    with pytest.raises(MalformedSample, match="-7"):
+        sampler._atomic_write(tmp_path / "late.csv", sampler._columns(",", ("id", "v"), [late, late]))
+    assert not any(tmp_path.iterdir())
     g = _graph_of_edges(2, [(0, 1)])
     g.edge_dst = np.array([-1])
     with pytest.raises(MalformedSample):
@@ -430,6 +436,39 @@ def test_classify_and_edge_file_match_row_loops(case):
 def test_read_sample_rejects_a_malformed_file(bal2, tmp_path, name, text):
     write_sample(generate_graph(*bal2, 20, seed=3), tmp_path)
     (tmp_path / name).write_text(text)
+    with pytest.raises(MalformedSample):
+        read_sample(tmp_path)
+
+
+def _edit_field(path, row, column, edit):
+    """Replace field `column` of data row `row` of a sample file by edit(old value)."""
+    sep = "\t" if path.suffix == ".tsv" else ","
+    lines = path.read_text().split("\n")
+    fields = lines[row + 1].split(sep)
+    fields[column] = str(edit(int(fields[column])))
+    lines[row + 1] = sep.join(fields)
+    path.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "name, column, edit",
+    [
+        pytest.param("edges.tsv", 2, lambda v: 50, id="dst-n_nodes"),
+        pytest.param("edges.tsv", 1, lambda v: 50, id="src-n_nodes"),
+        pytest.param("edges.tsv", 2, lambda v: -1, id="dst-negative"),
+        pytest.param("edges.tsv", 0, lambda v: -1, id="edge_id-negative"),
+        pytest.param("edges.tsv", 5, lambda v: -1, id="self_loop-negative"),
+        pytest.param("nodes.csv", 1, lambda v: -1, id="node_j-negative"),
+        pytest.param("edges.tsv", 3, lambda v: 3 - v, id="edge_k-other-class"),
+        pytest.param("edges.tsv", 4, lambda v: 3 - v, id="edge_j-other-class"),
+        pytest.param("nodes.csv", 2, lambda v: 3 - v, id="source_k-other-class"),
+    ],
+)
+def test_read_sample_rejects_rows_outside_the_format(assort, tmp_path, name, column, edit):
+    g = generate_graph(*assort, 50, seed=1)
+    write_sample(g, tmp_path)
+    row = int(g.edge_src[1]) if name == "nodes.csv" else 1  # the source node of edge 1
+    _edit_field(tmp_path / name, row, column, edit)
     with pytest.raises(MalformedSample):
         read_sample(tmp_path)
 

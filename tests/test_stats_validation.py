@@ -131,6 +131,14 @@ def test_self_loop_report(bal2):
     assert sv.self_loop_poisson(p, q, n=400, reps=200, seed=23) == rep
 
 
+@pytest.mark.parametrize("reps", [0, 1])
+def test_self_loop_report_needs_two_reps(bal2, reps):
+    # one count has no sample variance: no standard error, no z-score
+    p, q = bal2
+    with pytest.raises(ValueError, match="at least 2 reps"):
+        sv.self_loop_poisson(p, q, n=100, reps=reps, seed=1)
+
+
 def test_assortativity_sign(bal2, disas):
     p, q = bal2
     rs = [
