@@ -22,6 +22,7 @@ from .config_probability import (
     config_to_dict,
     count_config_occurrences,
     count_in_graphs,
+    count_in_samples,
     tree_config_prob,
     two_node_edge_prob,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "config_to_dict",
     "count_config_occurrences",
     "count_in_graphs",
+    "count_in_samples",
     "derive_marginals",
     "double_vector",
     "draw_node_sequence",

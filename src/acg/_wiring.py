@@ -30,7 +30,7 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 SOURCE = Path(__file__).with_name("_wiring.c")
 
 
-def load() -> ctypes.CDLL | None:
+def load() -> Kernel | None:
     """The kernel with its argument types declared, or None without a working compiler."""
     cc = shutil.which("cc")
     if cc is None:
@@ -47,7 +47,7 @@ def load() -> ctypes.CDLL | None:
         return None
 
 
-def _build(cc: str, directory: Path, name: str) -> ctypes.CDLL:
+def _build(cc: str, directory: Path, name: str) -> Kernel:
     target = directory / name
     if not target.exists():
         directory.mkdir(exist_ok=True)
@@ -62,18 +62,78 @@ def _build(cc: str, directory: Path, name: str) -> ctypes.CDLL:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-    return ctypes.CDLL(str(target))
+    return Kernel(str(target))
 
 
-def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    i64 = ctypes.c_int64
-    floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    text = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
-    lib.acg_type_chain.argtypes = [i64, floats, ints, ints, floats, i64, ctypes.c_int, i64, ints, ints]
+def _declare(lib: Kernel) -> Kernel:
+    i64, address = ctypes.c_int64, ctypes.c_void_p
+    lib.acg_type_chain.argtypes = [i64, address, address, address, address, i64, ctypes.c_int, i64, address, address]
     lib.acg_type_chain.restype = ctypes.c_int
-    lib.acg_assign_stubs.argtypes = [i64, i64, ints, i64, ints, floats, i64, ints, ints]
+    lib.acg_assign_stubs.argtypes = [i64, i64, address, i64, address, address, i64, address, address]
     lib.acg_assign_stubs.restype = None
-    lib.acg_format_rows.argtypes = [i64, i64, i64, ints, ctypes.c_int, text]
+    lib.acg_format_rows.argtypes = [i64, i64, i64, address, ctypes.c_int, address]
     lib.acg_format_rows.restype = i64
     return lib
+
+
+_F64, _I64, _U8 = np.dtype(np.float64), np.dtype(np.int64), np.dtype(np.uint8)
+
+
+def _address(name: str, array: np.ndarray, dtype: np.dtype, shape: tuple) -> int:
+    """The address of a C-contiguous array of this dtype and shape; TypeError for any other."""
+    if array.dtype != dtype or array.shape != shape or not array.flags.c_contiguous:
+        raise TypeError(
+            f"{name} must be a C-contiguous {dtype} array of shape {shape}, "
+            f"got {array.dtype} {array.shape}{'' if array.flags.c_contiguous else ' not C-contiguous'}"
+        )
+    return array.ctypes.data
+
+
+class Kernel(ctypes.CDLL):
+    """The loaded kernel: each method checks every array it passes, then hands C its address.
+
+    One dtype, C-contiguity and shape check per array replaces ctypes'
+    np.ctypeslib.ndpointer conversion, at about half its cost per call, and
+    also fixes each array's length; that the values are in range (degrees
+    and types below K + 1, as the sampler makes them) is left to the caller.
+    """
+
+    def type_chain(self, rate, em, ep, us, fallback_uniform: bool, refresh_every: int, kt, jt) -> int:
+        """acg_type_chain over len(kt) steps; consumes em and ep."""
+        size, steps = len(rate), len(kt)
+        return self.acg_type_chain(
+            size,
+            _address("rate", rate, _F64, (size, size)),
+            _address("em", em, _I64, (size,)),
+            _address("ep", ep, _I64, (size,)),
+            _address("us", us, _F64, (steps, 4)),
+            steps,
+            fallback_uniform,
+            refresh_every,
+            _address("kt", kt, _I64, (steps,)),
+            _address("jt", jt, _I64, (steps,)),
+        )
+
+    def assign_stubs(self, degrees, types, us, col: int, pool, owners) -> None:
+        """acg_assign_stubs over len(types) steps, one per stub: the C lays sum(degrees) stubs out in pool."""
+        n, steps = len(degrees), len(types)
+        if int(degrees.sum()) != steps:
+            raise ValueError(f"{steps} steps for {int(degrees.sum())} stubs")
+        self.acg_assign_stubs(
+            int(degrees.max(initial=0)) + 1,
+            n,
+            _address("degrees", degrees, _I64, (n,)),
+            steps,
+            _address("types", types, _I64, (steps,)),
+            _address("us", us, _F64, (steps, 4)),
+            col,
+            _address("pool", pool, _I64, (steps,)),
+            _address("owners", owners, _I64, (steps,)),
+        )
+
+    def format_rows(self, start: int, block, sep: str, out) -> int:
+        """acg_format_rows of the columns of block into out, which holds 20 bytes per field."""
+        ncols, rows = block.shape
+        need = rows * (ncols + 1) * 20
+        block_at = _address("block", block, _I64, (ncols, rows))
+        return self.acg_format_rows(start, rows, ncols, block_at, ord(sep), _address("out", out[:need], _U8, (need,)))

@@ -33,6 +33,7 @@ from . import asymptotics as asym
 from . import config_probability as cfg
 from . import exact_kernel as kernel
 from . import stats_validation as sv
+from ._fanout import fan_out
 from .degree_model import load_params, params_dict, require_consistent
 from .errors import AcgError
 from .sampler import DEFAULT_DELTA, DEFAULT_MAX_REDRAWS, DEFAULT_MAX_RESTARTS, _atomic_write, generate_graph, write_sample
@@ -343,8 +344,7 @@ def _cmd_configs(args, p, q, out) -> int:
         }
         _emit(out / "configs_predict.json", result, line=f"{value:.10f}")
         return 0
-    graphs = (generate_graph(p, q, args.n, delta=args.delta, seed=[args.seed, i]) for i in range(args.samples))
-    report = cfg.count_in_graphs(graphs, h, p, q)  # checks h before it draws the first graph
+    report = cfg.count_in_samples(h, p, q, args.n, args.samples, args.seed, delta=args.delta)
     result = {
         "configuration": cfg.config_to_dict(h),
         "count": report.count,
@@ -400,13 +400,7 @@ def _run_suite(suite, p, q, args):
         rep = sv.self_loop_poisson(p, q, n=n, reps=reps, seed=seed, delta=args.delta)
         rows = [(rep.n, rep.mean, rep.predicted, rep.var_mean_ratio, rep.z_score)]
         return rep, ("n", "mean", "predicted", "var_mean_ratio", "z_score"), rows, f"mean={rep.mean:.4f}"
-    coeffs = []
-    for i in range(reps):
-        g = generate_graph(p, q, n, delta=args.delta, seed=[seed, i])
-        try:
-            coeffs.append(sv.assortativity_coefficient(g))
-        except AcgError:
-            coeffs.append(None)
+    coeffs = fan_out(_assortativity, (p, q, n, args.delta, seed), range(reps))
     usable = [c for c in coeffs if c is not None]
     rep = {
         "coefficients": coeffs,
@@ -418,6 +412,15 @@ def _run_suite(suite, p, q, args):
     rows = [(i, c if c is not None else float("nan")) for i, c in enumerate(coeffs)]
     mean_txt = "nan" if rep["mean_coefficient"] is None else f"{rep['mean_coefficient']:.4f}"
     return rep, ("rep", "coefficient"), rows, f"mean={mean_txt}"
+
+
+def _assortativity(p, q, n, delta, seed, rep):
+    """The assortativity coefficient of the rep-th graph, or None where it is undefined."""
+    g = generate_graph(p, q, n, delta=delta, seed=[seed, rep])
+    try:
+        return sv.assortativity_coefficient(g)
+    except AcgError:
+        return None
 
 
 def _cmd_validate(args, p, q, out) -> int:

@@ -12,17 +12,20 @@ empirically here.
 
 Occurrences are counted by a breadth-first frontier join in numpy: the
 partial embeddings of all roots advance together, one attachment at a
-time, over CSR adjacency built once per graph.  A fixed row budget
-(_ROW_BUDGET) caps the rows built in one expansion by splitting the
-frontier, so memory grows with the graph, not with its embedding count.
+time, over CSR adjacency built once per graph for each edge orientation
+the configuration uses.  A fixed row budget (_ROW_BUDGET) caps the rows
+built in one expansion by splitting the frontier, so memory grows with
+the graph, not with its embedding count.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._fanout import fan_out
 from .degree_model import EdgeTypeDist, NodeTypeDist, conditional_dists
 from .errors import InvalidConfiguration, NotATree
+from .sampler import DEFAULT_DELTA, generate_graph
 
 MAX_EMBED_EDGES = 4
 # largest frontier expansion built at once by count_config_occurrences
@@ -238,20 +241,20 @@ def count_config_occurrences(g, h: ConfigurationTree) -> int:
     The partial embeddings are held as rows of a frontier, one column of
     graph node ids per mapped node and one of edge ids per placed edge,
     starting from every root of matching type.  Each attachment expands
-    every row by its parent's in- or out-edges (CSR adjacency built once)
-    and drops the rows that reuse an edge, map a fresh node onto a mapped
-    one or onto a node of the wrong type, or close a cycle onto the wrong
-    node.  The count is the number of rows left after the last
-    attachment.  An expansion larger than _ROW_BUDGET rows splits its
-    frontier in halves, so the working set stays near that many rows
-    however many embeddings there are.
+    every row by its parent's in- or out-edges (CSR adjacency built once
+    per orientation h uses) and drops the rows that reuse an edge, map a
+    fresh node onto a mapped one or onto a node of the wrong type, or
+    close a cycle onto the wrong node.  The count is the number of rows
+    left after the last attachment.  An expansion larger than _ROW_BUDGET
+    rows splits its frontier in halves, so the working set stays near that
+    many rows however many embeddings there are.
     """
     masks = [_type_mask(g, t) for t in _countable_types(h)]
     n = g.n_nodes
-    # per orientation: parent's edges by node (CSR), then the edge's far end
+    # per orientation h uses: parent's edges by node (CSR), then the edge's far end
+    ends = {"out": (g.edge_src, g.edge_dst), "in": (g.edge_dst, g.edge_src)}
     by_orientation = {
-        "out": (*_csr(g.edge_src, n), g.edge_dst),
-        "in": (*_csr(g.edge_dst, n), g.edge_src),
+        side: (*_csr(ends[side][0], n), ends[side][1]) for side in {a.orientation for a in h.attachments}
     }
     steps = [(*by_orientation[a.orientation], a.parent, a.node, masks[a.node]) for a in h.attachments]
     roots = np.arange(n) if masks[0] is None else np.flatnonzero(masks[0])
@@ -318,17 +321,41 @@ def count_in_graphs(graphs, h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDi
     Each graph is counted and dropped before the next is taken.
     """
     _countable_types(h)
+    return _count_report(h, p, q, [count_config_occurrences(g, h) for g in graphs])
+
+
+def count_in_samples(
+    h: ConfigurationTree,
+    p: NodeTypeDist,
+    q: EdgeTypeDist,
+    n: int,
+    samples: int,
+    seed: int,
+    delta: float = DEFAULT_DELTA,
+) -> ConfigCountReport:
+    """count_in_graphs over `samples` graphs of n nodes, the i-th drawn by generate_graph at seed [seed, i].
+
+    h is checked before any graph is drawn.  The samples are spread over
+    the usable CPUs (fan_out); each graph is drawn, counted and dropped in
+    the process that draws it, and the report does not depend on how many
+    CPUs there are.
+    """
+    _countable_types(h)
+    return _count_report(h, p, q, fan_out(_count_sample, (h, p, q, n, delta, seed), range(samples)))
+
+
+def _count_sample(h, p, q, n, delta, seed, i):
+    return count_config_occurrences(generate_graph(p, q, n, delta=delta, seed=[seed, i]), h)
+
+
+def _count_report(h, p, q, counts) -> ConfigCountReport:
     predicted = None
     if h.is_tree and h.n_edges:
         try:
             predicted = tree_config_prob(h, p, q)
         except ValueError:
             predicted = None
-    count = scanned = 0
-    for g in graphs:
-        count += count_config_occurrences(g, h)
-        scanned += 1
-        del g
+    count, scanned = sum(counts), len(counts)
     return ConfigCountReport(
         configuration=h,
         count=count,

@@ -361,7 +361,7 @@ def _chain(census: StubCensus, rate: np.ndarray, us: np.ndarray, fallback_unifor
     steps = len(us)
     kt, jt = np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64)
     em, ep = np.array(census.e_minus, dtype=np.int64), np.array(census.e_plus, dtype=np.int64)  # consumed
-    rc = lib.acg_type_chain(len(rate), rate, em, ep, us, steps, fallback_uniform, _REFRESH_EVERY, kt, jt)
+    rc = lib.type_chain(rate, em, ep, us, fallback_uniform, _REFRESH_EVERY, kt, jt)
     if rc < 0:
         raise _WiringDeadEnd()
     return kt, jt, bool(rc)
@@ -375,7 +375,7 @@ def _owners(degrees: np.ndarray, types: np.ndarray, us: np.ndarray, col: int) ->
     degrees = np.ascontiguousarray(degrees)
     steps = len(types)
     pool, owners = np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64)  # one step per stub
-    lib.acg_assign_stubs(int(degrees.max(initial=0)) + 1, len(degrees), degrees, steps, types, us, col, pool, owners)
+    lib.assign_stubs(degrees, types, us, col, pool, owners)
     return owners
 
 
@@ -549,13 +549,16 @@ def write_sample(g: MultiGraph, out_dir) -> None:
 def read_sample(sample_dir) -> MultiGraph:
     """Load a sample written by write_sample.
 
-    MalformedSample if a file does not parse, holds a negative field, or
-    has an edge whose endpoint is not a node or whose k or j is not its
-    source's out-degree or its target's in-degree.
+    MalformedSample if a file does not parse, holds a negative field or
+    row ids other than 0, 1, 2, ... in order, or has an edge whose
+    endpoint is not a node, whose k or j is not its source's out-degree
+    or its target's in-degree, or whose self_loop is not 1 exactly when
+    src equals dst; and unless each node is the source of as many edges
+    as its out-degree and the target of as many as its in-degree.
     """
     directory = Path(sample_dir)
     in_degrees, out_degrees = _read_columns(directory / "nodes.csv", *_NODES_CSV)
-    src, dst, k, j = _read_columns(directory / "edges.tsv", *_EDGES_TSV)[:4]  # self_loop is derived
+    src, dst, k, j, self_loop = _read_columns(directory / "edges.tsv", *_EDGES_TSV)
     n = len(in_degrees)
     outside = np.flatnonzero((src >= n) | (dst >= n))
     if outside.size:
@@ -565,6 +568,15 @@ def read_sample(sample_dir) -> MultiGraph:
         raise MalformedSample(
             f"edges.tsv: edge {mismatched[0]} has a k or j other than its endpoints' out- and in-degree"
         )
+    wrong_flag = np.flatnonzero(self_loop != (src == dst))
+    if wrong_flag.size:
+        raise MalformedSample(f"edges.tsv: edge {wrong_flag[0]} has a self_loop other than 1 if src == dst, else 0")
+    for ends, degrees, role in ((src, out_degrees, "source"), (dst, in_degrees, "target")):
+        counts = np.bincount(ends, minlength=n)
+        off = np.flatnonzero(counts != degrees)
+        if off.size:
+            node = off[0]
+            raise MalformedSample(f"edges.tsv: node {node} is the {role} of {counts[node]} edges, not {degrees[node]}")
     meta_path = directory / "meta.json"
     meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
     return MultiGraph(in_degrees, out_degrees, src, dst, k, j, meta=meta)
@@ -594,7 +606,7 @@ def _columns(sep: str, header, cols):
             lines = map(line.__mod__, zip(range(start, stop), *block.tolist()))
             text = None if block.min() < 0 else "".join(lines).encode("ascii")
         else:
-            written = lib.acg_format_rows(start, stop - start, len(cols), block, ord(sep), out)
+            written = lib.format_rows(start, block, sep, out)
             text = None if written < 0 else out[:written].tobytes()
         if text is None:
             raise MalformedSample(f"cannot write the negative entry {int(block.min())} to a sample file")
@@ -602,7 +614,7 @@ def _columns(sep: str, header, cols):
 
 
 def _read_columns(path: Path, sep: str, header) -> np.ndarray:
-    """The integer columns after the row index of a file written by _columns."""
+    """The integer columns after the row index of a file written by _columns; the index must run 0, 1, 2, ..."""
     with open(path, encoding="utf-8") as fh:
         found = fh.readline().rstrip("\n")
         if found != sep.join(header):
@@ -619,6 +631,10 @@ def _read_columns(path: Path, sep: str, header) -> np.ndarray:
         raise MalformedSample(f"{path.name} has {len(table)} columns, expected {len(header)}")
     if table.min() < 0:  # the format rule _columns enforces
         raise MalformedSample(f"{path.name} holds the negative entry {table.min()}")
+    out_of_order = np.flatnonzero(table[0] != np.arange(table.shape[1]))
+    if out_of_order.size:
+        row = out_of_order[0]
+        raise MalformedSample(f"{path.name}: row {row} has the {header[0]} {table[0, row]}, expected {row}")
     return table[1:]
 
 

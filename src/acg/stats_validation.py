@@ -7,6 +7,11 @@ edge types against Q, the first wired edges against the product measure,
 self-loop counts against the predicted rate, and the degree correlation
 across edges.  Deviations shrink like N^(-1/2), so log-log slope fits
 sit near -1/2.
+
+A replicate that seeds its own stream from its index (edge-LLN, first
+edges, self-loops) is one key of _fanout.fan_out, which spreads the
+replicates over the usable CPUs with the serial loop's results; node-LLN
+draws all reps of a size from one stream, so it runs them in order.
 """
 
 import dataclasses
@@ -16,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fanout import fan_out
 from .degree_model import EdgeTypeDist, NodeTypeDist, self_loop_rate
 from .errors import DegenerateVariance
 from .sampler import DEFAULT_DELTA, accept_sequence, first_edge_types, generate_graph
@@ -137,17 +143,17 @@ def edge_lln(
 ) -> LLNReport:
     """Deviation of sampled edge-type frequencies from Q at each size."""
     sizes = [int(v) for v in sizes]
-    width = q.K + 1
-    diffs = []
-    for size in sizes:
-        at_size = []
-        for rep in range(reps):
-            g = generate_graph(p, q, size, delta=delta, seed=[seed, size, rep])
-            codes = g.edge_out_type * width + g.edge_in_type
-            table = np.bincount(codes, minlength=width * width).reshape(width, width)
-            at_size.append(np.abs(table / g.n_edges - q.matrix))
-        diffs.append(at_size)
+    diffs = [fan_out(_edge_deviation, (p, q, size, delta, seed), range(reps)) for size in sizes]
     return _lln_report("edge", sizes, diffs, reps, seed)
+
+
+def _edge_deviation(p, q, size, delta, seed, rep):
+    """|edge-type frequencies - Q| of the rep-th graph of one size."""
+    g = generate_graph(p, q, size, delta=delta, seed=[seed, size, rep])
+    width = q.K + 1
+    codes = g.edge_out_type * width + g.edge_in_type
+    table = np.bincount(codes, minlength=width * width).reshape(width, width)
+    return np.abs(table / g.n_edges - q.matrix)
 
 
 def _mutual_information(pair_counts: dict, reps: int) -> float:
@@ -201,10 +207,7 @@ def first_edges_distribution(
     support = first_edges_support(q, length, reps)
     counts = {}
     pair_counts = {}
-    for rep in range(reps):
-        rng = np.random.default_rng([seed, rep])
-        x, _, _ = accept_sequence(p, n, delta, rng)
-        types = tuple(first_edge_types(x, q, rng, length))
+    for types in fan_out(_first_types, (p, q, n, length, delta, seed), range(reps)):
         counts[types] = counts.get(types, 0) + 1
         if length >= 2:
             key = (types[0], types[1])
@@ -235,6 +238,13 @@ def first_edges_distribution(
         off_support=off_support,
         mutual_information=mi,
     )
+
+
+def _first_types(p, q, n, length, delta, seed, rep):
+    """The first `length` edge types of the rep-th graph, from its own stream."""
+    rng = np.random.default_rng([seed, rep])
+    x, _, _ = accept_sequence(p, n, delta, rng)
+    return tuple(first_edge_types(x, q, rng, length))
 
 
 def _chi2_sf(x, dof):
@@ -279,10 +289,7 @@ def self_loop_poisson(
     ratio near 1.  ValueError as self_loop_reps raises it.
     """
     self_loop_reps(reps)
-    counts = []
-    for rep in range(reps):
-        g = generate_graph(p, q, n, delta=delta, seed=[seed, rep])
-        counts.append(int(g.self_loop_mask.sum()))
+    counts = fan_out(_self_loops, (p, q, n, delta, seed), range(reps))
     arr = np.array(counts, dtype=float)
     mean = float(arr.mean())
     variance = float(arr.var(ddof=1))
@@ -306,6 +313,10 @@ def self_loop_poisson(
         var_mean_ratio=variance / mean if mean > 0 else float("nan"),
         mean_within_4se=bool(abs(z) <= 4),
     )
+
+
+def _self_loops(p, q, n, delta, seed, rep):
+    return int(generate_graph(p, q, n, delta=delta, seed=[seed, rep]).self_loop_mask.sum())
 
 
 def assortativity_coefficient(g) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from acg import cli
+from acg import cli, config_probability
 
 
 def run_ok(argv, capsys):
@@ -441,6 +441,7 @@ def test_configs_count_checks_the_configuration_before_sampling(bal2_file, tmp_p
         raise AssertionError("a graph was drawn for a configuration the counter rejects")
 
     monkeypatch.setattr(cli, "generate_graph", no_sampling)
+    monkeypatch.setattr(config_probability, "generate_graph", no_sampling)
     code = cli.run([
         "configs", "count", "--params", bal2_file, "--config", config_file(tmp_path, {"attachments": attachments}),
         "--n", "10000", "--seed", "1", "--out-dir", str(tmp_path),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from acg import _fanout
 from acg import config_probability as cfg
 from acg.degree_model import load_params
 from acg.errors import InvalidConfiguration, NotATree
@@ -239,6 +240,35 @@ def test_count_in_graphs_checks_the_configuration_before_the_first_graph(bal2):
     oversized = cfg.ConfigurationTree(None, [cfg.Attachment(i + 1, i, "out") for i in range(5)])
     with pytest.raises(ValueError):
         cfg.count_in_graphs(graphs(), oversized, p, q)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_count_in_samples_equals_count_in_graphs_over_the_same_draws(bal2, monkeypatch, cpus):
+    monkeypatch.setattr(_fanout, "_usable_cpus", lambda: cpus)
+    p, q = bal2
+    for h in (cfg.ConfigurationTree((1, 2), [cfg.Attachment(1, 0, "in", (2, 1))]), H_CYCLE2):
+        graphs = (generate_graph(p, q, 200, delta=0.3, seed=[31, i]) for i in range(5))
+        assert cfg.count_in_samples(h, p, q, 200, 5, 31, delta=0.3) == cfg.count_in_graphs(graphs, h, p, q)
+
+
+def test_count_in_samples_checks_the_configuration_before_the_first_graph(bal2, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(cfg, "generate_graph", no_sampling)
+    conflicting = cfg.ConfigurationTree(
+        None, [cfg.Attachment(1, 0, "in", (1, 1)), cfg.Attachment(1, 0, "out", (2, 2))]
+    )
+    with pytest.raises(InvalidConfiguration):
+        cfg.count_in_samples(conflicting, *bal2, 100, 4, 1)
+
+
+def test_counting_builds_only_the_orientations_the_configuration_uses(monkeypatch):
+    built = []
+    csr = cfg._csr
+    monkeypatch.setattr(cfg, "_csr", lambda ends, n: built.append(ends) or csr(ends, n))
+    assert cfg.count_config_occurrences(G_PATH, cfg.ConfigurationTree(None, [cfg.Attachment(1, 0, "out")])) == 2
+    assert [e is G_PATH.edge_src for e in built] == [True]
 
 
 def test_cycle_order_estimate_single_edge_scales(bal2):

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from acg import cli
+from acg import _fanout, cli
 
 CONFIG = {
     "root": [1, 2],
@@ -111,4 +111,11 @@ def test_cli_output_digest(name, bal2_file, tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_cli_output_digest_on_each_wiring_path(name, wiring_path, bal2_file, tmp_path, capsys, monkeypatch):
+    test_cli_output_digest(name, bal2_file, tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["1cpu", "2cpus"])
+@pytest.mark.parametrize("name", [name for name in sorted(GOLDEN) if name.startswith(("validate", "configs-count"))])
+def test_cli_output_digest_on_one_and_two_cpus(name, cpus, bal2_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_fanout, "_usable_cpus", lambda: cpus)
     test_cli_output_digest(name, bal2_file, tmp_path, capsys, monkeypatch)

@@ -462,6 +462,10 @@ def _edit_field(path, row, column, edit):
         pytest.param("edges.tsv", 3, lambda v: 3 - v, id="edge_k-other-class"),
         pytest.param("edges.tsv", 4, lambda v: 3 - v, id="edge_j-other-class"),
         pytest.param("nodes.csv", 2, lambda v: 3 - v, id="source_k-other-class"),
+        pytest.param("edges.tsv", 0, lambda v: 999, id="edge_id-999"),
+        pytest.param("nodes.csv", 0, lambda v: v + 1, id="node_id-skipped"),
+        pytest.param("edges.tsv", 5, lambda v: 7, id="self_loop-7"),
+        pytest.param("edges.tsv", 5, lambda v: 1 - v, id="self_loop-flipped"),
     ],
 )
 def test_read_sample_rejects_rows_outside_the_format(assort, tmp_path, name, column, edit):
@@ -470,6 +474,22 @@ def test_read_sample_rejects_rows_outside_the_format(assort, tmp_path, name, col
     row = int(g.edge_src[1]) if name == "nodes.csv" else 1  # the source node of edge 1
     _edit_field(tmp_path / name, row, column, edit)
     with pytest.raises(MalformedSample):
+        read_sample(tmp_path)
+
+
+def test_read_sample_rejects_edges_that_do_not_realise_the_degrees(assort, tmp_path):
+    g = generate_graph(*assort, 50, seed=1)
+    write_sample(g, tmp_path)
+    edges = tmp_path / "edges.tsv"
+    lines = edges.read_text().splitlines(keepends=True)
+    edges.write_text("".join(lines[:-1]))  # the last edge row deleted: every row left is consistent
+    with pytest.raises(MalformedSample, match="edges, not"):
+        read_sample(tmp_path)
+    # the last edge moved onto another source of the same out-degree, so its k still matches
+    last = lines[-1].split("\t")
+    other = next(i for i in range(g.n_nodes) if g.out_degrees[i] == int(last[3]) and i != int(last[1]))
+    edges.write_text("".join(lines[:-1]) + "\t".join([last[0], str(other), *last[2:]]))
+    with pytest.raises(MalformedSample, match="source of"):
         read_sample(tmp_path)
 
 

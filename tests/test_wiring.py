@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from acg import _wiring, sampler
@@ -60,6 +61,53 @@ def test_a_failed_build_means_the_python_loops(source, capfd):
     assert _wiring.load() is None
     assert list((source.parent / "__pycache__").iterdir()) == []
     assert capfd.readouterr() == ("", "")
+
+
+@needs_compiler
+@pytest.mark.parametrize(
+    "argument, bad",
+    [
+        ("em", lambda a: a.astype(np.int32)),
+        ("rate", lambda a: a.astype(np.float32)),
+        ("us", lambda a: np.asfortranarray(a)),
+        ("jt", lambda a: a[:-1]),
+    ],
+    ids=["int32-counts", "float32-rates", "fortran-uniforms", "short-output"],
+)
+def test_a_mistyped_array_raises_before_the_kernel_runs(argument, bad):
+    lib = sampler._kernel()
+    size, steps = 3, 4
+    args = {
+        "rate": np.ones((size, size)),
+        "em": np.array([0, 4, 0], dtype=np.int64),
+        "ep": np.array([0, 4, 0], dtype=np.int64),
+        "us": np.full((steps, 4), 0.5),
+        "kt": np.full(steps, -1, dtype=np.int64),
+        "jt": np.full(steps, -1, dtype=np.int64),
+    }
+    args[argument] = bad(args[argument])
+    with pytest.raises(TypeError, match=argument):
+        lib.type_chain(args["rate"], args["em"], args["ep"], args["us"], False, 4096, args["kt"], args["jt"])
+    assert (args["kt"] == -1).all() and args["ep"].tolist() == [0, 4, 0]  # the C never ran
+
+
+@needs_compiler
+def test_a_short_text_buffer_raises_before_the_kernel_runs():
+    block = np.zeros((2, 3), dtype=np.int64)
+    out = np.zeros(3 * 3 * 20 - 1, dtype=np.uint8)
+    with pytest.raises(TypeError, match="out"):
+        sampler._kernel().format_rows(0, block, ",", out)
+    assert not out.any()
+    assert sampler._kernel().format_rows(0, block, ",", np.zeros(3 * 3 * 20, dtype=np.uint8)) == len("0,0,0\n") * 3
+
+
+@needs_compiler
+def test_stub_matching_needs_one_step_per_stub():
+    degrees = np.array([1, 2], dtype=np.int64)  # three stubs, which the C lays out in pool
+    steps = 2
+    pool, owners = np.zeros(steps, dtype=np.int64), np.zeros(steps, dtype=np.int64)
+    with pytest.raises(ValueError, match="2 steps for 3 stubs"):
+        sampler._kernel().assign_stubs(degrees, np.ones(steps, dtype=np.int64), np.zeros((steps, 4)), 2, pool, owners)
 
 
 def test_cli_import_builds_no_kernel():
