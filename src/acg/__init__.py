@@ -61,6 +61,7 @@ from .sampler import (
 )
 from .stats_validation import (
     assortativity_coefficient,
+    assortativity_replicates,
     edge_lln,
     first_edges_distribution,
     node_lln,
@@ -82,6 +83,7 @@ __all__ = [
     "StubCensus",
     "accept_sequence",
     "assortativity_coefficient",
+    "assortativity_replicates",
     "asymptotic_edge_mean",
     "classify_graph",
     "clip_sequence",

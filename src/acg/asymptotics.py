@@ -224,23 +224,6 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     raise NoConvergence(f"no critical point after {max_iter} Newton iterations")
 
 
-def det0_hessian(alpha, q):
-    """Determinant of the Hessian of H restricted to the orthocomplement of 1~.
-
-    The restriction is taken on an orthonormal basis; the value does not
-    depend on which one.  Strictly positive at interior critical points.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    qcore = _core(q)
-    size = qcore.shape[0]
-    hess = h_derivatives(alpha, np.zeros(2 * size), q, order=2)
-    basis = _complement_basis(gauge_direction(size))
-    sign, logdet = np.linalg.slogdet(basis.T @ hess @ basis)
-    if not np.isfinite(logdet) or sign <= 0:
-        raise SingularHessian("projected Hessian is not positive definite")
-    return float(math.exp(logdet))
-
-
 def log_exact_I(e, q, cap=exact_kernel.DEFAULT_TABLE_CAP):
     """log of the margin-constraint integral, (2K) log(2 pi) + log Z.
 
@@ -268,12 +251,20 @@ def _edge_total(e):
 def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     """log of the saddlepoint estimate of the margin-constraint integral.
 
-    With E edges, x = e/E, and alpha* the gauge-fixed critical point:
+    With E edges, x = e/E, alpha* the gauge-fixed critical point and det0
+    its projected Hessian determinant (solve_critical_point):
 
-        (K + 1/2) log(2 pi) + (1/2 - K) log E - E log E
+        (K + 1/2) log(2 pi) + (1/2) log(2K) + (1/2 - K) log E - E log E
             + E H(alpha*; x) - (1/2) log det0
 
-    Kept in the log domain: E log E leaves the float range quickly.
+    The integrand is constant along the gauge orbit u + t 1~, which on
+    the torus closes at t = 2 pi into a curve of length 2 pi |1~| =
+    2 pi sqrt(2K).  So the integral is that length times the integral
+    over the 2K - 1 directions orthogonal to 1~, where Laplace's method
+    gives (2 pi / E)^(K - 1/2) det0^(-1/2) exp(E H(alpha*; x) - E log E);
+    the length gives one factor 2 pi and the term (1/2) log(2K).
+    SingularHessian when Q leaves a degree class empty or det0 <= 0.  Kept
+    in the log domain: E log E leaves the float range quickly.
     """
     e = np.asarray(e, dtype=float)
     total = _edge_total(e)
@@ -281,9 +272,12 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     result = solve_critical_point(x, q, tol=tol)
     qcore = _core(q)
     size = qcore.shape[0]
-    det0 = det0_hessian(result.alpha, q)
+    det0 = result.hessian_projected_det
+    if len(_active_coordinates(x, qcore)) < 2 * size or det0 <= 0:
+        raise SingularHessian("projected Hessian is not positive definite on every coordinate")
     return (
         (size + 0.5) * math.log(TWO_PI)
+        + 0.5 * math.log(2 * size)
         + (0.5 - size) * math.log(total)
         - total * math.log(total)
         + total * result.h_at_min

@@ -33,7 +33,6 @@ from . import asymptotics as asym
 from . import config_probability as cfg
 from . import exact_kernel as kernel
 from . import stats_validation as sv
-from ._fanout import fan_out
 from .degree_model import load_params, params_dict, require_consistent
 from .errors import AcgError
 from .sampler import DEFAULT_DELTA, DEFAULT_MAX_REDRAWS, DEFAULT_MAX_RESTARTS, _atomic_write, generate_graph, write_sample
@@ -376,15 +375,11 @@ _SUITE_DEFAULTS = {
 }
 
 
-def _suite_size(suite, args):
-    """(n, reps) of a suite: the flags, else the suite's defaults."""
-    n_default, reps_default = _SUITE_DEFAULTS[suite]
-    return (n_default if args.n is None else args.n), (reps_default if args.reps is None else args.reps)
-
-
 def _run_suite(suite, p, q, args):
     seed = args.seed
-    n, reps = _suite_size(suite, args)
+    n_default, reps_default = _SUITE_DEFAULTS[suite]
+    n = n_default if args.n is None else args.n
+    reps = reps_default if args.reps is None else args.reps
     if suite in ("node-lln", "edge-lln"):
         if suite == "node-lln":
             rep = sv.node_lln(p, args.sizes, reps=reps, seed=seed, delta=args.delta)
@@ -400,36 +395,16 @@ def _run_suite(suite, p, q, args):
         rep = sv.self_loop_poisson(p, q, n=n, reps=reps, seed=seed, delta=args.delta)
         rows = [(rep.n, rep.mean, rep.predicted, rep.var_mean_ratio, rep.z_score)]
         return rep, ("n", "mean", "predicted", "var_mean_ratio", "z_score"), rows, f"mean={rep.mean:.4f}"
-    coeffs = fan_out(_assortativity, (p, q, n, args.delta, seed), range(reps))
-    usable = [c for c in coeffs if c is not None]
-    rep = {
-        "coefficients": coeffs,
-        "mean_coefficient": float(np.mean(usable)) if usable else None,
-        "n": n,
-        "reps": reps,
-        "seed": seed,
-    }
-    rows = [(i, c if c is not None else float("nan")) for i, c in enumerate(coeffs)]
-    mean_txt = "nan" if rep["mean_coefficient"] is None else f"{rep['mean_coefficient']:.4f}"
+    rep = sv.assortativity_replicates(p, q, n=n, reps=reps, seed=seed, delta=args.delta)
+    rows = [(i, c if c is not None else float("nan")) for i, c in enumerate(rep.coefficients)]
+    mean_txt = "nan" if rep.mean_coefficient is None else f"{rep.mean_coefficient:.4f}"
     return rep, ("rep", "coefficient"), rows, f"mean={mean_txt}"
 
 
-def _assortativity(p, q, n, delta, seed, rep):
-    """The assortativity coefficient of the rep-th graph, or None where it is undefined."""
-    g = generate_graph(p, q, n, delta=delta, seed=[seed, rep])
-    try:
-        return sv.assortativity_coefficient(g)
-    except AcgError:
-        return None
-
-
 def _cmd_validate(args, p, q, out) -> int:
+    """Run every requested suite, then write meta.json and the reports: a failed suite leaves no file."""
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    # before meta.json, so a rejected run writes nothing
-    if "first-edges" in suites:
-        sv.first_edges_support(q, args.length, _suite_size("first-edges", args)[1])
-    if "self-loops" in suites:
-        sv.self_loop_reps(_suite_size("self-loops", args)[1])
+    results = [(suite, *_run_suite(suite, p, q, args)) for suite in suites]
     _write_json(
         out / "meta.json",
         {
@@ -446,8 +421,7 @@ def _cmd_validate(args, p, q, out) -> int:
             "suites": suites,
         },
     )
-    for suite in suites:
-        rep, header, rows, summary = _run_suite(suite, p, q, args)
+    for suite, rep, header, rows, summary in results:
         stem = "validate_" + suite.replace("-", "_")
         _write_json(out / f"{stem}.json", {"report": rep, "suite": suite})
         _write_tsv(out / f"{stem}.tsv", header, rows)

@@ -341,11 +341,11 @@ def count_in_samples(
     CPUs there are.
     """
     _countable_types(h)
-    return _count_report(h, p, q, fan_out(_count_sample, (h, p, q, n, delta, seed), range(samples)))
 
+    def count_sample(i):
+        return count_config_occurrences(generate_graph(p, q, n, delta=delta, seed=[seed, i]), h)
 
-def _count_sample(h, p, q, n, delta, seed, i):
-    return count_config_occurrences(generate_graph(p, q, n, delta=delta, seed=[seed, i]), h)
+    return _count_report(h, p, q, fan_out(count_sample, range(samples)))
 
 
 def _count_report(h, p, q, counts) -> ConfigCountReport:

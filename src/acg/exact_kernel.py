@@ -304,12 +304,13 @@ def _check_type(k, j, size: int) -> None:
         raise MarginMismatch(f"edge type ({k}, {j}) lies outside degrees 0..{size - 1}")
 
 
-def _reduced(em, ep, k, j, times=1):
-    em2 = np.array(em, dtype=int)
-    ep2 = np.array(ep, dtype=int)
-    em2[j] -= times
-    ep2[k] -= times
-    return em2, ep2
+def _without(em, ep, types):
+    """Copies of the margins (em, ep) less one stub at each end of every (k, j) in types."""
+    em, ep = em.copy(), ep.copy()
+    for k, j in types:
+        em[j] -= 1
+        ep[k] -= 1
+    return em, ep
 
 
 def _falling_moment(em, ep, w, z, k, j, order):
@@ -317,7 +318,7 @@ def _falling_moment(em, ep, w, z, k, j, order):
     q = w[k][j]
     if q == 0 or em[j] < order or ep[k] < order:
         return _zero(w)
-    z2 = _partition_sum(*_reduced(em, ep, k, j, order), w)
+    z2 = _partition_sum(*_without(em, ep, [(k, j)] * order), w)
     return _zero(w) if z2 is None else q**order * z2.over(z)
 
 
@@ -353,9 +354,13 @@ def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_T
 def joint_first_M_prob(e_minus, e_plus, q, types, cap: int = DEFAULT_TABLE_CAP):
     """Probability that the first M wired edges have the given (k, j) types, in order.
 
-    The value telescopes through conditional edge means
-    Q[k,j] Z(e - d_jk) / Z(e) over shrinking margins; a vanished
-    partition mid-product means the prefix is impossible.
+    With e_i the margins left after the first i edges, edge i has its type
+    with probability Q[k_i, j_i] Z(e_i) / (Z(e_{i-1}) (E - i + 1)), and the
+    product telescopes to prod_i Q[k_i, j_i] Z(e_M) / (Z(e_0) (E)_M).  Two
+    partition sums suffice: if Z(e_M) > 0, so is every Z(e_i), as adding the
+    removed edges back to a table with margins e_M gives one with margins
+    e_i.  The prefix is impossible when a type has Q = 0, a margin is driven
+    below 0, or Z(e_M) = 0.
     """
     w = _weights(q)
     size = len(w)
@@ -364,17 +369,13 @@ def joint_first_M_prob(e_minus, e_plus, q, types, cap: int = DEFAULT_TABLE_CAP):
     em, ep, total = _check_margins(e_minus, e_plus, size, cap)
     if len(types) > total:
         raise MarginMismatch(f"asked for {len(types)} leading edges but only {total} exist")
-    prob = _zero(w) + 1
-    z = _partition_sum(em, ep, w)
-    for k, j in types:
-        if z is None or w[k][j] == 0 or em[j] < 1 or ep[k] < 1:
-            return _zero(w)
-        em, ep = _reduced(em, ep, k, j)
-        z_next = _partition_sum(em, ep, w)
-        if z_next is None:
-            return _zero(w)
-        prob *= w[k][j] * z_next.over(z)
-        z = z_next
+    weight = math.prod((w[k][j] for k, j in types), start=_zero(w) + 1)
+    rest_m, rest_p = _without(em, ep, types)
+    possible = weight != 0 and min(rest_m.min(), rest_p.min()) >= 0
+    z_rest = _partition_sum(rest_m, rest_p, w) if possible else None
+    if z_rest is None:
+        return _zero(w)
+    prob = weight * z_rest.over(_partition_sum(em, ep, w))
     for i in range(len(types)):
         prob /= total - i
     return prob

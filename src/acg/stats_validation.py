@@ -8,15 +8,16 @@ self-loop counts against the predicted rate, and the degree correlation
 across edges.  Deviations shrink like N^(-1/2), so log-log slope fits
 sit near -1/2.
 
-A replicate that seeds its own stream from its index (edge-LLN, first
-edges, self-loops) is one key of _fanout.fan_out, which spreads the
-replicates over the usable CPUs with the serial loop's results; node-LLN
-draws all reps of a size from one stream, so it runs them in order.
+Every suite but node-LLN seeds each replicate's stream from its index
+and runs its replicates in one _fanout.fan_out call, which spreads them
+over the usable CPUs with the serial loop's results; node-LLN draws all
+reps of a size from one stream, so it runs them in order.
 """
 
 import dataclasses
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,17 @@ class FirstEdgesReport:
     dof: int
     off_support: int
     mutual_information: float | None
+
+
+@dataclass(frozen=True)
+class AssortativityReport:
+    """Degree correlation across edges, one coefficient per graph."""
+
+    n: int
+    reps: int
+    seed: int
+    coefficients: tuple
+    mean_coefficient: float | None
 
 
 @dataclass(frozen=True)
@@ -141,51 +153,36 @@ def edge_lln(
     seed: int,
     delta: float = DEFAULT_DELTA,
 ) -> LLNReport:
-    """Deviation of sampled edge-type frequencies from Q at each size."""
+    """Deviation of sampled edge-type frequencies from Q at each size.
+
+    Rep r draws one graph at every size, the one of n nodes from the
+    stream [seed, n, r].
+    """
     sizes = [int(v) for v in sizes]
-    diffs = [fan_out(_edge_deviation, (p, q, size, delta, seed), range(reps)) for size in sizes]
+    width = q.K + 1
+
+    def deviations(rep):
+        at_sizes = []
+        for size in sizes:
+            g = generate_graph(p, q, size, delta=delta, seed=[seed, size, rep])
+            table = np.bincount(g.edge_out_type * width + g.edge_in_type, minlength=width * width)
+            at_sizes.append(np.abs(table.reshape(width, width) / g.n_edges - q.matrix))
+        return at_sizes
+
+    by_rep = fan_out(deviations, range(reps))
+    diffs = [[at_sizes[i] for at_sizes in by_rep] for i in range(len(sizes))]
     return _lln_report("edge", sizes, diffs, reps, seed)
 
 
-def _edge_deviation(p, q, size, delta, seed, rep):
-    """|edge-type frequencies - Q| of the rep-th graph of one size."""
-    g = generate_graph(p, q, size, delta=delta, seed=[seed, size, rep])
-    width = q.K + 1
-    codes = g.edge_out_type * width + g.edge_in_type
-    table = np.bincount(codes, minlength=width * width).reshape(width, width)
-    return np.abs(table / g.n_edges - q.matrix)
-
-
-def _mutual_information(pair_counts: dict, reps: int) -> float:
-    firsts = {}
-    seconds = {}
-    for (a, b), c in pair_counts.items():
-        firsts[a] = firsts.get(a, 0) + c
-        seconds[b] = seconds.get(b, 0) + c
+def _mutual_information(drawn, reps: int) -> float:
+    """Mutual information in nats between the first two types of the drawn tuples."""
+    firsts = Counter(types[0] for types in drawn)
+    seconds = Counter(types[1] for types in drawn)
     mi = 0.0
-    for (a, b), c in pair_counts.items():
-        if c:
-            p_ab = c / reps
-            mi += p_ab * math.log(p_ab * reps * reps / (firsts[a] * seconds[b]))
+    for (a, b), c in Counter(types[:2] for types in drawn).items():
+        p_ab = c / reps
+        mi += p_ab * math.log(p_ab * reps * reps / (firsts[a] * seconds[b]))
     return mi
-
-
-def first_edges_support(q: EdgeTypeDist, length: int, reps: int) -> list[tuple[int, int]]:
-    """The supported edge types (k, j) of Q, once `length` and `reps` fit the first-edges suite.
-
-    ValueError unless 1 <= length <= 5 and there are at least as many reps
-    as tuples of `length` supported types (chi-square cells).
-    """
-    if length < 1 or length > 5:
-        raise ValueError("length must be between 1 and 5")
-    support = [(k, j) for k in range(q.K + 1) for j in range(q.K + 1) if q.matrix[k, j] > 0]
-    n_cells = len(support) ** length
-    if n_cells > reps:
-        raise ValueError(
-            f"{n_cells} tuples of {length} edge types exceed {reps} reps: "
-            "under one expected count per cell, the chi-square means nothing"
-        )
-    return support
 
 
 def first_edges_distribution(
@@ -201,17 +198,26 @@ def first_edges_distribution(
 
     Chi-square compares the empirical counts with reps * prod Q over the
     supported type tuples; for length >= 2 the mutual information
-    between the first two edge types is reported in nats.  ValueError
-    as first_edges_support raises it.
+    between the first two edge types is reported in nats.  Rep r draws
+    from the stream [seed, r].  ValueError, before any draw, unless
+    1 <= length <= 5 and reps >= the number of those tuples.
     """
-    support = first_edges_support(q, length, reps)
-    counts = {}
-    pair_counts = {}
-    for types in fan_out(_first_types, (p, q, n, length, delta, seed), range(reps)):
-        counts[types] = counts.get(types, 0) + 1
-        if length >= 2:
-            key = (types[0], types[1])
-            pair_counts[key] = pair_counts.get(key, 0) + 1
+    if length < 1 or length > 5:
+        raise ValueError("length must be between 1 and 5")
+    support = [(k, j) for k in range(q.K + 1) for j in range(q.K + 1) if q.matrix[k, j] > 0]
+    if len(support) ** length > reps:
+        raise ValueError(
+            f"{len(support) ** length} tuples of {length} edge types exceed {reps} reps: "
+            "under one expected count per cell, the chi-square means nothing"
+        )
+
+    def first_types(rep):
+        rng = np.random.default_rng([seed, rep])
+        x, _, _ = accept_sequence(p, n, delta, rng)
+        return tuple(first_edge_types(x, q, rng, length))
+
+    drawn = fan_out(first_types, range(reps))
+    counts = dict(Counter(drawn))
     cells = list(itertools.product(support, repeat=length))
     observed = np.array([counts.get(c, 0) for c in cells], dtype=float)
     expected = np.array(
@@ -225,7 +231,7 @@ def first_edges_distribution(
     else:
         chi2 = ((observed - expected) ** 2 / expected).sum()
         p_value = _chi2_sf(chi2, len(cells) - 1)
-    mi = _mutual_information(pair_counts, reps) if length >= 2 else None
+    mi = _mutual_information(drawn, reps) if length >= 2 else None
     return FirstEdgesReport(
         n=n,
         length=length,
@@ -238,13 +244,6 @@ def first_edges_distribution(
         off_support=off_support,
         mutual_information=mi,
     )
-
-
-def _first_types(p, q, n, length, delta, seed, rep):
-    """The first `length` edge types of the rep-th graph, from its own stream."""
-    rng = np.random.default_rng([seed, rep])
-    x, _, _ = accept_sequence(p, n, delta, rng)
-    return tuple(first_edge_types(x, q, rng, length))
 
 
 def _chi2_sf(x, dof):
@@ -268,12 +267,6 @@ def _chi2_sf(x, dof):
     return total
 
 
-def self_loop_reps(reps: int) -> None:
-    """ValueError unless reps >= 2: one count has no sample variance, so no standard error."""
-    if reps < 2:
-        raise ValueError(f"the self-loop suite needs at least 2 reps, got {reps}")
-
-
 def self_loop_poisson(
     p: NodeTypeDist,
     q: EdgeTypeDist,
@@ -286,10 +279,16 @@ def self_loop_poisson(
 
     The mean is flagged against the predicted rate at 4 standard errors
     and the variance/mean ratio is reported; a Poisson count keeps that
-    ratio near 1.  ValueError as self_loop_reps raises it.
+    ratio near 1.  Rep r draws from the stream [seed, r].  ValueError,
+    before any draw, unless reps >= 2: one count has no sample variance.
     """
-    self_loop_reps(reps)
-    counts = fan_out(_self_loops, (p, q, n, delta, seed), range(reps))
+    if reps < 2:
+        raise ValueError(f"the self-loop suite needs at least 2 reps, got {reps}")
+
+    def self_loops(rep):
+        return int(generate_graph(p, q, n, delta=delta, seed=[seed, rep]).self_loop_mask.sum())
+
+    counts = fan_out(self_loops, range(reps))
     arr = np.array(counts, dtype=float)
     mean = float(arr.mean())
     variance = float(arr.var(ddof=1))
@@ -315,10 +314,6 @@ def self_loop_poisson(
     )
 
 
-def _self_loops(p, q, n, delta, seed, rep):
-    return int(generate_graph(p, q, n, delta=delta, seed=[seed, rep]).self_loop_mask.sum())
-
-
 def assortativity_coefficient(g) -> float:
     """Pearson correlation of source out-degree and target in-degree over edges."""
     if g.n_edges < 2:
@@ -328,6 +323,38 @@ def assortativity_coefficient(g) -> float:
     if ks.std() == 0 or js.std() == 0:
         raise DegenerateVariance("edge endpoint degrees are constant")
     return float(np.corrcoef(ks, js)[0, 1])
+
+
+def assortativity_replicates(
+    p: NodeTypeDist,
+    q: EdgeTypeDist,
+    n: int,
+    reps: int,
+    seed: int,
+    delta: float = DEFAULT_DELTA,
+) -> AssortativityReport:
+    """assortativity_coefficient of `reps` graphs, the r-th drawn from the stream [seed, r].
+
+    A graph whose coefficient is undefined gives None, and the mean is
+    taken over the others; it is None when no graph has a coefficient.
+    """
+
+    def coefficient(rep):
+        g = generate_graph(p, q, n, delta=delta, seed=[seed, rep])
+        try:
+            return assortativity_coefficient(g)
+        except DegenerateVariance:
+            return None
+
+    coeffs = fan_out(coefficient, range(reps))
+    usable = [c for c in coeffs if c is not None]
+    return AssortativityReport(
+        n=n,
+        reps=reps,
+        seed=seed,
+        coefficients=tuple(coeffs),
+        mean_coefficient=float(np.mean(usable)) if usable else None,
+    )
 
 
 def to_jsonable(obj):

@@ -5,7 +5,7 @@ import pytest
 
 from acg import asymptotics as asym
 from acg import exact_kernel as kernel
-from acg.errors import MarginMismatch, NoConvergence, UnsupportedMargin
+from acg.errors import MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin
 
 from conftest import SKEW_Q
 from helpers import coordinate_descent_alpha, fourier_integrand, from_margins
@@ -172,7 +172,7 @@ def test_complement_basis_is_orthonormal_and_gauge_free(size):
 
 def test_det0_hessian_k1_value():
     res = asym.solve_critical_point(np.array([1.0, 1.0]), Q1)
-    assert asym.det0_hessian(res.alpha, Q1) == pytest.approx(2.0, rel=1e-12)
+    assert res.hessian_projected_det == pytest.approx(2.0, rel=1e-12)
 
 
 def test_fourier_integrand_periodicity(bal2):
@@ -211,7 +211,7 @@ def test_exact_I_frozen_values(bal2):
 
 
 def test_laplace_ratio_trend_k1():
-    # ratio exact/laplace settles toward a constant as E grows
+    # ratio exact/laplace settles toward 1 as E grows
     ratios = []
     for e_count in (5, 10, 20, 40):
         e = np.array([float(e_count), float(e_count)])
@@ -219,7 +219,7 @@ def test_laplace_ratio_trend_k1():
     diffs = np.abs(np.diff(ratios))
     assert diffs[1] < diffs[0]
     assert diffs[2] < diffs[1]
-    assert ratios[-1] == pytest.approx(math.sqrt(2), rel=0.02)
+    assert ratios[-1] == pytest.approx(1.0, rel=0.02)
 
 
 def test_laplace_ratio_trend_k3():
@@ -241,6 +241,40 @@ def test_laplace_ratio_trend_k3():
         ratios.append(math.exp(log_exact - asym.log_laplace_I_approx(e, q)))
     diffs = np.abs(np.diff(ratios))
     assert diffs[1] < diffs[0]
+
+
+def test_laplace_ratio_tends_to_one_k3():
+    # the exact_k3 fixture's Q at margins (2,3,5 : 3,3,4) m: the ratio
+    # exact/laplace reads 0.97898, 0.98940, 0.99291 at E = 60, 120, 180, so
+    # E (1 - ratio) reads 1.2612, 1.2720, 1.2756: a settling O(1/E) residual
+    q = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.125, 0.0625, 0.0625],
+            [0.0, 0.0625, 0.25, 0.0625],
+            [0.0, 0.0625, 0.0625, 0.25],
+        ]
+    )
+    scaled = []
+    for m in (6, 12, 18):
+        e = asym.double_vector(m * np.array([2.0, 3.0, 5.0]), m * np.array([3.0, 3.0, 4.0]))
+        ratio = math.exp(asym.log_exact_I(e, q, cap=10 * m) - asym.log_laplace_I_approx(e, q))
+        assert 0.97 < ratio < 1.0
+        scaled.append(10 * m * (1 - ratio))
+    assert all(1.25 < v < 1.3 for v in scaled)
+    diffs = np.diff(scaled)
+    assert 0 < diffs[1] < diffs[0]
+
+
+def test_laplace_refuses_an_empty_degree_class():
+    # degree 2 carries no edges: the solver freezes its two coordinates and
+    # reports the determinant over the rest, which leaves out their directions
+    q = np.zeros((4, 4))
+    q[np.ix_([1, 3], [1, 3])] = 0.25
+    e = asym.double_vector([10.0, 0.0, 10.0], [10.0, 0.0, 10.0])
+    assert asym.solve_critical_point(e / 20, q).hessian_projected_det == pytest.approx(0.25)
+    with pytest.raises(SingularHessian):
+        asym.log_laplace_I_approx(e, q)
 
 
 def test_log_laplace_finite_at_large_margins(bal2):

@@ -147,7 +147,7 @@ def test_asymptotics_laplace_check(bal2_file, tmp_path, capsys):
     )
     payload = json.loads(out)
     assert payload["edge_total"] == 12
-    assert 1.0 < payload["exact_over_laplace"] < 4.0
+    assert 0.9 < payload["exact_over_laplace"] < 1.0
     out, _ = run_ok(
         [
             "asymptotics", "laplace-check", "--params", bal2_file,
@@ -568,6 +568,38 @@ def test_validate_rejects_one_self_loop_rep_before_writing(bal2_file, tmp_path, 
     assert err.startswith("error:") and "at least 2 reps" in err
     assert "Traceback" not in err
     assert nothing_written(out_dir)
+
+
+def test_validate_writes_nothing_when_its_third_suite_fails(bal2_file, tmp_path, capsys):
+    # the LLN suites balance their even sizes in time; at the odd n = 101 first-edges never
+    # draws a balanced sequence, which delta -10 requires
+    out_dir = tmp_path / "out"
+    code = cli.run([
+        "validate", "--params", bal2_file, "--suite", "all", "--sizes", "100,200", "--reps", "4",
+        "--n", "101", "--delta", "-10", "--seed", "1", "--out-dir", str(out_dir),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert (out, err) == ("", "error: no acceptable node sequence in 1000 redraws\n")
+    assert nothing_written(out_dir)
+
+
+def test_validate_assortativity_without_a_coefficient(tmp_path, capsys):
+    # one node type: every edge joins the same degrees, so no graph has a coefficient
+    params = tmp_path / "single.json"
+    params.write_text(json.dumps({"K": 1, "P": [[0, 0], [0, 1.0]], "Q": [[0, 0], [0, 1.0]]}))
+    out, _ = run_ok(
+        [
+            "validate", "--params", str(params), "--suite", "assortativity",
+            "--n", "50", "--reps", "2", "--seed", "1", "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert out.startswith("assortativity: mean=nan -> ")
+    assert (tmp_path / "validate_assortativity.tsv").read_text() == "rep\tcoefficient\n0\tnan\n1\tnan\n"
+    report = read_json(tmp_path / "validate_assortativity.json")["report"]
+    assert report["coefficients"] == [None, None]
+    assert report["mean_coefficient"] is None
 
 
 @pytest.mark.parametrize(

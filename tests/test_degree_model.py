@@ -126,6 +126,26 @@ def test_load_params_rejects_malformed(bad):
         load_params(bad)
 
 
+BAL2_P = BAL2_PARAMS["P"]
+
+
+@pytest.mark.parametrize(
+    "params, reason",
+    [
+        ({"K": 2, "P": [[0, 0.5, 0], [0.5, 0, 0]], "Q": "independent"}, "square matrix"),
+        ({"K": 2, "P": BAL2_P, "Q": [[0, 0.5, 0], [0, 0, 0], [0, 0.5, 0]]}, "vanish on the degree-0 row"),
+        ({"K": 2, "P": BAL2_P, "Q": "assortative"}, "unknown edge-type spec 'assortative'"),
+        ({"K": 2, "P": BAL2_P, "Q": [[0, 0], [0, 1]]}, "Q has shape for K=1"),
+        # every node has in-degree 0 and out-degree 1: mean in-degree 0, mean out-degree 1
+        ({"K": 1, "P": [[0, 1], [0, 0]], "Q": "independent"}, "marginal mean degrees disagree"),
+    ],
+    ids=["non-square-P", "Q-on-degree-0", "unknown-Q-spec", "Q-for-another-K", "unequal-mean-degrees"],
+)
+def test_load_params_names_why_it_rejects(params, reason):
+    with pytest.raises(InvalidDistribution, match=reason):
+        load_params(params)
+
+
 def test_derived_summary_fields(bal2):
     p, q = bal2
     info = derived_summary(p, q)

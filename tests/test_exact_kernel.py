@@ -189,6 +189,23 @@ def test_joint_first_prob_matches_oracle(bal2, disas):
                     assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_joint_first_prob_takes_two_partition_sums(bal2, monkeypatch):
+    # prod_i Q Z(e_i) / Z(e_{i-1}) telescopes to prod Q Z(e_M) / Z(e_0)
+    _, q = bal2
+    calls = []
+    partition_sum = kernel._partition_sum
+
+    def counted(*args):
+        calls.append(args)
+        return partition_sum(*args)
+
+    monkeypatch.setattr(kernel, "_partition_sum", counted)
+    em, ep = kernel.margins_of_sequence([(1, 2), (2, 1), (2, 2), (1, 1)], 3)
+    got = kernel.joint_first_M_prob(em, ep, q, [(2, 2), (1, 2), (2, 1)])
+    assert len(calls) == 2
+    assert got == pytest.approx(first_m_prob(em, ep, q, [(2, 2), (1, 2), (2, 1)]), abs=1e-12)
+
+
 def test_zero_partition_raised_off_support(disas):
     _, qd = disas
     with pytest.raises(ZeroPartition):

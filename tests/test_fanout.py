@@ -29,7 +29,7 @@ def _fails_at(bad, key):
 
 
 def test_results_come_back_in_key_order(cpus):
-    results = _fanout.fan_out(_tagged, (100,), range(7))
+    results = _fanout.fan_out(lambda key: _tagged(100, key), range(7))
     assert [value for value, _ in results] == list(range(100, 107))
     pids = [pid for _, pid in results]
     assert pids[:3] == [os.getpid()] * 3  # the first chunk runs here
@@ -39,8 +39,8 @@ def test_results_come_back_in_key_order(cpus):
 
 def test_no_keys_and_one_key_fork_nothing(monkeypatch):
     monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
-    assert _fanout.fan_out(_tagged, (0,), []) == []
-    assert _fanout.fan_out(_tagged, (0,), [5]) == [(5, os.getpid())]
+    assert _fanout.fan_out(lambda key: _tagged(0, key), []) == []
+    assert _fanout.fan_out(lambda key: _tagged(0, key), [5]) == [(5, os.getpid())]
 
 
 @pytest.mark.parametrize(
@@ -50,7 +50,7 @@ def test_no_keys_and_one_key_fork_nothing(monkeypatch):
 )
 def test_the_first_failing_key_raises_as_in_the_serial_loop(cpus, bad, message):
     with pytest.raises(RetriesExhausted, match=f"^{message}$"):
-        _fanout.fan_out(_fails_at, (bad,), range(10))
+        _fanout.fan_out(lambda key: _fails_at(bad, key), range(10))
     assert multiprocessing.active_children() == []
 
 
@@ -63,7 +63,7 @@ def _exits_at(key):
 def test_a_worker_that_dies_raises_an_acg_error(monkeypatch):
     monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
     with pytest.raises(AcgError, match="exited without"):
-        _fanout.fan_out(_exits_at, (), range(4))
+        _fanout.fan_out(_exits_at, range(4))
     assert multiprocessing.active_children() == []
 
 
@@ -74,7 +74,7 @@ def _kernel_resolved(key):
 def test_workers_inherit_the_resolved_kernel(monkeypatch):
     monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
     sampler._kernel.cache_clear()
-    assert _fanout.fan_out(_kernel_resolved, (), range(4)) == [1] * 4
+    assert _fanout.fan_out(_kernel_resolved, range(4)) == [1] * 4
 
 
 def _tree(root):

@@ -50,7 +50,7 @@ GOLDEN = {
     ),
     "asymptotics-laplace-check": (
         ["asymptotics", "laplace-check", "--margins", "4,8:4,8"],
-        "4458ec836b3c70f4ffe0038a8305161d57292a5626b2a486aa0b68577f7a5207",
+        "f7fe97fae0956a78500d9304fcec2be1c70741b1a7e541f1693f63c7298d7a5d",
     ),
     "configs-predict": (
         ["configs", "predict", "--config", "config.json"],

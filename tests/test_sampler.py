@@ -643,6 +643,26 @@ def test_accept_sequence_counts_redraws(bal2):
         accept_sequence(p, 3, -10.0, np.random.default_rng(0), max_redraws=5)
 
 
+@pytest.mark.parametrize(
+    "overflowing",
+    [
+        [(2, 2), (2, 2), (2, 2), (1, 2), (1, 3)],  # D = 3, two nodes can gain an in-stub
+        [(2, 2), (2, 2), (2, 2), (2, 1), (3, 1)],  # D = -3, two nodes can gain an out-stub
+    ],
+    ids=["in-side", "out-side"],
+)
+def test_accept_sequence_redraws_after_a_clip_overflow(bal2, overflowing, monkeypatch):
+    p, _ = bal2
+    with pytest.raises(ClipOverflow):  # |D| = 3 is within the threshold 5^0.75
+        clip_sequence(seq(overflowing), p.K, rng=np.random.default_rng(0))
+    balanced = seq([(1, 2), (2, 1), (2, 2), (1, 1), (2, 2)])
+    draws = iter([seq(overflowing), balanced])
+    monkeypatch.setattr(sampler, "draw_node_sequence", lambda p, n, rng: next(draws))
+    x, d_raw, redraws = accept_sequence(p, 5, DEFAULT_DELTA, np.random.default_rng(0))
+    assert x is balanced
+    assert (d_raw, redraws) == (0, 1)
+
+
 def test_golden_digests_hold_on_each_wiring_path(wiring_path, bal2, disas, tmp_path):
     test_seeded_edges_match_golden_digests(bal2, disas)
     test_sample_files_match_golden_digests(bal2, tmp_path)

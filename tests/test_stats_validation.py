@@ -5,6 +5,8 @@ import pytest
 
 from acg import stats_validation as sv
 from acg.degree_model import load_params, self_loop_rate
+
+from conftest import DISAS_PARAMS
 from acg.errors import DegenerateVariance
 from acg.sampler import generate_graph
 
@@ -43,6 +45,29 @@ def test_edge_lln_fields_and_determinism(bal2):
     assert rep.acceptance_rates is None
     assert rep.max_deviations[1] < rep.max_deviations[0]
     assert sv.edge_lln(p, q, sizes=[100, 1600], reps=3, seed=11) == rep
+
+
+def test_edge_lln_fans_out_once_over_the_reps(bal2, monkeypatch):
+    # each rep draws its graph at every size, from the stream [seed, size, rep]
+    p, q = bal2
+    calls = []
+    fan_out = sv.fan_out
+
+    def counted(fn, keys):
+        calls.append(list(keys))
+        return fan_out(fn, calls[-1])
+
+    monkeypatch.setattr(sv, "fan_out", counted)
+    rep = sv.edge_lln(p, q, sizes=[100, 200, 400], reps=3, seed=11)
+    assert calls == [[0, 1, 2]]
+    width = q.K + 1
+    for i, size in enumerate(rep.sizes):
+        devs = []
+        for r in range(3):
+            g = generate_graph(p, q, size, seed=[11, size, r])
+            table = np.bincount(g.edge_out_type * width + g.edge_in_type, minlength=width * width)
+            devs.append(np.abs(table.reshape(width, width) / g.n_edges - q.matrix).max())
+        assert rep.max_deviations[i] == float(np.mean(devs))
 
 
 def test_lln_slope_over_three_decades(bal2):
@@ -159,6 +184,27 @@ def test_assortativity_degenerate():
     g = generate_graph(p, q, 50, seed=5)
     with pytest.raises(DegenerateVariance):
         sv.assortativity_coefficient(g)
+
+
+def _off_support_first_edges(monkeypatch):
+    # the wiring never picks a type off Q's support; a stand-in that does gives disas's empty (1, 1)
+    monkeypatch.setattr(sv, "first_edge_types", lambda x, q, rng, length: [(1, 1)] * length)
+    p, q = load_params(DISAS_PARAMS)
+    report = sv.first_edges_distribution(p, q, n=50, length=1, reps=4, seed=1)
+    return report, {"off_support": 4, "chi_square": math.inf, "p_value": 0.0}
+
+
+def _degenerate_assortativity(monkeypatch):
+    # one node type: every edge joins the same degrees, so no coefficient exists
+    p, q = load_params(SINGLE_TYPE)
+    report = sv.assortativity_replicates(p, q, n=50, reps=2, seed=1)
+    return report, {"coefficients": (None, None), "mean_coefficient": None}
+
+
+@pytest.mark.parametrize("case", [_off_support_first_edges, _degenerate_assortativity], ids=lambda f: f.__name__[1:])
+def test_undefined_statistics_are_reported_not_raised(case, monkeypatch):
+    report, want = case(monkeypatch)
+    assert {name: getattr(report, name) for name in want} == want
 
 
 def test_to_jsonable_round():
