@@ -24,7 +24,6 @@ from .config_probability import (
     count_in_graphs,
     count_in_samples,
     tree_config_prob,
-    two_node_edge_prob,
 )
 from .degree_model import (
     ConsistencyReport,
@@ -118,6 +117,5 @@ __all__ = [
     "stub_census",
     "table_probability",
     "tree_config_prob",
-    "two_node_edge_prob",
     "__version__",
 ]

@@ -3,12 +3,16 @@
 A configuration is a rooted subgraph grown one edge at a time: each
 attachment either introduces a fresh node or closes a cycle onto an
 existing one, with the edge oriented into ("in") or out of ("out") the
-parent.  For trees the limiting probability of the grown node types,
-conditional on the root's type, is a product of one conditional node
-factor and one conditional edge factor per attachment.  Configurations
-with cycles carry no limiting constant; their occurrence counts in
-sampled graphs stay bounded as the graph grows, which is checked
-empirically here.
+parent.  A node type is a (j, k) pair with 0 <= j, k <= K, or a wildcard
+for counting; a type outside 0..K raises InvalidConfiguration.  For trees
+the limiting probability of the grown node types, conditional on the
+root's type, is a product of one conditional node factor and one
+conditional edge factor per attachment (tree_config_prob).  Times
+j P[j,k]/z, the chance that an edge's target has the root's type (j, k),
+the one-edge tree with an "in" attachment gives the joint type law of an
+edge's two ends.  Configurations with cycles carry no limiting constant;
+their occurrence counts in sampled graphs stay bounded as the graph
+grows, which count_in_graphs measures.
 
 Occurrences are counted by a breadth-first frontier join in numpy: the
 partial embeddings of all roots advance together, one attachment at a
@@ -89,10 +93,6 @@ class ConfigurationTree:
         return 1 + max((a.node for a in self.attachments), default=0)
 
     @property
-    def added_nodes(self) -> int:
-        return len({a.node for a in self.attachments} - {0})
-
-    @property
     def is_tree(self) -> bool:
         return all(a.node == pos + 1 for pos, a in enumerate(self.attachments))
 
@@ -170,27 +170,6 @@ def config_to_dict(h: ConfigurationTree) -> dict:
     }
 
 
-def two_node_edge_prob(p: NodeTypeDist, q: EdgeTypeDist, target_type, source_type) -> float:
-    """Joint type probability of one edge: source (j2, k2) -> target (j1, k1).
-
-    Equals j1 k2 P[j1,k1] P[j2,k2] Q[k2,j1] / (z^2 Q+[k2] Q-[j1]); terms
-    with a vanishing marginal carry no mass and give 0.
-    """
-    j1, k1 = target_type
-    j2, k2 = source_type
-    z = p.mean_degree
-    if q.out_marginal[k2] == 0 or q.in_marginal[j1] == 0:
-        return 0.0
-    return float(
-        j1
-        * k2
-        * p.matrix[j1, k1]
-        * p.matrix[j2, k2]
-        * q.matrix[k2, j1]
-        / (z**2 * q.out_marginal[k2] * q.in_marginal[j1])
-    )
-
-
 def tree_config_prob(h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> float:
     """Limiting probability of a tree configuration, given the root's type.
 
@@ -200,9 +179,9 @@ def tree_config_prob(h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> 
     """
     if not h.is_tree:
         raise NotATree("configuration closes a cycle; no limiting tree probability")
-    types = h.node_types()
-    if any(t is None for t in types):
-        raise ValueError("tree probabilities need every node type specified")
+    types = _types_in_range(h.node_types(), p.K)
+    if None in types:
+        raise InvalidConfiguration("tree probabilities need every node type specified")
     cond = conditional_dists(p, q)
     value = 1.0
     for att in h.attachments:
@@ -268,6 +247,14 @@ def _countable_types(h: ConfigurationTree) -> list:
     return h.node_types()
 
 
+def _types_in_range(types, k_max) -> list:
+    """types, after checking that each given (j, k) lies in 0..k_max."""
+    for t in types:
+        if t is not None and not (0 <= t[0] <= k_max and 0 <= t[1] <= k_max):
+            raise InvalidConfiguration(f"node type {list(t)} lies outside 0..{k_max}")
+    return types
+
+
 def _extend(steps, nodes, edges):
     """Number of completions of the frontier rows (columns of nodes/edges)."""
     pos = edges.shape[0]
@@ -316,11 +303,12 @@ class ConfigCountReport:
 def count_in_graphs(graphs, h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> ConfigCountReport:
     """Total and per-graph occurrence count of h, streamed over any one-pass iterable of graphs.
 
-    h is checked before the first graph is taken, so a generator that
-    samples graphs draws none for a configuration the counter rejects.
-    Each graph is counted and dropped before the next is taken.
+    h is checked before the first graph is taken, its node types against
+    P's degree range included, so a generator that samples graphs draws
+    none for a configuration the counter rejects.  Each graph is counted
+    and dropped before the next is taken.
     """
-    _countable_types(h)
+    _types_in_range(_countable_types(h), p.K)
     return _count_report(h, p, q, [count_config_occurrences(g, h) for g in graphs])
 
 
@@ -340,7 +328,7 @@ def count_in_samples(
     the process that draws it, and the report does not depend on how many
     CPUs there are.
     """
-    _countable_types(h)
+    _types_in_range(_countable_types(h), p.K)
 
     def count_sample(i):
         return count_config_occurrences(generate_graph(p, q, n, delta=delta, seed=[seed, i]), h)
@@ -350,11 +338,8 @@ def count_in_samples(
 
 def _count_report(h, p, q, counts) -> ConfigCountReport:
     predicted = None
-    if h.is_tree and h.n_edges:
-        try:
-            predicted = tree_config_prob(h, p, q)
-        except ValueError:
-            predicted = None
+    if h.is_tree and h.n_edges and None not in h.node_types():
+        predicted = tree_config_prob(h, p, q)
     count, scanned = sum(counts), len(counts)
     return ConfigCountReport(
         configuration=h,
@@ -362,39 +347,4 @@ def _count_report(h, p, q, counts) -> ConfigCountReport:
         graphs_scanned=scanned,
         frequency=count / scanned if scanned else 0.0,
         predicted=predicted,
-    )
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Mean occurrence counts of a configuration across graph sizes."""
-
-    sizes: tuple
-    mean_counts: tuple
-    ratio: float
-    added_nodes: int
-    n_edges: int
-
-
-def cycle_order_estimate(h: ConfigurationTree, samples) -> ScalingReport:
-    """Mean occurrences of h per graph at each sample size, plus the ratio.
-
-    samples maps graph size N to a collection of sampled graphs.  For a
-    configuration with more edges than added nodes the mean count stays
-    bounded as N grows, so the ratio between the largest and smallest
-    size hovers near 1; tree configurations instead scale with N.
-    """
-    sizes = sorted(samples)
-    means = []
-    for n in sizes:
-        graphs = list(samples[n])
-        counts = [count_config_occurrences(g, h) for g in graphs]
-        means.append(float(np.mean(counts)) if counts else 0.0)
-    ratio = means[-1] / means[0] if len(means) > 1 and means[0] > 0 else float("nan")
-    return ScalingReport(
-        sizes=tuple(sizes),
-        mean_counts=tuple(means),
-        ratio=ratio,
-        added_nodes=h.added_nodes,
-        n_edges=h.n_edges,
     )

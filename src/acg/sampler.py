@@ -77,13 +77,6 @@ class NodeTypeSequence:
         self.in_degrees.setflags(write=False)
         self.out_degrees.setflags(write=False)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "NodeTypeSequence":
-        arr = np.asarray(list(pairs), dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise InvalidDistribution("expected (j, k) pairs")
-        return cls(in_degrees=arr[:, 0].copy(), out_degrees=arr[:, 1].copy())
-
     def __len__(self) -> int:
         return len(self.in_degrees)
 
@@ -91,9 +84,6 @@ class NodeTypeSequence:
     def discrepancy(self) -> int:
         """Out-stub excess D = sum(k_i - j_i), summed once: the degrees are read-only."""
         return int(self.out_degrees.sum() - self.in_degrees.sum())
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return list(zip(self.in_degrees.tolist(), self.out_degrees.tolist()))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 
 from acg import exact_kernel as kernel
 from acg.asymptotics import double_vector, h_value
+from acg.config_probability import Attachment, ConfigurationTree, tree_config_prob
 from acg.degree_model import EdgeTypeDist, NodeTypeDist
 from acg.errors import AcgError, MarginMismatch, ZeroPartition
 
@@ -106,6 +107,19 @@ def random_consistent_pair(rng, K: int = 2):
     q = np.zeros((K + 1, K + 1))
     q[1:, 1:] = m
     return NodeTypeDist.from_weights(p), EdgeTypeDist.from_weights(q)
+
+
+def edge_type_prob(p: NodeTypeDist, q: EdgeTypeDist, target, source) -> float:
+    """Limiting chance that an edge runs from a type-`source` node into a type-`target` node.
+
+    An edge's target has type (j, k) with probability j P[j,k]/z, and
+    tree_config_prob of the one-edge tree rooted there with an "in"
+    attachment of type `source` is the source's law given the target.  The
+    product is j1 k2 P[j1,k1] P[j2,k2] Q[k2,j1] / (z^2 Q+_k2 Q-_j1), and 0
+    where Q+_k2 or Q-_j1 vanishes.
+    """
+    h = ConfigurationTree(target, [Attachment(1, 0, "in", source)])
+    return target[0] * p.matrix[target] / p.mean_degree * tree_config_prob(h, p, q)
 
 
 def iter_tables(row_sums, col_sums, support=None):

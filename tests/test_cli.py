@@ -332,18 +332,29 @@ def test_entry_point_subprocess(bal2_file, tmp_path):
                 {"node": 1, "parent": 0, "edge": "out", "type": [2, 2]},
             ],
         },
+        # node types outside bal2's degrees 0..2
+        {"root": [1, 2], "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": [5, 5]}]},
+        {"root": [1, 2], "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": [-1, 1]}]},
+        {"root": [-2, 2], "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": [2, 1]}]},
     ],
 )
 @pytest.mark.parametrize("action", ["predict", "count"])
-def test_configs_reject_malformed_configuration(bal2_file, tmp_path, capsys, body, action):
+def test_configs_reject_malformed_configuration(bal2_file, tmp_path, capsys, monkeypatch, body, action):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a graph was drawn for a configuration the counter rejects")
+
+    monkeypatch.setattr(config_probability, "generate_graph", no_sampling)
+    out_dir = tmp_path / "out"
     argv = ["configs", action, "--params", bal2_file, "--config", config_file(tmp_path, body)]
     if action == "count":
         argv += ["--n", "50", "--samples", "1", "--seed", "1"]
-    code = cli.run(argv + ["--out-dir", str(tmp_path)])
-    _, err = capsys.readouterr()
+    code = cli.run(argv + ["--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
     assert code == 1
-    assert err.startswith("error:")
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not any(out_dir.iterdir())
 
 
 def test_configs_count_rejects_a_params_file_as_configuration(tmp_path, capsys):

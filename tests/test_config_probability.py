@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from acg.degree_model import load_params
 from acg.errors import InvalidConfiguration, NotATree
 from acg.sampler import MultiGraph, generate_graph
 
-from helpers import count_embeddings_oracle
+from helpers import count_embeddings_oracle, edge_type_prob, random_consistent_pair
 
 
 def graph(in_deg, out_deg, src, dst):
@@ -41,9 +42,9 @@ H_CYCLE2 = cfg.ConfigurationTree(None, [cfg.Attachment(1, 0, "in"), cfg.Attachme
 
 def test_two_node_edge_prob_values(bal2):
     p, q = bal2
-    assert cfg.two_node_edge_prob(p, q, (1, 2), (2, 1)) == pytest.approx(1 / 9, abs=1e-15)
+    assert edge_type_prob(p, q, (1, 2), (2, 1)) == pytest.approx(1 / 9, abs=1e-15)
     combos = [
-        cfg.two_node_edge_prob(p, q, t1, t2)
+        edge_type_prob(p, q, t1, t2)
         for t1 in [(1, 2), (2, 1)]
         for t2 in [(1, 2), (2, 1)]
     ]
@@ -53,7 +54,16 @@ def test_two_node_edge_prob_values(bal2):
 
 def test_two_node_edge_prob_forbidden_pair(disas):
     p, q = disas
-    assert cfg.two_node_edge_prob(p, q, (1, 2), (2, 1)) == 0.0
+    assert edge_type_prob(p, q, (1, 2), (2, 1)) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(k_max=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_edge_type_law_sums_to_one(k_max, seed):
+    p, q = random_consistent_pair(np.random.default_rng(seed), K=k_max)
+    types = list(itertools.product(range(k_max + 1), repeat=2))
+    total = sum(edge_type_prob(p, q, target, source) for target in types for source in types)
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tree_config_prob_single_edge(bal2):
@@ -273,15 +283,30 @@ def test_counting_builds_only_the_orientations_the_configuration_uses(monkeypatc
 
 def test_cycle_order_estimate_single_edge_scales(bal2):
     p, q = bal2
-    samples = {
-        300: [generate_graph(p, q, 300, seed=[41, i]) for i in range(4)],
-        600: [generate_graph(p, q, 600, seed=[42, i]) for i in range(4)],
-    }
-    report = cfg.cycle_order_estimate(H_EDGE_IN, samples)
-    assert report.sizes == (300, 600)
-    assert report.n_edges == 1
-    assert report.added_nodes == 1
-    assert 1.5 < report.ratio < 2.6
+    small = [generate_graph(p, q, 300, seed=[41, i]) for i in range(4)]
+    large = [generate_graph(p, q, 600, seed=[42, i]) for i in range(4)]
+    per_graph = [cfg.count_in_graphs(graphs, H_EDGE_IN, p, q).frequency for graphs in (small, large)]
+    assert 1.5 < per_graph[1] / per_graph[0] < 2.6
+
+
+# (root type, attached node's type) on bal2, whose degrees run over 0..2
+OUT_OF_RANGE_TYPES = [((1, 2), (5, 5)), ((1, 2), (-1, 1)), ((-2, 2), (2, 1))]
+
+
+@pytest.mark.parametrize("root, node_type", OUT_OF_RANGE_TYPES)
+def test_node_types_outside_the_degree_range_are_rejected(bal2, monkeypatch, root, node_type):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(cfg, "generate_graph", no_sampling)
+    p, q = bal2
+    h = cfg.ConfigurationTree(root, [cfg.Attachment(1, 0, "in", node_type)])
+    with pytest.raises(InvalidConfiguration, match=r"outside 0\.\.2"):
+        cfg.tree_config_prob(h, p, q)
+    with pytest.raises(InvalidConfiguration, match=r"outside 0\.\.2"):
+        cfg.count_in_graphs((no_sampling() for _ in range(2)), h, p, q)
+    with pytest.raises(InvalidConfiguration, match=r"outside 0\.\.2"):
+        cfg.count_in_samples(h, p, q, 100, 2, 1)
 
 
 def test_config_dict_roundtrip():
