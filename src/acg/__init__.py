@@ -49,7 +49,6 @@ from .exact_kernel import (
 from .sampler import (
     MultiGraph,
     NodeTypeSequence,
-    StubCensus,
     accept_sequence,
     classify_graph,
     clip_sequence,
@@ -79,7 +78,6 @@ __all__ = [
     "MultiGraph",
     "NodeTypeDist",
     "NodeTypeSequence",
-    "StubCensus",
     "accept_sequence",
     "assortativity_coefficient",
     "assortativity_replicates",

@@ -33,7 +33,7 @@ def double_vector(minus, plus):
     minus = np.atleast_1d(np.asarray(minus))
     plus = np.atleast_1d(np.asarray(plus))
     if minus.shape != plus.shape or minus.ndim != 1:
-        raise ValueError("minus and plus parts must be 1-d and equal length")
+        raise MarginMismatch("minus and plus parts must be 1-d and equal length")
     return np.concatenate([minus, plus])
 
 
@@ -41,7 +41,7 @@ def split_parts(v):
     """Inverse of double_vector: return (minus, plus) views."""
     v = np.asarray(v)
     if v.ndim != 1 or v.shape[0] % 2:
-        raise ValueError(f"double vectors have even length, got shape {v.shape}")
+        raise MarginMismatch(f"double vectors have even length, got shape {v.shape}")
     half = v.shape[0] // 2
     return v[:half], v[half:]
 
@@ -93,7 +93,7 @@ def h_value(alpha, e, q):
     e = np.asarray(e)
     qcore = _core(q)
     if alpha.shape != (2 * qcore.shape[0],) or e.shape != alpha.shape:
-        raise ValueError("alpha and e must be double vectors matching Q")
+        raise MarginMismatch("alpha and e must be double vectors matching Q")
     return _weight_matrix(alpha, qcore).sum() - np.dot(alpha, e)
 
 
@@ -110,7 +110,7 @@ def h_derivatives(alpha, e, q, order=1):
     qcore = _core(q)
     size = qcore.shape[0]
     if alpha.shape != (2 * size,) or e.shape != alpha.shape:
-        raise ValueError("alpha and e must be double vectors matching Q")
+        raise MarginMismatch("alpha and e must be double vectors matching Q")
     w = _weight_matrix(alpha, qcore)
     col = w.sum(axis=0)
     row = w.sum(axis=1)
@@ -164,7 +164,7 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     qcore = _core(q)
     size = qcore.shape[0]
     if x.shape != (2 * size,):
-        raise ValueError("x must be a double vector matching Q")
+        raise MarginMismatch("x must be a double vector matching Q")
     xm, xp = split_parts(x)
     if (x < 0).any() or not math.isclose(xm.sum(), xp.sum(), rel_tol=0, abs_tol=1e-9):
         raise MarginMismatch("margins must be nonnegative with equal stub totals")
@@ -296,7 +296,7 @@ def asymptotic_edge_mean(x, q, k, j, tol=DEFAULT_TOL):
     x = np.asarray(x, dtype=float)
     qcore = _core(q)
     if not (1 <= k <= qcore.shape[0] and 1 <= j <= qcore.shape[0]):
-        raise ValueError(f"edge type ({k}, {j}) outside degree range")
+        raise MarginMismatch(f"edge type ({k}, {j}) outside degrees 1..{qcore.shape[0]}")
     result = solve_critical_point(x, q, tol=tol)
     minus, plus = split_parts(result.alpha)
     return float(qcore[k - 1, j - 1] * math.exp(minus[j - 1] + plus[k - 1]))

@@ -298,7 +298,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
             "h_at_min": res.h_at_min,
             "hessian_projected_det": res.hessian_projected_det,
             "iterations": res.iterations,
-            "run": {**echo, "tol": args.tol, "x": [list(args.x[0]), list(args.x[1])]},
+            "run": {**echo, "max_iter": args.max_iter, "tol": args.tol, "x": [list(args.x[0]), list(args.x[1])]},
         }
         _emit(out / "asymptotics_critical_point.json", result)
     elif args.action == "edge-mean":
@@ -325,7 +325,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
             "exact_over_laplace": ratio,
             "log_exact": log_ex,
             "log_laplace": log_lap,
-            "run": {**echo, "cap": args.cap, "margins": [list(args.margins[0]), list(args.margins[1])]},
+            "run": {**echo, "cap": args.cap, "margins": [list(args.margins[0]), list(args.margins[1])], "tol": args.tol},
         }
         _emit(out / "asymptotics_laplace_check.json", result)
     return 0

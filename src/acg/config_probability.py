@@ -22,6 +22,7 @@ built in one expansion by splitting the frontier, so memory grows with
 the graph, not with its embedding count.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,9 @@ class Attachment:
 
     orientation "in" means the edge points from node into parent;
     "out" means it points from parent to node.  node_type is a (j, k)
-    pair, or None to match any type when counting.
+    pair, or None to match any type when counting.  Indices and degrees
+    are integral numbers: 2.0 reads as 2, and true, "2" or 1.5 raise
+    InvalidConfiguration.
     """
 
     node: int
@@ -53,8 +56,9 @@ class Attachment:
     def __post_init__(self):
         if self.orientation not in ("in", "out"):
             raise InvalidConfiguration(f"orientation must be 'in' or 'out', got {self.orientation!r}")
-        if self.node_type is not None:
-            object.__setattr__(self, "node_type", (int(self.node_type[0]), int(self.node_type[1])))
+        object.__setattr__(self, "node", _integer(self.node))
+        object.__setattr__(self, "parent", _integer(self.parent))
+        object.__setattr__(self, "node_type", _type_pair(self.node_type))
 
 
 @dataclass(frozen=True)
@@ -70,13 +74,14 @@ class ConfigurationTree:
     attachments: tuple
 
     def __post_init__(self):
-        if self.root_type is not None:
-            object.__setattr__(self, "root_type", (int(self.root_type[0]), int(self.root_type[1])))
+        if not isinstance(self.attachments, (list, tuple)):
+            raise InvalidConfiguration(f"attachments must be a list of Attachment, got {self.attachments!r}")
+        object.__setattr__(self, "root_type", _type_pair(self.root_type))
         object.__setattr__(self, "attachments", tuple(self.attachments))
         seen = 1
         for pos, att in enumerate(self.attachments):
             if not isinstance(att, Attachment):
-                raise TypeError(f"attachment {pos} is not an Attachment")
+                raise InvalidConfiguration(f"attachment {pos} is not an Attachment")
             if not 0 <= att.parent < seen:
                 raise InvalidConfiguration(f"attachment {pos} names parent {att.parent} before it exists")
             if att.node == seen:
@@ -123,15 +128,8 @@ def config_from_dict(d) -> ConfigurationTree:
         if not isinstance(a, dict) or not {"node", "parent", "edge"} <= a.keys():
             raise InvalidConfiguration(f"attachment {pos} needs 'node', 'parent' and 'edge'")
         _known_keys(a, {"node", "parent", "edge", "type"}, f"attachment {pos}")
-        atts.append(
-            Attachment(
-                node=_integer(a["node"]),
-                parent=_integer(a["parent"]),
-                orientation=a["edge"],
-                node_type=_type_pair(a.get("type")),
-            )
-        )
-    return ConfigurationTree(root_type=_type_pair(d.get("root")), attachments=atts)
+        atts.append(Attachment(a["node"], a["parent"], a["edge"], a.get("type")))
+    return ConfigurationTree(d.get("root"), atts)
 
 
 def _known_keys(d: dict, allowed: set, what: str) -> None:
@@ -149,10 +147,12 @@ def _type_pair(value):
 
 
 def _integer(value) -> int:
-    try:
+    """value as an int; InvalidConfiguration unless it is an integral number other than a bool."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         return int(value)
-    except (TypeError, ValueError):
-        raise InvalidConfiguration(f"expected an integer, got {value!r}") from None
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidConfiguration(f"expected an integer, got {value!r}")
 
 
 def config_to_dict(h: ConfigurationTree) -> dict:
@@ -243,7 +243,7 @@ def count_config_occurrences(g, h: ConfigurationTree) -> int:
 def _countable_types(h: ConfigurationTree) -> list:
     """h's node types, after every check the counter makes of h alone."""
     if h.n_edges > MAX_EMBED_EDGES:
-        raise ValueError(f"embedding search is limited to {MAX_EMBED_EDGES} edges")
+        raise InvalidConfiguration(f"embedding search is limited to {MAX_EMBED_EDGES} edges")
     return h.node_types()
 
 

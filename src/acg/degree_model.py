@@ -25,7 +25,10 @@ GUIDE_BUCKETS = 1 << 14
 
 
 def _as_prob_matrix(weights, name: str) -> np.ndarray:
-    m = np.array(weights, dtype=float)
+    try:
+        m = np.array(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDistribution(f"{name} must be a square matrix of numbers: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise InvalidDistribution(f"{name} must be a square matrix of size K+1 >= 2, got shape {m.shape}")
     if not np.isfinite(m).all() or (m < 0).any():
@@ -268,8 +271,8 @@ def load_params(source) -> tuple[NodeTypeDist, EdgeTypeDist]:
         k_cut = int(raw["K"])
         p_weights = raw["P"]
         q_spec = raw["Q"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidDistribution(f"parameter object must define K, P and Q: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidDistribution(f"parameter object must define an integer K, P and Q: {exc}") from exc
     p = NodeTypeDist.from_weights(p_weights)
     if p.K != k_cut:
         raise InvalidDistribution(f"P has shape for K={p.K} but K={k_cut} was declared")

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,27 +300,33 @@ def _cross_check(what, direct, ratio) -> None:
         raise AcgError(f"{what} routes disagree: {direct!r} vs {ratio!r}")
 
 
-def _check_type(k, j, size: int) -> None:
+def _edge_type(t, size: int) -> tuple[int, int]:
+    """t as a (k, j) pair of ints; MarginMismatch unless it is a pair of integers in 0..size-1."""
+    try:
+        k, j = map(operator.index, t)
+    except (TypeError, ValueError):
+        raise MarginMismatch(f"an edge type is a (k, j) pair of integers, got {t!r}") from None
     if not (0 <= k < size and 0 <= j < size):
         raise MarginMismatch(f"edge type ({k}, {j}) lies outside degrees 0..{size - 1}")
+    return k, j
 
 
-def _without(em, ep, types):
-    """Copies of the margins (em, ep) less one stub at each end of every (k, j) in types."""
-    em, ep = em.copy(), ep.copy()
+def _reduced(em, ep, w, types, z=None):
+    """prod Q[k, j] Z(e - sum d_jk) / Z(e) over the (k, j) in types; z is Z(e) if already summed.
+
+    Zero, with no partition sum, when a listed type has Q = 0 or a margin
+    is driven below 0, and zero when no table has the reduced margins.
+    """
+    weight = math.prod((w[k][j] for k, j in types), start=_zero(w) + 1)
+    rest_m, rest_p = em.copy(), ep.copy()
     for k, j in types:
-        em[j] -= 1
-        ep[k] -= 1
-    return em, ep
-
-
-def _falling_moment(em, ep, w, z, k, j, order):
-    """E[e_kj (e_kj - 1) ... (e_kj - order + 1)] = Q[k,j]^order Z(e - order d_jk) / Z(e)."""
-    q = w[k][j]
-    if q == 0 or em[j] < order or ep[k] < order:
+        rest_m[j] -= 1
+        rest_p[k] -= 1
+    possible = weight != 0 and min(rest_m.min(), rest_p.min()) >= 0
+    z_rest = _partition_sum(rest_m, rest_p, w) if possible else None
+    if z_rest is None:
         return _zero(w)
-    z2 = _partition_sum(*_without(em, ep, [(k, j)] * order), w)
-    return _zero(w) if z2 is None else q**order * z2.over(z)
+    return weight * z_rest.over(_partition_sum(em, ep, w) if z is None else z)
 
 
 def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP):
@@ -330,24 +337,22 @@ def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE
     agree to a relative 1e-12 (exactly for Fraction Q).
     """
     w = _weights(q)
-    _check_type(k, j, len(w))
+    k, j = _edge_type((k, j), len(w))
     em, ep, z = _margin_sum(e_minus, e_plus, w, cap, mark=(k, j))
-    direct = z.acc[1] / z.acc[0]
-    ratio = _falling_moment(em, ep, w, z, k, j, 1)
-    _cross_check("edge-mean", direct, ratio)
+    ratio = _reduced(em, ep, w, [(k, j)], z)
+    _cross_check("edge-mean", z.acc[1] / z.acc[0], ratio)
     return ratio
 
 
 def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP):
-    """Variance of the type-(k, j) edge count given the margins (two routes)."""
+    """Variance of the type-(k, j) edge count given the margins (two routes; the ratio one via E[e_kj (e_kj - 1)])."""
     w = _weights(q)
-    _check_type(k, j, len(w))
+    k, j = _edge_type((k, j), len(w))
     em, ep, z = _margin_sum(e_minus, e_plus, w, cap, mark=(k, j))
     mean_d = z.acc[1] / z.acc[0]
-    direct = z.acc[2] / z.acc[0] - mean_d * mean_d
-    mean_r = _falling_moment(em, ep, w, z, k, j, 1)
-    ratio = mean_r + _falling_moment(em, ep, w, z, k, j, 2) - mean_r * mean_r
-    _cross_check("edge-variance", direct, ratio)
+    mean_r = _reduced(em, ep, w, [(k, j)], z)
+    ratio = mean_r + _reduced(em, ep, w, [(k, j)] * 2, z) - mean_r * mean_r
+    _cross_check("edge-variance", z.acc[2] / z.acc[0] - mean_d * mean_d, ratio)
     return ratio
 
 
@@ -363,19 +368,11 @@ def joint_first_M_prob(e_minus, e_plus, q, types, cap: int = DEFAULT_TABLE_CAP):
     below 0, or Z(e_M) = 0.
     """
     w = _weights(q)
-    size = len(w)
-    for k, j in types:
-        _check_type(k, j, size)
-    em, ep, total = _check_margins(e_minus, e_plus, size, cap)
+    types = [_edge_type(t, len(w)) for t in types]
+    em, ep, total = _check_margins(e_minus, e_plus, len(w), cap)
     if len(types) > total:
         raise MarginMismatch(f"asked for {len(types)} leading edges but only {total} exist")
-    weight = math.prod((w[k][j] for k, j in types), start=_zero(w) + 1)
-    rest_m, rest_p = _without(em, ep, types)
-    possible = weight != 0 and min(rest_m.min(), rest_p.min()) >= 0
-    z_rest = _partition_sum(rest_m, rest_p, w) if possible else None
-    if z_rest is None:
-        return _zero(w)
-    prob = weight * z_rest.over(_partition_sum(em, ep, w))
+    prob = _reduced(em, ep, w, types)
     for i in range(len(types)):
         prob /= total - i
     return prob

@@ -86,16 +86,6 @@ class NodeTypeSequence:
         return int(self.out_degrees.sum() - self.in_degrees.sum())
 
 
-@dataclass(frozen=True)
-class StubCensus:
-    """Counts of node types and stubs by degree class, indexed 0..K."""
-
-    type_counts: np.ndarray  # u[j, k]
-    e_minus: np.ndarray  # in-stubs of degree j: j * u-_j
-    e_plus: np.ndarray  # out-stubs of degree k: k * u+_k
-    n_edges: int
-
-
 def draw_node_sequence(p: NodeTypeDist, n: int, rng: np.random.Generator) -> NodeTypeSequence:
     """Draw n node types i.i.d. from P, consuming exactly rng.random(n).
 
@@ -163,8 +153,8 @@ def clip_sequence(
     return NodeTypeSequence(in_degrees=x.in_degrees.copy(), out_degrees=bumped)
 
 
-def stub_census(x: NodeTypeSequence, k_cut: int | None = None) -> StubCensus:
-    """Tabulate node types and stub counts; the sequence must be balanced."""
+def stub_census(x: NodeTypeSequence, k_cut: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Stub margins (e_minus, e_plus) by degree 0..K of a balanced sequence: e_minus[j] = j * #{in-degree j}."""
     d = x.discrepancy
     if d != 0:
         raise InfeasibleSequence(f"stub totals differ by {d}; clip or redraw first")
@@ -172,14 +162,8 @@ def stub_census(x: NodeTypeSequence, k_cut: int | None = None) -> StubCensus:
     if k_cut is not None and top > k_cut:
         raise InvalidDistribution(f"degree {top} exceeds the cutoff {k_cut}")
     size = (k_cut if k_cut is not None else top) + 1
-    u = np.bincount(x.in_degrees * size + x.out_degrees, minlength=size * size).reshape(size, size)
     degrees = np.arange(size)
-    e_minus = degrees * u.sum(axis=1)
-    e_plus = degrees * u.sum(axis=0)
-    u.setflags(write=False)
-    e_minus.setflags(write=False)
-    e_plus.setflags(write=False)
-    return StubCensus(type_counts=u, e_minus=e_minus, e_plus=e_plus, n_edges=int(e_plus.sum()))
+    return degrees * np.bincount(x.in_degrees, minlength=size), degrees * np.bincount(x.out_degrees, minlength=size)
 
 
 @dataclass
@@ -241,8 +225,8 @@ def _row_sums(rate, em, cols):
     return sums
 
 
-def _type_chain(census: StubCensus, rate, us: np.ndarray, fallback_uniform: bool):
-    """Edge types (k, j) of the wiring steps, from the stub counts alone.
+def _type_chain(margins, rate, us: np.ndarray, fallback_uniform: bool):
+    """Edge types (k, j) of the wiring steps, from the stub margins (e_minus, e_plus) alone.
 
     Step t picks an out-class k with weight e+_k s_k using us[t, 0], then an
     in-class j with weight e-_j R[k][j] using us[t, 1].  Out-class k takes
@@ -254,8 +238,7 @@ def _type_chain(census: StubCensus, rate, us: np.ndarray, fallback_uniform: bool
     """
     size = len(rate)
     degree_range = range(1, size)
-    em = census.e_minus.tolist()
-    ep = census.e_plus.tolist()
+    em, ep = (m.tolist() for m in margins)
     u_out = us[:, 0].tolist()
     u_in = us[:, 1].tolist()
     steps = len(u_out)
@@ -343,14 +326,14 @@ def _kernel():
     return _wiring.load()
 
 
-def _chain(census: StubCensus, rate: np.ndarray, us: np.ndarray, fallback_uniform: bool):
+def _chain(margins, rate: np.ndarray, us: np.ndarray, fallback_uniform: bool):
     """_type_chain, run by the compiled kernel when it loads; rate is EdgeTypeDist.rate."""
     lib = _kernel()
     if lib is None:
-        return _type_chain(census, rate.tolist(), us, fallback_uniform)
+        return _type_chain(margins, rate.tolist(), us, fallback_uniform)
     steps = len(us)
     kt, jt = np.empty(steps, dtype=np.int64), np.empty(steps, dtype=np.int64)
-    em, ep = np.array(census.e_minus, dtype=np.int64), np.array(census.e_plus, dtype=np.int64)  # consumed
+    em, ep = (np.array(m, dtype=np.int64) for m in margins)  # consumed
     rc = lib.type_chain(rate, em, ep, us, fallback_uniform, _REFRESH_EVERY, kt, jt)
     if rc < 0:
         raise _WiringDeadEnd()
@@ -385,12 +368,12 @@ def sequential_wiring(
     max_restarts times; the final attempt finishes under uniform stub
     matching if it stalls too (flagged in meta).
     """
-    census = stub_census(x, k_cut=q.K)
+    margins = stub_census(x, k_cut=q.K)
     restarts = 0
     while True:
-        us = rng.random((census.n_edges, 4))
+        us = rng.random((int(margins[1].sum()), 4))
         try:
-            kt, jt, used_fallback = _chain(census, q.rate, us, restarts == max_restarts)
+            kt, jt, used_fallback = _chain(margins, q.rate, us, restarts == max_restarts)
             break
         except _WiringDeadEnd:
             restarts += 1
@@ -417,11 +400,11 @@ def first_edge_types(
 
     Draws the same uniforms as the first `count` steps of sequential_wiring.
     """
-    census = stub_census(x, k_cut=q.K)
-    if count > census.n_edges:
-        raise InfeasibleSequence(f"asked for {count} edges, sequence has {census.n_edges}")
+    margins = stub_census(x, k_cut=q.K)
+    if count > margins[1].sum():
+        raise InfeasibleSequence(f"asked for {count} edges, sequence has {margins[1].sum()}")
     try:
-        kt, jt, _ = _chain(census, q.rate, rng.random((count, 4)), False)
+        kt, jt, _ = _chain(margins, q.rate, rng.random((count, 4)), False)
     except _WiringDeadEnd:
         raise DeadEnd("wiring stalled before reaching the requested edge count") from None
     return list(zip(kt.tolist(), jt.tolist()))

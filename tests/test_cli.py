@@ -336,6 +336,12 @@ def test_entry_point_subprocess(bal2_file, tmp_path):
         {"root": [1, 2], "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": [5, 5]}]},
         {"root": [1, 2], "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": [-1, 1]}]},
         {"root": [-2, 2], "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": [2, 1]}]},
+        # indices and degrees that are not integers, which once read as their truncation
+        # (root [1.7, 2] predicted 0.3333333333, the value of [1, 2])
+        {**SINGLE_IN_EDGE, "root": [1.7, 2]},
+        {"root": [1, 2], "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": [True, 1]}]},
+        {"root": [1, 2], "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": ["2", 1]}]},
+        {"root": [1, 2], "attachments": [{"node": 1.5, "parent": 0, "edge": "in", "type": [2, 1]}]},
     ],
 )
 @pytest.mark.parametrize("action", ["predict", "count"])

@@ -206,6 +206,29 @@ def test_joint_first_prob_takes_two_partition_sums(bal2, monkeypatch):
     assert got == pytest.approx(first_m_prob(em, ep, q, [(2, 2), (1, 2), (2, 1)]), abs=1e-12)
 
 
+def test_moments_and_impossible_prefixes_take_no_extra_partition_sums(bal2, disas, monkeypatch):
+    _, q = bal2
+    _, qd = disas
+    calls = []
+    partition_sum = kernel._partition_sum
+
+    def counted(*args):
+        calls.append(args)
+        return partition_sum(*args)
+
+    monkeypatch.setattr(kernel, "_partition_sum", counted)
+    em, ep = kernel.margins_of_sequence([(1, 2), (2, 1), (2, 2), (1, 1)], 3)
+    for fn, sums in ((kernel.exact_edge_mean, 2), (kernel.exact_edge_variance, 3)):
+        calls.clear()
+        fn(em, ep, q, 2, 2)
+        assert len(calls) == sums
+    # a type with Q = 0, and a prefix that uses more (1, 1) edges than there are degree-1 stubs
+    for qq, types in ((qd, [(1, 1)]), (q, [(1, 1)] * 3)):
+        calls.clear()
+        assert kernel.joint_first_M_prob(em, ep, qq, types) == 0
+        assert calls == []
+
+
 def test_zero_partition_raised_off_support(disas):
     _, qd = disas
     with pytest.raises(ZeroPartition):

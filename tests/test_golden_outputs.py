@@ -42,7 +42,7 @@ GOLDEN = {
     ),
     "asymptotics-critical-point": (
         ["asymptotics", "critical-point", "--x", "0.4,0.6:0.3,0.7"],
-        "0ca95904b6a0dc479a8ac4ed96f9395b29b334ee48463f6541f10ee0b3703bb5",
+        "dbd362f8c5b7aedec9f72a43681c24cc4493ebd660ed2e8a69f73df67bd5c8f3",
     ),
     "asymptotics-edge-mean": (
         ["asymptotics", "edge-mean", "--x", "0.4,0.6:0.3,0.7", "--type", "2,2"],
@@ -50,7 +50,7 @@ GOLDEN = {
     ),
     "asymptotics-laplace-check": (
         ["asymptotics", "laplace-check", "--margins", "4,8:4,8"],
-        "f7fe97fae0956a78500d9304fcec2be1c70741b1a7e541f1693f63c7298d7a5d",
+        "9f655ee861ee649fead7acd42a9d042ebca966bea960f815c3079393a6d372cb",
     ),
     "configs-predict": (
         ["configs", "predict", "--config", "config.json"],

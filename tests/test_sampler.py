@@ -163,11 +163,10 @@ def test_clip_needs_rng_only_when_unbalanced():
 
 def test_stub_census_counts():
     x = seq([(1, 2), (2, 1), (1, 1), (1, 1)])
-    census = stub_census(x)
-    assert census.n_edges == 5
-    assert census.e_minus.tolist() == [0, 3, 2]
-    assert census.e_plus.tolist() == [0, 3, 2]
-    assert census.type_counts[1, 1] == 2
+    e_minus, e_plus = stub_census(x)
+    assert e_plus.sum() == 5
+    assert e_minus.tolist() == [0, 3, 2]
+    assert e_plus.tolist() == [0, 3, 2]
     with pytest.raises(InfeasibleSequence):
         stub_census(seq([(1, 2)]))
 
@@ -193,7 +192,7 @@ def test_sequential_wiring_realizes_degrees(bal2):
     x = draw_node_sequence(p, 400, np.random.default_rng(3))
     x = clip_sequence(x, 2, rng=np.random.default_rng(4))
     g = sequential_wiring(x, q, np.random.default_rng(5))
-    assert g.n_edges == stub_census(x).n_edges
+    assert g.n_edges == stub_census(x)[1].sum()
     assert np.array_equal(np.bincount(g.edge_src, minlength=g.n_nodes), x.out_degrees)
     assert np.array_equal(np.bincount(g.edge_dst, minlength=g.n_nodes), x.in_degrees)
     assert np.array_equal(g.edge_out_type, x.out_degrees[g.edge_src])
