@@ -20,12 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact_kernel
-from .errors import MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin
+from .errors import MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin, integral
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100
 ARMIJO_C = 1e-4
 TWO_PI = 2.0 * math.pi
+
+
+def _floats(v):
+    """v as a float array; MarginMismatch when it does not convert."""
+    try:
+        return np.asarray(v, dtype=float)
+    except (TypeError, ValueError):
+        raise MarginMismatch(f"expected an array of numbers, got {v!r}") from None
 
 
 def double_vector(minus, plus):
@@ -97,16 +105,16 @@ def h_value(alpha, e, q):
     return _weight_matrix(alpha, qcore).sum() - np.dot(alpha, e)
 
 
-def h_derivatives(alpha, e, q, order=1):
-    """Gradient (order 1) or Hessian (order 2) of H in alpha.
+def h_derivatives(alpha, e, q):
+    """(gradient, Hessian) of H in alpha.
 
     The gradient is sum_kj delta_jk exp(alpha . delta_jk) Q[k, j] - e.
     The Hessian does not involve e; its blocks are the diagonal stub
     intensities and the weight matrix W, and it annihilates the gauge
     direction.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    e = np.asarray(e, dtype=float)
+    alpha = _floats(alpha)
+    e = _floats(e)
     qcore = _core(q)
     size = qcore.shape[0]
     if alpha.shape != (2 * size,) or e.shape != alpha.shape:
@@ -114,16 +122,12 @@ def h_derivatives(alpha, e, q, order=1):
     w = _weight_matrix(alpha, qcore)
     col = w.sum(axis=0)
     row = w.sum(axis=1)
-    if order == 1:
-        return double_vector(col, row) - e
-    if order == 2:
-        hess = np.zeros((2 * size, 2 * size))
-        hess[:size, :size] = np.diag(col)
-        hess[size:, size:] = np.diag(row)
-        hess[:size, size:] = w.T
-        hess[size:, :size] = w
-        return hess
-    raise ValueError(f"order must be 1 or 2, got {order}")
+    hess = np.zeros((2 * size, 2 * size))
+    hess[:size, :size] = np.diag(col)
+    hess[size:, size:] = np.diag(row)
+    hess[:size, size:] = w.T
+    hess[size:, :size] = w
+    return double_vector(col, row) - e, hess
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     Iterates live on an orthonormal basis of the subspace orthogonal to
     the gauge direction, with Armijo backtracking; the start is alpha=0.
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     qcore = _core(q)
     size = qcore.shape[0]
     if x.shape != (2 * size,):
@@ -180,11 +184,11 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     beta = np.zeros(basis.shape[1])
     alpha = embed(beta)
     for iteration in range(max_iter):
-        grad = h_derivatives(alpha, x, q, order=1)
+        grad, hess = h_derivatives(alpha, x, q)
         grad_red = basis.T @ grad[idx]
         grad_norm = float(np.linalg.norm(grad_red))
+        hess_red = basis.T @ hess[np.ix_(idx, idx)] @ basis
         if grad_norm <= tol:
-            hess_red = basis.T @ h_derivatives(alpha, x, q, order=2)[np.ix_(idx, idx)] @ basis
             sign, logdet = np.linalg.slogdet(hess_red)
             det = float(sign * math.exp(logdet)) if np.isfinite(logdet) else 0.0
             return CriticalPointResult(
@@ -194,7 +198,6 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
                 h_at_min=float(h_value(alpha, x, q)),
                 hessian_projected_det=det,
             )
-        hess_red = basis.T @ h_derivatives(alpha, x, q, order=2)[np.ix_(idx, idx)] @ basis
         try:
             step = np.linalg.solve(hess_red, -grad_red)
         except np.linalg.LinAlgError:
@@ -266,7 +269,7 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     SingularHessian when Q leaves a degree class empty or det0 <= 0.  Kept
     in the log domain: E log E leaves the float range quickly.
     """
-    e = np.asarray(e, dtype=float)
+    e = _floats(e)
     total = _edge_total(e)
     x = e / total
     result = solve_critical_point(x, q, tol=tol)
@@ -293,8 +296,9 @@ def asymptotic_edge_mean(x, q, k, j, tol=DEFAULT_TOL):
     margins x and total mass 1.  When x matches Q's own margins the
     critical point is 0 and this is Q[k, j] itself.
     """
-    x = np.asarray(x, dtype=float)
+    x = _floats(x)
     qcore = _core(q)
+    k, j = integral(k, MarginMismatch), integral(j, MarginMismatch)
     if not (1 <= k <= qcore.shape[0] and 1 <= j <= qcore.shape[0]):
         raise MarginMismatch(f"edge type ({k}, {j}) outside degrees 1..{qcore.shape[0]}")
     result = solve_critical_point(x, q, tol=tol)

@@ -8,12 +8,16 @@ asymptotics   critical points, asymptotic edge means, Laplace vs exact compariso
 configs       predicted small-configuration probabilities and empirical counts
 validate      simulation suites with JSON and plot-ready TSV reports
 
-Every run writes a meta.json echoing its effective configuration so the
-run can be reproduced from the output directory alone.  All files are
-written atomically (temp file, then rename) and contain no timestamps,
-so repeated runs with the same seed are byte-identical.  Seeds resolve
-in order: --seed flag, ACG_SEED environment variable, fresh random draw
-(logged to stderr and recorded in meta.json).
+Every run echoes its command and every flag but --out-dir, less the
+flags whose values the result already holds, so the run can be
+reproduced from the output directory alone.  generate and validate
+write that echo to meta.json; exact, asymptotics and configs write it
+as the "run" key of their result file.  The echo names the parameter
+file by its path only; generate and validate also write its contents.
+All files are written atomically (temp file, then rename) and contain
+no timestamps, so repeated runs with the same seed are byte-identical.
+Seeds resolve in order: --seed flag, ACG_SEED environment variable,
+fresh random draw (logged to stderr and recorded in the echo).
 """
 
 from __future__ import annotations
@@ -186,18 +190,15 @@ def _zero_slot(counts) -> np.ndarray:
     return np.concatenate([[0], np.asarray(counts, dtype=int)])
 
 
+def _run_echo(args, *held) -> dict:
+    """The command with its action and every flag but --out-dir, less those the result holds (held)."""
+    echo = {key: value for key, value in vars(args).items() if key not in {"action", "func", "out_dir", *held}}
+    echo["command"] = " ".join(filter(None, (args.command, getattr(args, "action", None))))
+    return echo
+
+
 def _cmd_generate(args, p, q, out) -> int:
-    run_echo = {
-        "command": "generate",
-        "delta": args.delta,
-        "max_redraws": args.max_redraws,
-        "max_restarts": args.max_restarts,
-        "n": args.n,
-        "params_file": str(args.params),
-        "samples": args.samples,
-        "seed": args.seed,
-        "seed_source": args.seed_source,
-    }
+    run_echo = _run_echo(args)
     created = []  # sample directories this run made, removed again if it fails
     try:
         for i in range(args.samples):
@@ -230,7 +231,7 @@ def _cmd_generate(args, p, q, out) -> int:
 
 
 def _cmd_exact(args, p, q, out) -> int:
-    echo = {"cap": args.cap, "command": f"exact {args.action}", "params_file": str(args.params)}
+    echo = _run_echo(args, "margins", "type", "sequence", "types")
     if args.action == "partition":
         em, ep = (_zero_slot(half) for half in args.margins)
         result = {
@@ -286,7 +287,7 @@ def _cmd_exact(args, p, q, out) -> int:
 
 
 def _cmd_asymptotics(args, p, q, out) -> int:
-    echo = {"command": f"asymptotics {args.action}", "params_file": str(args.params)}
+    echo = _run_echo(args, "type")
     if args.action == "critical-point":
         x = asym.double_vector(np.asarray(args.x[0], float), np.asarray(args.x[1], float))
         res = asym.solve_critical_point(x, q, tol=args.tol, max_iter=args.max_iter)
@@ -298,7 +299,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
             "h_at_min": res.h_at_min,
             "hessian_projected_det": res.hessian_projected_det,
             "iterations": res.iterations,
-            "run": {**echo, "max_iter": args.max_iter, "tol": args.tol, "x": [list(args.x[0]), list(args.x[1])]},
+            "run": echo,
         }
         _emit(out / "asymptotics_critical_point.json", result)
     elif args.action == "edge-mean":
@@ -306,7 +307,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
         k, j = args.type
         value = asym.asymptotic_edge_mean(x, q, k, j, tol=args.tol)
         result = {
-            "run": {**echo, "tol": args.tol, "x": [list(args.x[0]), list(args.x[1])]},
+            "run": echo,
             "type": [k, j],
             "value": value,
         }
@@ -325,20 +326,20 @@ def _cmd_asymptotics(args, p, q, out) -> int:
             "exact_over_laplace": ratio,
             "log_exact": log_ex,
             "log_laplace": log_lap,
-            "run": {**echo, "cap": args.cap, "margins": [list(args.margins[0]), list(args.margins[1])], "tol": args.tol},
+            "run": echo,
         }
         _emit(out / "asymptotics_laplace_check.json", result)
     return 0
 
 
 def _cmd_configs(args, p, q, out) -> int:
-    with open(args.config) as fh:
+    with open(args.config_file) as fh:
         h = cfg.config_from_dict(json.load(fh))
     if args.action == "predict":
         value = cfg.tree_config_prob(h, p, q)
         result = {
             "configuration": cfg.config_to_dict(h),
-            "run": {"command": "configs predict", "config_file": str(args.config), "params_file": str(args.params)},
+            "run": _run_echo(args),
             "value": value,
         }
         _emit(out / "configs_predict.json", result, line=f"{value:.10f}")
@@ -350,16 +351,7 @@ def _cmd_configs(args, p, q, out) -> int:
         "frequency": report.frequency,
         "graphs_scanned": report.graphs_scanned,
         "predicted": report.predicted,
-        "run": {
-            "command": "configs count",
-            "config_file": str(args.config),
-            "delta": args.delta,
-            "n": args.n,
-            "params_file": str(args.params),
-            "samples": args.samples,
-            "seed": args.seed,
-            "seed_source": args.seed_source,
-        },
+        "run": _run_echo(args),
     }
     _emit(out / "configs_count.json", result)
     return 0
@@ -405,22 +397,7 @@ def _cmd_validate(args, p, q, out) -> int:
     """Run every requested suite, then write meta.json and the reports: a failed suite leaves no file."""
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = [(suite, *_run_suite(suite, p, q, args)) for suite in suites]
-    _write_json(
-        out / "meta.json",
-        {
-            "command": "validate",
-            "delta": args.delta,
-            "length": args.length,
-            "n": args.n,
-            "params": params_dict(p, q),
-            "params_file": str(args.params),
-            "reps": args.reps,
-            "seed": args.seed,
-            "seed_source": args.seed_source,
-            "sizes": list(args.sizes),
-            "suites": suites,
-        },
-    )
+    _write_json(out / "meta.json", {**_run_echo(args, "suite"), "params": params_dict(p, q), "suites": suites})
     for suite, rep, header, rows, summary in results:
         stem = "validate_" + suite.replace("-", "_")
         _write_json(out / f"{stem}.json", {"report": rep, "suite": suite})
@@ -437,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # every command reads --params and writes to --out-dir; the sampling ones also take --seed and --delta
     io = argparse.ArgumentParser(add_help=False)
-    io.add_argument("--params", required=True, help="JSON parameter file with K, P, Q")
+    io.add_argument(
+        "--params", dest="params_file", metavar="PARAMS", required=True, help="JSON parameter file with K, P, Q"
+    )
     io.add_argument("--out-dir", default=".", help="output directory (default current)")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="RNG seed (default: ACG_SEED, else random, logged)")
@@ -499,10 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
     cfgp = sub.add_parser("configs", help="small-configuration probabilities and counts")
     cfg_sub = cfgp.add_subparsers(dest="action", required=True)
     pred = cfg_sub.add_parser("predict", parents=[io], help="limiting probability of a tree configuration")
-    pred.add_argument("--config", required=True, help="configuration JSON file")
+    pred.add_argument("--config", dest="config_file", metavar="CONFIG", required=True, help="configuration JSON file")
     pred.set_defaults(func=_cmd_configs, action="predict")
     cnt = cfg_sub.add_parser("count", parents=[io, seeded], help="occurrence counts of a configuration in sampled graphs")
-    cnt.add_argument("--config", required=True, help="configuration JSON file")
+    cnt.add_argument("--config", dest="config_file", metavar="CONFIG", required=True, help="configuration JSON file")
     cnt.add_argument("--n", type=_int_at_least(1), required=True, help="nodes per sampled graph")
     cnt.add_argument("--samples", type=_int_at_least(1), default=50, help="graphs to sample (default %(default)s)")
     cnt.set_defaults(func=_cmd_configs, action="count")
@@ -525,7 +504,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        p, q = load_params(args.params)
+        p, q = load_params(args.params_file)
         if "seed" in vars(args):  # a sampling command
             require_consistent(p, q)
             args.seed, args.seed_source = _resolve_seed(args.seed)

@@ -22,14 +22,13 @@ built in one expansion by splitting the frontier, so memory grows with
 the graph, not with its embedding count.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._fanout import fan_out
 from .degree_model import EdgeTypeDist, NodeTypeDist, conditional_dists
-from .errors import InvalidConfiguration, NotATree
+from .errors import InvalidConfiguration, NotATree, integral
 from .sampler import DEFAULT_DELTA, generate_graph
 
 MAX_EMBED_EDGES = 4
@@ -56,8 +55,8 @@ class Attachment:
     def __post_init__(self):
         if self.orientation not in ("in", "out"):
             raise InvalidConfiguration(f"orientation must be 'in' or 'out', got {self.orientation!r}")
-        object.__setattr__(self, "node", _integer(self.node))
-        object.__setattr__(self, "parent", _integer(self.parent))
+        object.__setattr__(self, "node", integral(self.node, InvalidConfiguration))
+        object.__setattr__(self, "parent", integral(self.parent, InvalidConfiguration))
         object.__setattr__(self, "node_type", _type_pair(self.node_type))
 
 
@@ -143,16 +142,7 @@ def _type_pair(value):
         return None
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InvalidConfiguration(f"a node type is a [j, k] pair or null, got {value!r}")
-    return _integer(value[0]), _integer(value[1])
-
-
-def _integer(value) -> int:
-    """value as an int; InvalidConfiguration unless it is an integral number other than a bool."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InvalidConfiguration(f"expected an integer, got {value!r}")
+    return integral(value[0], InvalidConfiguration), integral(value[1], InvalidConfiguration)
 
 
 def config_to_dict(h: ConfigurationTree) -> dict:

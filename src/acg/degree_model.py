@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentPair, InvalidDistribution, ZeroMeanDegree
+from .errors import InconsistentPair, InvalidDistribution, ZeroMeanDegree, integral
 
 RENORM_TOL = 1e-9
 CONSISTENCY_TOL = 1e-9
@@ -258,7 +258,8 @@ def self_loop_rate(p: NodeTypeDist, q: EdgeTypeDist) -> float:
 def load_params(source) -> tuple[NodeTypeDist, EdgeTypeDist]:
     """Load a (P, Q) pair from a JSON file path, file object, or dict.
 
-    Schema: {"K": int, "P": [[...]], "Q": [[...]] | "independent"}.
+    Schema: {"K": int, "P": [[...]], "Q": [[...]] | "independent"}; K is an
+    integral number (2.0 reads as 2), so 2.7, true or "2" raise InvalidDistribution.
     """
     if isinstance(source, dict):
         raw = source
@@ -268,7 +269,7 @@ def load_params(source) -> tuple[NodeTypeDist, EdgeTypeDist]:
         with open(source, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     try:
-        k_cut = int(raw["K"])
+        k_cut = integral(raw["K"], InvalidDistribution)
         p_weights = raw["P"]
         q_spec = raw["Q"]
     except (KeyError, TypeError, ValueError) as exc:

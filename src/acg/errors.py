@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule of every input parse."""
+
+import numbers
+
+import numpy as np
 
 
 class AcgError(Exception):
@@ -66,8 +70,24 @@ class NotATree(AcgError, ValueError):
 
 
 class DegenerateVariance(AcgError, ValueError):
-    """A correlation is undefined because one coordinate has zero variance."""
+    """A statistic is undefined: a coordinate with zero variance, or too few replicates or edge types for it."""
 
 
 class MalformedSample(AcgError, ValueError):
     """A sample file does not have the layout write_sample gives it."""
+
+
+def integral(value, error) -> int:
+    """value as an int; error unless it is an integral number other than a bool (2.0 reads as 2)."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and value.is_integer():
+        return int(value)
+    raise error(f"expected an integer, got {value!r}")
+
+
+def integral_array(values, error) -> np.ndarray:
+    """values as an int64 array, each entry read by integral; an integer-typed array passes on its dtype."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.int64, copy=False)
+    return np.vectorize(lambda v: integral(v, error), otypes=[np.int64])(np.asarray(values, dtype=object))

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,6 +39,7 @@ from .errors import (
     CapExceeded,
     MarginMismatch,
     ZeroPartition,
+    integral_array,
 )
 
 DEFAULT_TABLE_CAP = 60
@@ -64,19 +64,12 @@ def _zero(w):
 
 
 def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[np.ndarray, np.ndarray, int]:
-    em = np.asarray(e_minus)
-    ep = np.asarray(e_plus)
+    em = integral_array(e_minus, MarginMismatch)
+    ep = integral_array(e_plus, MarginMismatch)
     if em.shape != (size,) or ep.shape != (size,):
         raise MarginMismatch(f"margins must have length {size}, got {em.shape} and {ep.shape}")
-    if (
-        (em < 0).any()
-        or (ep < 0).any()
-        or not np.array_equal(em, em.astype(int))
-        or not np.array_equal(ep, ep.astype(int))
-    ):
+    if (em < 0).any() or (ep < 0).any():
         raise MarginMismatch("margins must be nonnegative integers")
-    em = em.astype(int)
-    ep = ep.astype(int)
     if em[0] != 0 or ep[0] != 0:
         raise MarginMismatch("degree-0 stubs cannot exist; margin entry 0 must be zero")
     total_minus = int(em.sum())
@@ -90,15 +83,11 @@ def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[np.ndarray, np
 
 def margins_of_sequence(pairs, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Stub-count margins (e-, e+) of a node-type sequence of (j, k) pairs with degrees 0..size-1."""
-    try:
-        seq = np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):
-        raise MarginMismatch("expected a sequence of (j, k) integer pairs") from None
+    seq = integral_array(pairs, MarginMismatch)
     if seq.ndim != 2 or seq.shape[1] != 2:
         raise MarginMismatch(f"expected a sequence of (j, k) pairs, got shape {seq.shape}")
-    if not np.array_equal(seq, np.floor(seq)) or seq.min(initial=0) < 0 or seq.max(initial=0) >= size:
+    if seq.min(initial=0) < 0 or seq.max(initial=0) >= size:
         raise MarginMismatch(f"sequence degrees must be integers in 0..{size - 1}")
-    seq = seq.astype(int)
     degrees = np.arange(size)
     em = degrees * np.bincount(seq[:, 0], minlength=size)
     ep = degrees * np.bincount(seq[:, 1], minlength=size)
@@ -273,7 +262,9 @@ def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
 
 
 def _pad_table(table, size: int) -> np.ndarray:
-    t = np.asarray(table, dtype=int)
+    t = integral_array(table, MarginMismatch)
+    if t.ndim != 2 or (t < 0).any():
+        raise MarginMismatch(f"a table is a 2-d array of nonnegative integers, got shape {t.shape}")
     if t.shape[0] > size or t.shape[1] > size:
         raise MarginMismatch(f"table shape {t.shape} exceeds distribution size {size}")
     pad = np.zeros((size, size), dtype=int)
@@ -302,10 +293,10 @@ def _cross_check(what, direct, ratio) -> None:
 
 def _edge_type(t, size: int) -> tuple[int, int]:
     """t as a (k, j) pair of ints; MarginMismatch unless it is a pair of integers in 0..size-1."""
-    try:
-        k, j = map(operator.index, t)
-    except (TypeError, ValueError):
-        raise MarginMismatch(f"an edge type is a (k, j) pair of integers, got {t!r}") from None
+    pair = integral_array(t, MarginMismatch)
+    if pair.shape != (2,):
+        raise MarginMismatch(f"an edge type is a (k, j) pair of integers, got {t!r}")
+    k, j = map(int, pair)
     if not (0 <= k < size and 0 <= j < size):
         raise MarginMismatch(f"edge type ({k}, {j}) lies outside degrees 0..{size - 1}")
     return k, j

@@ -51,6 +51,7 @@ from .errors import (
     InvalidDistribution,
     MalformedSample,
     RetriesExhausted,
+    integral_array,
 )
 
 DEFAULT_DELTA = 0.25
@@ -62,14 +63,17 @@ _WRITE_ROWS = 1 << 16  # rows per chunk of a sample file, which bounds the text 
 
 @dataclass(frozen=True)
 class NodeTypeSequence:
-    """Per-node degree pairs; entry i is node i's (in-degree, out-degree)."""
+    """Per-node degree pairs; entry i is node i's (in-degree, out-degree).
+
+    Degrees are integral numbers (2.0 reads as 2): 1.5, true or "1" raise InvalidDistribution.
+    """
 
     in_degrees: np.ndarray
     out_degrees: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "in_degrees", np.asarray(self.in_degrees, dtype=np.int64))
-        object.__setattr__(self, "out_degrees", np.asarray(self.out_degrees, dtype=np.int64))
+        object.__setattr__(self, "in_degrees", integral_array(self.in_degrees, InvalidDistribution))
+        object.__setattr__(self, "out_degrees", integral_array(self.out_degrees, InvalidDistribution))
         if self.in_degrees.shape != self.out_degrees.shape or self.in_degrees.ndim != 1:
             raise InvalidDistribution("degree arrays must be 1-d and equally long")
         if self.in_degrees.min(initial=0) < 0 or self.out_degrees.min(initial=0) < 0:
@@ -126,7 +130,8 @@ def clip_sequence(
     Returns None when |D| exceeds the threshold N^(1/2+delta) (caller
     redraws).  D = 0 is accepted unchanged.  The adjusted indices form a
     uniform random subset of the nodes that can absorb an increment;
-    ClipOverflow is raised when fewer than |D| nodes can.
+    ClipOverflow is raised when fewer than |D| nodes can, and
+    InfeasibleSequence when D != 0 and no rng is given.
     """
     d = x.discrepancy
     if d == 0:
@@ -135,7 +140,7 @@ def clip_sequence(
     if abs(d) > clip_threshold(n, delta):
         return None
     if rng is None:
-        raise ValueError("clipping a nonzero discrepancy needs an rng")
+        raise InfeasibleSequence("clipping a nonzero discrepancy needs an rng")
     if d > 0:
         degrees = x.in_degrees
     else:

@@ -199,14 +199,14 @@ def first_edges_distribution(
     Chi-square compares the empirical counts with reps * prod Q over the
     supported type tuples; for length >= 2 the mutual information
     between the first two edge types is reported in nats.  Rep r draws
-    from the stream [seed, r].  ValueError, before any draw, unless
+    from the stream [seed, r].  DegenerateVariance, before any draw, unless
     1 <= length <= 5 and reps >= the number of those tuples.
     """
     if length < 1 or length > 5:
-        raise ValueError("length must be between 1 and 5")
+        raise DegenerateVariance("length must be between 1 and 5")
     support = [(k, j) for k in range(q.K + 1) for j in range(q.K + 1) if q.matrix[k, j] > 0]
     if len(support) ** length > reps:
-        raise ValueError(
+        raise DegenerateVariance(
             f"{len(support) ** length} tuples of {length} edge types exceed {reps} reps: "
             "under one expected count per cell, the chi-square means nothing"
         )
@@ -279,11 +279,11 @@ def self_loop_poisson(
 
     The mean is flagged against the predicted rate at 4 standard errors
     and the variance/mean ratio is reported; a Poisson count keeps that
-    ratio near 1.  Rep r draws from the stream [seed, r].  ValueError,
+    ratio near 1.  Rep r draws from the stream [seed, r].  DegenerateVariance,
     before any draw, unless reps >= 2: one count has no sample variance.
     """
     if reps < 2:
-        raise ValueError(f"the self-loop suite needs at least 2 reps, got {reps}")
+        raise DegenerateVariance(f"the self-loop suite needs at least 2 reps, got {reps}")
 
     def self_loops(rep):
         return int(generate_graph(p, q, n, delta=delta, seed=[seed, rep]).self_loop_mask.sum())

@@ -64,7 +64,7 @@ def test_gradient_matches_finite_differences(bal2):
     h = 1e-6
     for _ in range(5):
         alpha = rng.normal(scale=0.5, size=4)
-        grad = asym.h_derivatives(alpha, e, q, order=1)
+        grad, _ = asym.h_derivatives(alpha, e, q)
         for i in range(4):
             step = np.zeros(4)
             step[i] = h
@@ -76,15 +76,15 @@ def test_hessian_matches_finite_differences_and_kills_gauge(bal2):
     _, q = bal2
     e = asym.double_vector([0.4, 0.6], [0.3, 0.7])
     alpha = np.array([0.2, -0.1, 0.05, 0.3])
-    hess = asym.h_derivatives(alpha, e, q, order=2)
+    _, hess = asym.h_derivatives(alpha, e, q)
     assert np.abs(hess @ asym.gauge_direction(2)).max() < 1e-14
     h = 1e-5
     for i in range(4):
         step = np.zeros(4)
         step[i] = h
         fd = (
-            asym.h_derivatives(alpha + step, e, q, order=1)
-            - asym.h_derivatives(alpha - step, e, q, order=1)
+            asym.h_derivatives(alpha + step, e, q)[0]
+            - asym.h_derivatives(alpha - step, e, q)[0]
         ) / (2 * h)
         assert np.abs(hess[:, i] - fd).max() < 1e-7
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -31,6 +32,66 @@ SINGLE_IN_EDGE = {
     "root": [1, 2],
     "attachments": [{"node": 1, "parent": 0, "edge": "in", "type": [2, 1]}],
 }
+
+
+# small arguments for every runnable command, keyed by the words that name it
+SMALL_RUNS = {
+    ("generate",): ["--n", "50", "--seed", "1"],
+    ("exact", "partition"): ["--margins", "1,2:1,2"],
+    ("exact", "mean"): ["--margins", "1,2:1,2", "--type", "2,2"],
+    ("exact", "var"): ["--margins", "1,2:1,2", "--type", "2,2"],
+    ("exact", "joint"): ["--sequence", "1,2;2,1", "--types", "2,2"],
+    ("exact", "oracle"): ["--sequence", "1,2;2,1"],
+    ("asymptotics", "critical-point"): ["--x", "0.4,0.6:0.3,0.7"],
+    ("asymptotics", "edge-mean"): ["--x", "0.4,0.6:0.3,0.7", "--type", "2,2"],
+    ("asymptotics", "laplace-check"): ["--margins", "4,8:4,8"],
+    ("configs", "predict"): ["--config", "config.json"],
+    ("configs", "count"): ["--config", "config.json", "--n", "60", "--samples", "2", "--seed", "3"],
+    ("validate",): ["--suite", "node-lln", "--sizes", "50,100", "--reps", "2", "--seed", "9"],
+}
+# keys under which an option's value appears when they differ from the option's name
+ECHO_KEYS = {
+    "params": ("params_file",),
+    "config": ("config_file",),
+    "margins": ("e_minus", "e_plus"),
+    "suite": ("suites",),
+}
+
+
+def _commands(parser, words=()):
+    """(words, parser) for every runnable command below parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _commands(child, (*words, name))
+
+
+def test_every_command_is_walked():
+    assert {words for words, _ in _commands(cli.build_parser())} == set(SMALL_RUNS)
+
+
+@pytest.mark.parametrize("words", sorted(SMALL_RUNS), ids=" ".join)
+def test_run_echo_holds_every_option(words, bal2_file, tmp_path, capsys, monkeypatch):
+    """Every option but --out-dir is in the run echo or at the top level of the result."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps(SINGLE_IN_EDGE))
+    run_ok([*words, "--params", bal2_file, *SMALL_RUNS[words], "--out-dir", "out"], capsys)
+    name = "meta.json" if len(words) == 1 else "_".join(words).replace("-", "_") + ".json"
+    result = read_json(tmp_path / "out" / name)
+    echo = result.get("run", result)
+    assert "out_dir" not in echo and echo["command"] == " ".join(words)
+    held = {*echo, *result}
+    parser = dict(_commands(cli.build_parser()))[words]
+    names = [a.option_strings[-1].lstrip("-").replace("-", "_") for a in parser._actions if a.option_strings]
+    missing = [
+        name
+        for name in names
+        if name not in ("help", "out_dir")
+        and not any(set(keys) <= held for keys in [(name,), ECHO_KEYS.get(name, (name,))])
+    ]
+    assert not missing
 
 
 def test_generate_writes_sample_files(bal2_file, tmp_path, capsys):
