@@ -258,8 +258,10 @@ def self_loop_rate(p: NodeTypeDist, q: EdgeTypeDist) -> float:
 def load_params(source) -> tuple[NodeTypeDist, EdgeTypeDist]:
     """Load a (P, Q) pair from a JSON file path, file object, or dict.
 
-    Schema: {"K": int, "P": [[...]], "Q": [[...]] | "independent"}; K is an
-    integral number (2.0 reads as 2), so 2.7, true or "2" raise InvalidDistribution.
+    Schema: {"K": int, "P": [[...]], "Q": [[...]] | "independent"}, plus the
+    "derived" block that params_dict adds, which is ignored; any other key
+    raises InvalidDistribution.  K is an integral number (2.0 reads as 2), so
+    2.7, true or "2" raise InvalidDistribution.
     """
     if isinstance(source, dict):
         raw = source
@@ -274,6 +276,9 @@ def load_params(source) -> tuple[NodeTypeDist, EdgeTypeDist]:
         q_spec = raw["Q"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDistribution(f"parameter object must define an integer K, P and Q: {exc}") from exc
+    unknown = sorted(map(str, raw.keys() - {"K", "P", "Q", "derived"}))
+    if unknown:
+        raise InvalidDistribution(f"parameter object has unknown keys {unknown}; allowed: K, P, Q, derived")
     p = NodeTypeDist.from_weights(p_weights)
     if p.K != k_cut:
         raise InvalidDistribution(f"P has shape for K={p.K} but K={k_cut} was declared")

@@ -10,7 +10,7 @@ class AcgError(Exception):
 
 
 class InvalidDistribution(AcgError, ValueError):
-    """A weight matrix is malformed (shape, negativity, or sum too far from 1)."""
+    """A weight matrix is malformed (shape, negativity, or sum too far from 1), or so is K, a degree or a size."""
 
 
 class ZeroMeanDegree(AcgError, ValueError):

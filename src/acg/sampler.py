@@ -27,6 +27,16 @@ serve as the kernel's test oracle.  The same kernel formats the rows of
 nodes.csv and edges.tsv (_columns); without it one "%d" format per row
 writes the same bytes.
 
+A graph of more than one write chunk (_WRITE_ROWS edges) runs on two
+threads when the kernel loaded, whose calls release the GIL, and more than
+one CPU is usable (_fanout._usable_cpus): sequential_wiring runs its two
+stub matchings at once, and write_sample writes nodes.csv on one thread
+while this one classifies the graph, then formats the chunks of edges.tsv
+on both, at most two chunks ahead of the one this thread writes.  Each
+chunk is formatted on its own and written in order, so the files and the
+random streams are those of the serial run, which smaller graphs, one CPU
+or the Python loops get.  Both threads are joined before the call returns.
+
 Randomness comes from numpy Generators made by default_rng(seed).  Callers
 that draw many graphs from one base seed give each its own stream by passing
 a list: [seed, index] for the index-th graph of `acg generate --samples`,
@@ -36,8 +46,10 @@ a list: [seed, index] for the index-th graph of `acg generate --samples`,
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -116,6 +128,9 @@ def draw_node_sequence(p: NodeTypeDist, n: int, rng: np.random.Generator) -> Nod
 
 
 def clip_threshold(n: int, delta: float) -> float:
+    """N^(1/2+delta), the largest |D| that clipping accepts; InvalidDistribution unless delta is finite."""
+    if not math.isfinite(delta):
+        raise InvalidDistribution(f"delta must be finite, got {delta!r}")
     return float(n) ** (0.5 + delta)
 
 
@@ -130,14 +145,15 @@ def clip_sequence(
     Returns None when |D| exceeds the threshold N^(1/2+delta) (caller
     redraws).  D = 0 is accepted unchanged.  The adjusted indices form a
     uniform random subset of the nodes that can absorb an increment;
-    ClipOverflow is raised when fewer than |D| nodes can, and
-    InfeasibleSequence when D != 0 and no rng is given.
+    ClipOverflow is raised when fewer than |D| nodes can, InfeasibleSequence
+    when D != 0 and no rng is given, and InvalidDistribution for a delta
+    that is not finite.
     """
+    threshold = clip_threshold(len(x), delta)
     d = x.discrepancy
     if d == 0:
         return x
-    n = len(x)
-    if abs(d) > clip_threshold(n, delta):
+    if abs(d) > threshold:
         return None
     if rng is None:
         raise InfeasibleSequence("clipping a nonzero discrepancy needs an rng")
@@ -357,6 +373,40 @@ def _owners(degrees: np.ndarray, types: np.ndarray, us: np.ndarray, col: int) ->
     return owners
 
 
+@contextlib.contextmanager
+def _threads(edges: int):
+    """Two worker threads for the halves of a graph of more than one write chunk, else None.
+
+    Threads start only when the kernel loaded, whose calls release the GIL,
+    and more than one CPU is usable; both are joined when the block ends,
+    and concurrent.futures is imported only when they start.
+    """
+    from . import _fanout  # here, not at the top: _fanout imports this module
+
+    if edges <= _WRITE_ROWS or _kernel() is None or _fanout._usable_cpus() < 2:
+        yield None
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(2) as pool:
+        yield pool
+
+
+class _Done:
+    """A call already made: what _submit returns without a pool."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def result(self):
+        return self.value
+
+
+def _submit(pool, fn, *args):
+    """fn(*args) on a pool thread, or at once without a pool; either way its result() is fn's."""
+    return _Done(fn(*args)) if pool is None else pool.submit(fn, *args)
+
+
 def sequential_wiring(
     x: NodeTypeSequence,
     q: EdgeTypeDist,
@@ -384,11 +434,14 @@ def sequential_wiring(
             restarts += 1
             if restarts > max_restarts:
                 raise DeadEnd(f"wiring stalled in {restarts} attempts") from None
+    with _threads(len(kt)) as pool:
+        src = _submit(pool, _owners, x.out_degrees, kt, us, 3)
+        dst = _owners(x.in_degrees, jt, us, 2)
     return MultiGraph(
         in_degrees=np.array(x.in_degrees),
         out_degrees=np.array(x.out_degrees),
-        edge_src=_owners(x.out_degrees, kt, us, 3),
-        edge_dst=_owners(x.in_degrees, jt, us, 2),
+        edge_src=src.result(),
+        edge_dst=dst,
         edge_out_type=kt,
         edge_in_type=jt,
         meta={"wiring_restarts": restarts, "uniform_fallback": used_fallback},
@@ -426,7 +479,8 @@ def accept_sequence(
 
     A sequence is redrawn while the discrepancy threshold rejects it or
     clipping overflows the cutoff; RetriesExhausted after max_redraws
-    redraws.  Returns (clipped sequence, raw discrepancy D, redraws).
+    redraws, and InvalidDistribution at the first clip for a delta that is
+    not finite.  Returns (clipped sequence, raw discrepancy D, redraws).
     """
     redraws = 0
     while True:
@@ -481,10 +535,17 @@ class GraphClassification:
 
 
 def classify_graph(g: MultiGraph) -> GraphClassification:
-    """Tabulate edge types, self-loops and parallel-edge excess."""
+    """Tabulate edge types, self-loops and parallel-edge excess.
+
+    MalformedSample if an edge type (k, j) falls outside the table that the
+    largest degree spans.
+    """
     size = int(max(g.in_degrees.max(initial=0), g.out_degrees.max(initial=0))) + 1
     codes = g.edge_out_type * size + g.edge_in_type
-    table = np.bincount(codes, minlength=size * size).reshape(size, size)
+    try:
+        table = np.bincount(codes, minlength=size * size).reshape(size, size)
+    except ValueError:  # a negative code, or one past the table
+        raise MalformedSample(f"an edge type lies outside 0..{size - 1}, the range of the degrees") from None
     self_loops = int(g.self_loop_mask.sum())
     pairs = np.sort(g.edge_src.astype(np.int64) * g.n_nodes + g.edge_dst)
     multi = int((pairs[1:] == pairs[:-1]).sum())
@@ -503,13 +564,19 @@ _EDGES_TSV = ("\t", ("edge_id", "src", "dst", "k", "j", "self_loop"))
 
 
 def write_sample(g: MultiGraph, out_dir) -> None:
-    """Write nodes.csv, edges.tsv and meta.json for one sample."""
+    """Write nodes.csv, edges.tsv and meta.json for one sample.
+
+    A negative entry raises MalformedSample and leaves no partial file;
+    nodes.csv is written first.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "nodes.csv", _columns(*_NODES_CSV, [g.in_degrees, g.out_degrees]))
     edges = [g.edge_src, g.edge_dst, g.edge_out_type, g.edge_in_type, g.self_loop_mask]
-    _atomic_write(out / "edges.tsv", _columns(*_EDGES_TSV, edges))
-    cls = classify_graph(g)
+    with _threads(g.n_edges) as pool:
+        nodes = _submit(pool, _atomic_write, out / "nodes.csv", _columns(*_NODES_CSV, [g.in_degrees, g.out_degrees]))
+        cls = classify_graph(g)
+        nodes.result()
+        _atomic_write(out / "edges.tsv", _columns(*_EDGES_TSV, edges, pool))
     meta = dict(g.meta)
     meta.update(
         {
@@ -560,35 +627,48 @@ def read_sample(sample_dir) -> MultiGraph:
     return MultiGraph(in_degrees, out_degrees, src, dst, k, j, meta=meta)
 
 
-def _columns(sep: str, header, cols):
+def _columns(sep: str, header, cols, pool=None):
     """Yield the header line, then the rows (row index and integer columns) as ASCII bytes in chunks of lines.
 
     The bytes are those of "%d" per field, joined by sep and ended by "\n":
-    no sign and no leading zero.  Each chunk of _WRITE_ROWS rows is copied
-    into one int64 block, which converts the bool self_loop column a chunk
-    at a time, and formatted by the compiled kernel when it loads, else by
-    one "%d" format per row.  A negative entry raises MalformedSample.
+    no sign and no leading zero.  Each chunk of _WRITE_ROWS rows is
+    formatted on its own (_chunk); with a pool, on its threads, at most two
+    chunks ahead of the one yielded, and yielded in order.  A negative entry
+    raises MalformedSample.
     """
     yield (sep.join(header) + "\n").encode("ascii")
     lib = _kernel()
-    line = sep.join(["%d"] * (len(cols) + 1)) + "\n"
-    rows = len(cols[0])
-    if lib is not None:
-        out = np.empty(min(rows, _WRITE_ROWS) * (len(cols) + 1) * 20, dtype=np.uint8)  # 19 digits and sep
-    for start in range(0, rows, _WRITE_ROWS):
-        stop = min(start + _WRITE_ROWS, rows)
-        block = np.empty((len(cols), stop - start), dtype=np.int64)
-        for row, col in zip(block, cols):
-            row[:] = col[start:stop]
-        if lib is None:
-            lines = map(line.__mod__, zip(range(start, stop), *block.tolist()))
-            text = None if block.min() < 0 else "".join(lines).encode("ascii")
-        else:
-            written = lib.format_rows(start, block, sep, out)
-            text = None if written < 0 else out[:written].tobytes()
-        if text is None:
-            raise MalformedSample(f"cannot write the negative entry {int(block.min())} to a sample file")
-        yield text
+    ahead = []
+    for start in range(0, len(cols[0]), _WRITE_ROWS):
+        ahead.append(_submit(pool, _chunk, lib, sep, cols, start))
+        if len(ahead) > (0 if pool is None else 2):
+            yield ahead.pop(0).result()
+    for chunk in ahead:
+        yield chunk.result()
+
+
+def _chunk(lib, sep: str, cols, start: int):
+    """Rows start to start + _WRITE_ROWS of _columns, as bytes.
+
+    The chunk is copied into one int64 block, which converts the bool
+    self_loop column a chunk at a time, and formatted by the compiled
+    kernel when it loads, else by one "%d" format per row.
+    """
+    stop = min(start + _WRITE_ROWS, len(cols[0]))
+    block = np.empty((len(cols), stop - start), dtype=np.int64)
+    for row, col in zip(block, cols):
+        row[:] = col[start:stop]
+    if lib is None:
+        line = sep.join(["%d"] * (len(cols) + 1)) + "\n"
+        lines = map(line.__mod__, zip(range(start, stop), *block.tolist()))
+        text = None if block.min() < 0 else "".join(lines).encode("ascii")
+    else:
+        out = np.empty((stop - start) * (len(cols) + 1) * 20, dtype=np.uint8)  # 19 digits and sep
+        written = lib.format_rows(start, block, sep, out)
+        text = None if written < 0 else out[:written].tobytes()
+    if text is None:
+        raise MalformedSample(f"cannot write the negative entry {int(block.min())} to a sample file")
+    return text
 
 
 def _read_columns(path: Path, sep: str, header) -> np.ndarray:

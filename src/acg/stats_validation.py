@@ -24,7 +24,7 @@ import numpy as np
 
 from ._fanout import fan_out
 from .degree_model import EdgeTypeDist, NodeTypeDist, self_loop_rate
-from .errors import DegenerateVariance
+from .errors import DegenerateVariance, InvalidDistribution, integral
 from .sampler import DEFAULT_DELTA, accept_sequence, first_edge_types, generate_graph
 
 SLOPE_WINDOW = (-0.65, -0.35)
@@ -97,6 +97,14 @@ def _fit_slope(sizes, deviations) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def _sizes(sizes) -> list:
+    """The sizes of an LLN suite as ints; InvalidDistribution unless each is an integral number of at least 1."""
+    sizes = [integral(v, InvalidDistribution) for v in sizes]
+    if min(sizes, default=1) < 1:
+        raise InvalidDistribution(f"suite sizes must be at least 1 node, got {min(sizes)}")
+    return sizes
+
+
 def _lln_report(kind, sizes, diffs, reps, seed, acceptance_rates=None) -> LLNReport:
     """Summarize |empirical - target| tables; diffs[i] holds one per rep at sizes[i]."""
     devs = [float(np.mean([d.max() for d in at_size])) for at_size in diffs]
@@ -126,9 +134,10 @@ def node_lln(
     """Deviation of clipped node-type frequencies from P at each size.
 
     Also reports the fraction of raw draws whose stub discrepancy passed
-    the clip threshold.
+    the clip threshold.  Each size is an integral number of nodes, at least
+    1; anything else raises InvalidDistribution.
     """
-    sizes = [int(v) for v in sizes]
+    sizes = _sizes(sizes)
     diffs, rates = [], []
     for size in sizes:
         rng = np.random.default_rng([seed, size])
@@ -156,9 +165,9 @@ def edge_lln(
     """Deviation of sampled edge-type frequencies from Q at each size.
 
     Rep r draws one graph at every size, the one of n nodes from the
-    stream [seed, n, r].
+    stream [seed, n, r].  Sizes are read as node_lln reads them.
     """
-    sizes = [int(v) for v in sizes]
+    sizes = _sizes(sizes)
     width = q.K + 1
 
     def deviations(rep):

@@ -105,6 +105,23 @@ def test_load_params_roundtrip(bal2):
     assert np.allclose(q.matrix, again_q.matrix, atol=1e-15)
 
 
+def test_load_params_reads_back_a_written_params_file(assort, tmp_path):
+    p, q = assort
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params_dict(p, q)))
+    again_p, again_q = load_params(path)
+    assert np.array_equal(p.matrix, again_p.matrix)
+    assert np.array_equal(q.matrix, again_q.matrix)
+    assert params_dict(again_p, again_q) == json.loads(path.read_text())
+
+
+def test_load_params_rejects_unknown_keys():
+    with pytest.raises(InvalidDistribution, match=r"unknown keys \['extra'\]"):
+        load_params({**BAL2_PARAMS, "extra": 1})
+    with pytest.raises(InvalidDistribution, match="unknown keys"):
+        load_params({**BAL2_PARAMS, "derived": {}, "Derived": {}})
+
+
 def test_load_params_from_file(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(BAL2_PARAMS))

@@ -30,6 +30,18 @@ def _suite(fn, **kwargs):
     return fn(*acg.load_params(BAL2_PARAMS), n=20, seed=1, **kwargs)
 
 
+def _lln(fn, sizes):
+    p, q = acg.load_params(BAL2_PARAMS)
+    args = (p,) if fn is acg.node_lln else (p, q)
+    return fn(*args, sizes, reps=2, seed=1)
+
+
+def _clip_100(delta):
+    """clip_sequence of D = 100 at N = 100, which delta 0.25 rejects (100 > 100^0.75)."""
+    x = acg.NodeTypeSequence(np.zeros(100, dtype=np.int64), np.ones(100, dtype=np.int64))
+    return acg.clip_sequence(x, 2, delta=delta, rng=np.random.default_rng(0))
+
+
 # (call, whether it raised a ValueError before)
 CASES = {
     "double_vector-ragged": (lambda: acg.double_vector([1.0, 2.0], [1.0]), True),
@@ -72,6 +84,17 @@ CASES = {
     "first_edges_distribution-no-edges": (lambda: _suite(acg.first_edges_distribution, length=0, reps=50), True),
     "first_edges_distribution-few-reps": (lambda: _suite(acg.first_edges_distribution, length=1, reps=1), True),
     "self_loop_poisson-one-rep": (lambda: _suite(acg.self_loop_poisson, reps=1), True),
+    # inputs that were truncated or ignored: LLN sizes read by int(), a NaN delta, an unknown params key
+    "node_lln-fractional-sizes": (lambda: _lln(acg.node_lln, [100.7, 200.2]), False),
+    "node_lln-true-size": (lambda: _lln(acg.node_lln, [True, 200]), False),
+    "edge_lln-fractional-sizes": (lambda: _lln(acg.edge_lln, [100.7, 200.2]), False),
+    "edge_lln-negative-size": (lambda: _lln(acg.edge_lln, [-3, 200]), True),
+    "clip_sequence-nan-delta": (lambda: _clip_100(float("nan")), False),
+    "accept_sequence-nan-delta": (
+        lambda: acg.accept_sequence(acg.load_params(BAL2_PARAMS)[0], 100, float("nan"), np.random.default_rng(1)),
+        False,
+    ),
+    "load_params-unknown-key": (lambda: acg.load_params({**BAL2_PARAMS, "extra": 1}), False),
 }
 
 

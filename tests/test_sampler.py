@@ -1,6 +1,9 @@
 import hashlib
 import shutil
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from acg import sampler
+from acg import _fanout, sampler
 from acg.degree_model import EdgeTypeDist, NodeTypeDist, load_params
 from acg.errors import (
     AcgError,
@@ -147,6 +150,16 @@ def test_clip_rejects_large_discrepancy():
     x = seq([(0, 2), (0, 2), (0, 2), (0, 0)])
     assert clip_sequence(x, 2, delta=0.5, rng=np.random.default_rng(0)) is None
     assert clip_threshold(4, 0.5) == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+def test_clip_rejects_a_delta_that_is_not_finite(delta):
+    x = seq([(0, 1)] * 100)  # D = 100 at N = 100, which delta 0.25 rejects
+    assert clip_sequence(x, 2, delta=0.25, rng=np.random.default_rng(0)) is None
+    with pytest.raises(InvalidDistribution, match="delta must be finite"):
+        clip_sequence(x, 2, delta=delta, rng=np.random.default_rng(0))
+    with pytest.raises(InvalidDistribution, match="delta must be finite"):
+        clip_sequence(seq([(1, 1)]), 2, delta=delta)  # balanced, so nothing to clip
 
 
 def test_clip_overflow_when_no_room():
@@ -335,6 +348,79 @@ def test_sample_files_across_chunks_match_golden_digests(wiring_path, bal2, tmp_
     write_sample(g, tmp_path)
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("nodes.csv", "edges.tsv"))
     assert digests == GOLDEN_FILES_100K
+
+
+def _threads_running(monkeypatch, *names):
+    """{name: idents of the threads that ran it} for these sampler functions, filled as they run."""
+    seen = {}
+    for name in names:
+        fn = getattr(sampler, name)
+
+        def spy(*args, fn=fn, name=name):
+            seen.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args)
+
+        monkeypatch.setattr(sampler, name, spy)
+    return seen
+
+
+def test_a_large_sample_is_the_same_bytes_on_one_and_two_cpus(wiring_path, bal2, tmp_path, monkeypatch):
+    files = []
+    seen = _threads_running(monkeypatch, "_owners", "_chunk", "_atomic_write", "classify_graph")
+    for cpus in (1, 2):
+        monkeypatch.setattr(_fanout, "_usable_cpus", lambda: cpus)
+        seen.clear()
+        alive = threading.active_count()
+        g = generate_graph(*bal2, 100_000, seed=7)
+        assert threading.active_count() == alive
+        write_sample(g, tmp_path / f"{cpus}cpu")
+        assert threading.active_count() == alive
+        files.append([(tmp_path / f"{cpus}cpu" / f).read_bytes() for f in ("nodes.csv", "edges.tsv", "meta.json")])
+        # the workers run only private helpers; classify_graph, which a tracer wraps, stays on this thread
+        assert seen["classify_graph"] == {threading.get_ident()}
+        helpers = ["_owners", "_chunk", "_atomic_write"]
+        threaded = [name for name in helpers if seen[name] != {threading.get_ident()}]
+        assert threaded == (helpers if cpus == 2 and wiring_path == "native" else [])
+    assert files[0] == files[1]
+    assert tuple(hashlib.sha256(data).hexdigest() for data in files[0][:2]) == GOLDEN_FILES_100K
+
+
+def test_a_graph_of_one_write_chunk_starts_no_thread(bal2, tmp_path, monkeypatch):
+    monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
+    seen = _threads_running(monkeypatch, "_owners", "_chunk", "_atomic_write")
+    g = generate_graph(*bal2, 40_000, seed=7)
+    assert g.n_edges <= sampler._WRITE_ROWS
+    write_sample(g, tmp_path)
+    assert set(seen) == {"_owners", "_chunk", "_atomic_write"}
+    assert all(idents == {threading.get_ident()} for idents in seen.values())
+
+
+def test_generate_below_the_gate_never_imports_concurrent_futures(bal2_file, tmp_path):
+    code = (
+        "import sys, acg.cli; "
+        f"acg.cli.run(['generate', '--params', {bal2_file!r}, '--n', '500', '--seed', '1', '--out-dir', {str(tmp_path)!r}]); "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize(
+    "column, at, left",
+    [("in_degrees", 7, []), ("edge_dst", -5, ["nodes.csv"]), ("edge_dst", 3, ["nodes.csv"]),
+     ("edge_out_type", 70_000, ["nodes.csv"])],
+    ids=["nodes", "last-edge-chunk", "first-edge-chunk", "edge-type"],
+)
+def test_a_negative_entry_in_a_large_sample_leaves_no_partial_file(column, at, left, bal2, tmp_path, monkeypatch):
+    monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
+    g = generate_graph(*bal2, 100_000, seed=7)
+    getattr(g, column)[at] = -1
+    alive = threading.active_count()
+    with pytest.raises(MalformedSample):
+        write_sample(g, tmp_path)
+    assert threading.active_count() == alive
+    assert sorted(p.name for p in tmp_path.iterdir()) == left
 
 
 # entries where the digit count or the four-digit group count changes, and the widest int64
