@@ -4,116 +4,80 @@ Directed random multigraphs whose edge types (source out-degree, target
 in-degree) follow a prescribed joint distribution: approximate sequential
 simulation, exact small-instance combinatorics, saddlepoint asymptotics,
 local configuration probabilities, and statistical validation suites.
+
+Names resolve on first use.  `import acg` imports no submodule; reading
+acg.<name> imports the module that _EXPORTS names for it, then keeps the
+value in the package namespace, so later reads cost nothing.  A command
+of the `acg` CLI thus loads only the layers it runs, and `--help` loads
+no numpy.
 """
 
-from .asymptotics import (
-    CriticalPointResult,
-    asymptotic_edge_mean,
-    double_vector,
-    h_derivatives,
-    h_value,
-    solve_critical_point,
-    split_parts,
-)
-from .config_probability import (
-    Attachment,
-    ConfigurationTree,
-    config_from_dict,
-    config_to_dict,
-    count_config_occurrences,
-    count_in_graphs,
-    count_in_samples,
-    tree_config_prob,
-)
-from .degree_model import (
-    ConsistencyReport,
-    EdgeTypeDist,
-    NodeTypeDist,
-    conditional_dists,
-    derive_marginals,
-    independent_edge_dist,
-    load_params,
-    self_loop_rate,
-    validate_pair,
-)
-from .errors import AcgError
-from .exact_kernel import (
-    enumerate_wirings_oracle,
-    exact_edge_mean,
-    exact_edge_variance,
-    joint_first_M_prob,
-    log_partition,
-    margins_of_sequence,
-    table_probability,
-)
-from .sampler import (
-    MultiGraph,
-    NodeTypeSequence,
-    accept_sequence,
-    classify_graph,
-    clip_sequence,
-    draw_node_sequence,
-    generate_graph,
-    sequential_wiring,
-    stub_census,
-)
-from .stats_validation import (
-    assortativity_coefficient,
-    assortativity_replicates,
-    edge_lln,
-    first_edges_distribution,
-    node_lln,
-    self_loop_poisson,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcgError",
-    "Attachment",
-    "ConfigurationTree",
-    "ConsistencyReport",
-    "CriticalPointResult",
-    "EdgeTypeDist",
-    "MultiGraph",
-    "NodeTypeDist",
-    "NodeTypeSequence",
-    "accept_sequence",
-    "assortativity_coefficient",
-    "assortativity_replicates",
-    "asymptotic_edge_mean",
-    "classify_graph",
-    "clip_sequence",
-    "conditional_dists",
-    "config_from_dict",
-    "config_to_dict",
-    "count_config_occurrences",
-    "count_in_graphs",
-    "count_in_samples",
-    "derive_marginals",
-    "double_vector",
-    "draw_node_sequence",
-    "edge_lln",
-    "enumerate_wirings_oracle",
-    "exact_edge_mean",
-    "exact_edge_variance",
-    "first_edges_distribution",
-    "generate_graph",
-    "h_derivatives",
-    "h_value",
-    "independent_edge_dist",
-    "joint_first_M_prob",
-    "load_params",
-    "log_partition",
-    "margins_of_sequence",
-    "node_lln",
-    "self_loop_poisson",
-    "self_loop_rate",
-    "sequential_wiring",
-    "solve_critical_point",
-    "split_parts",
-    "stub_census",
-    "table_probability",
-    "tree_config_prob",
-    "__version__",
-]
+# each public name -> the module that defines it
+_EXPORTS = {
+    "CriticalPointResult": "asymptotics",
+    "asymptotic_edge_mean": "asymptotics",
+    "double_vector": "asymptotics",
+    "h_derivatives": "asymptotics",
+    "h_value": "asymptotics",
+    "solve_critical_point": "asymptotics",
+    "split_parts": "asymptotics",
+    "Attachment": "config_probability",
+    "ConfigurationTree": "config_probability",
+    "config_from_dict": "config_probability",
+    "config_to_dict": "config_probability",
+    "count_config_occurrences": "config_probability",
+    "count_in_graphs": "config_probability",
+    "count_in_samples": "config_probability",
+    "tree_config_prob": "config_probability",
+    "ConsistencyReport": "degree_model",
+    "EdgeTypeDist": "degree_model",
+    "NodeTypeDist": "degree_model",
+    "conditional_dists": "degree_model",
+    "derive_marginals": "degree_model",
+    "independent_edge_dist": "degree_model",
+    "load_params": "degree_model",
+    "self_loop_rate": "degree_model",
+    "validate_pair": "degree_model",
+    "AcgError": "errors",
+    "enumerate_wirings_oracle": "exact_kernel",
+    "exact_edge_mean": "exact_kernel",
+    "exact_edge_variance": "exact_kernel",
+    "joint_first_M_prob": "exact_kernel",
+    "log_partition": "exact_kernel",
+    "margins_of_sequence": "exact_kernel",
+    "table_probability": "exact_kernel",
+    "MultiGraph": "sampler",
+    "NodeTypeSequence": "sampler",
+    "accept_sequence": "sampler",
+    "classify_graph": "sampler",
+    "clip_sequence": "sampler",
+    "draw_node_sequence": "sampler",
+    "generate_graph": "sampler",
+    "sequential_wiring": "sampler",
+    "stub_census": "sampler",
+    "assortativity_coefficient": "stats_validation",
+    "assortativity_replicates": "stats_validation",
+    "edge_lln": "stats_validation",
+    "first_edges_distribution": "stats_validation",
+    "node_lln": "stats_validation",
+    "self_loop_poisson": "stats_validation",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

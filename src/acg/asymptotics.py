@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact_kernel
+from ._common import DEFAULT_MAX_ITER, DEFAULT_TOL
 from .errors import MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin, integral
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 100
 ARMIJO_C = 1e-4
 TWO_PI = 2.0 * math.pi
 
@@ -96,12 +95,18 @@ def _weight_matrix(alpha, qcore):
 
 
 def h_value(alpha, e, q):
-    """H(alpha; e) = sum_kj exp(alpha . delta_jk) Q[k, j] - alpha . e."""
+    """H(alpha; e) = sum_kj exp(alpha . delta_jk) Q[k, j] - alpha . e.
+
+    alpha may be complex, as the Fourier integrand needs; MarginMismatch
+    unless alpha and e are numeric double vectors matching Q.
+    """
     alpha = np.asarray(alpha)
     e = np.asarray(e)
     qcore = _core(q)
     if alpha.shape != (2 * qcore.shape[0],) or e.shape != alpha.shape:
         raise MarginMismatch("alpha and e must be double vectors matching Q")
+    if alpha.dtype.kind not in "biufc" or e.dtype.kind not in "biufc":
+        raise MarginMismatch(f"alpha and e must be arrays of numbers, got {alpha.dtype} and {e.dtype}")
     return _weight_matrix(alpha, qcore).sum() - np.dot(alpha, e)
 
 

@@ -18,6 +18,14 @@ All files are written atomically (temp file, then rename) and contain
 no timestamps, so repeated runs with the same seed are byte-identical.
 Seeds resolve in order: --seed flag, ACG_SEED environment variable,
 fresh random draw (logged to stderr and recorded in the echo).
+
+Each command imports only the layer it runs, when it runs: generate the
+sampler, exact the exact kernel, asymptotics the saddlepoint layer,
+configs the configuration counter and validate the suites.  At the top
+this module imports the standard library and acg's numpy-free modules
+alone (errors, and _common with the parser's defaults), so `--help` and
+a rejected flag load no numpy and no layer.  Every layer a command needs
+is imported before it forks a replicate worker or starts a thread.
 """
 
 from __future__ import annotations
@@ -26,20 +34,21 @@ import argparse
 import json
 import math
 import os
-import secrets
 import shutil
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import asymptotics as asym
-from . import config_probability as cfg
-from . import exact_kernel as kernel
-from . import stats_validation as sv
-from .degree_model import load_params, params_dict, require_consistent
+from ._common import (
+    DEFAULT_DELTA,
+    DEFAULT_MAX_ITER,
+    DEFAULT_MAX_REDRAWS,
+    DEFAULT_MAX_RESTARTS,
+    DEFAULT_TABLE_CAP,
+    DEFAULT_TOL,
+    ORACLE_CAP,
+    _atomic_write,
+)
 from .errors import AcgError
-from .sampler import DEFAULT_DELTA, DEFAULT_MAX_REDRAWS, DEFAULT_MAX_RESTARTS, _atomic_write, generate_graph, write_sample
 
 SUITES = ("node-lln", "edge-lln", "first-edges", "self-loops", "assortativity")
 
@@ -152,13 +161,48 @@ def _resolve_seed(flag_value):
         if seed < 0:
             raise AcgError(f"ACG_SEED must be a nonnegative integer, got {env!r}")
         return seed, "env"
+    import secrets
+
     seed = secrets.randbits(32)
     print(f"no seed given; drew seed={seed}", file=sys.stderr)
     return seed, "generated"
 
 
+def to_jsonable(obj):
+    """Recursively convert reports and numpy values to JSON-ready types."""
+    import dataclasses
+
+    import numpy as np  # both loaded with the params file, before any result is written
+
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {_key_str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [to_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
+        return repr(obj)
+    return obj
+
+
+def _key_str(key):
+    import numpy as np
+
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, np.integer)):
+        return str(int(key))
+    return repr(key)
+
+
 def _json(obj) -> str:
-    return json.dumps(sv.to_jsonable(obj), indent=2, sort_keys=True)
+    return json.dumps(to_jsonable(obj), indent=2, sort_keys=True)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -186,10 +230,6 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _zero_slot(counts) -> np.ndarray:
-    return np.concatenate([[0], np.asarray(counts, dtype=int)])
-
-
 def _run_echo(args, *held) -> dict:
     """The command with its action and every flag but --out-dir, less those the result holds (held)."""
     echo = {key: value for key, value in vars(args).items() if key not in {"action", "func", "out_dir", *held}}
@@ -198,6 +238,9 @@ def _run_echo(args, *held) -> dict:
 
 
 def _cmd_generate(args, p, q, out) -> int:
+    from .degree_model import params_dict
+    from .sampler import generate_graph, write_sample
+
     run_echo = _run_echo(args)
     created = []  # sample directories this run made, removed again if it fails
     try:
@@ -231,24 +274,26 @@ def _cmd_generate(args, p, q, out) -> int:
 
 
 def _cmd_exact(args, p, q, out) -> int:
+    from . import exact_kernel as kernel
+
     echo = _run_echo(args, "margins", "type", "sequence", "types")
     if args.action == "partition":
-        em, ep = (_zero_slot(half) for half in args.margins)
+        em, ep = ([0, *half] for half in args.margins)
         result = {
             "C": float(kernel.partition_C(em, ep, q, cap=args.cap)),
-            "e_minus": em.tolist(),
-            "e_plus": ep.tolist(),
+            "e_minus": em,
+            "e_plus": ep,
             "log_partition": kernel.log_partition(em, ep, q, cap=args.cap),
         }
         _emit(out / "exact_partition.json", {**result, "run": echo}, line=_json(result))
     elif args.action in ("mean", "var"):
-        em, ep = (_zero_slot(half) for half in args.margins)
+        em, ep = ([0, *half] for half in args.margins)
         k, j = args.type
         fn = kernel.exact_edge_mean if args.action == "mean" else kernel.exact_edge_variance
         value = float(fn(em, ep, q, k, j, cap=args.cap))
         result = {
-            "e_minus": em.tolist(),
-            "e_plus": ep.tolist(),
+            "e_minus": em,
+            "e_plus": ep,
             "run": echo,
             "type": [k, j],
             "value": value,
@@ -287,9 +332,11 @@ def _cmd_exact(args, p, q, out) -> int:
 
 
 def _cmd_asymptotics(args, p, q, out) -> int:
+    from . import asymptotics as asym
+
     echo = _run_echo(args, "type")
     if args.action == "critical-point":
-        x = asym.double_vector(np.asarray(args.x[0], float), np.asarray(args.x[1], float))
+        x = asym.double_vector(*args.x)
         res = asym.solve_critical_point(x, q, tol=args.tol, max_iter=args.max_iter)
         minus, plus = asym.split_parts(res.alpha)
         result = {
@@ -303,7 +350,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
         }
         _emit(out / "asymptotics_critical_point.json", result)
     elif args.action == "edge-mean":
-        x = asym.double_vector(np.asarray(args.x[0], float), np.asarray(args.x[1], float))
+        x = asym.double_vector(*args.x)
         k, j = args.type
         value = asym.asymptotic_edge_mean(x, q, k, j, tol=args.tol)
         result = {
@@ -313,8 +360,8 @@ def _cmd_asymptotics(args, p, q, out) -> int:
         }
         _emit(out / "asymptotics_edge_mean.json", result, line=f"{value:.10f}")
     else:
-        e = asym.double_vector(np.asarray(args.margins[0], float), np.asarray(args.margins[1], float))
-        edge_total = int(round(float(np.sum(args.margins[0]))))
+        e = asym.double_vector(*args.margins)
+        edge_total = sum(args.margins[0])
         log_lap = asym.log_laplace_I_approx(e, q, tol=args.tol)
         log_ex = None
         ratio = None
@@ -333,6 +380,8 @@ def _cmd_asymptotics(args, p, q, out) -> int:
 
 
 def _cmd_configs(args, p, q, out) -> int:
+    from . import config_probability as cfg
+
     with open(args.config_file) as fh:
         h = cfg.config_from_dict(json.load(fh))
     if args.action == "predict":
@@ -368,6 +417,8 @@ _SUITE_DEFAULTS = {
 
 
 def _run_suite(suite, p, q, args):
+    from . import stats_validation as sv
+
     seed = args.seed
     n_default, reps_default = _SUITE_DEFAULTS[suite]
     n = n_default if args.n is None else args.n
@@ -395,6 +446,8 @@ def _run_suite(suite, p, q, args):
 
 def _cmd_validate(args, p, q, out) -> int:
     """Run every requested suite, then write meta.json and the reports: a failed suite leaves no file."""
+    from .degree_model import params_dict
+
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     results = [(suite, *_run_suite(suite, p, q, args)) for suite in suites]
     _write_json(out / "meta.json", {**_run_echo(args, "suite"), "params": params_dict(p, q), "suites": suites})
@@ -442,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--cap",
             type=_int_at_least(0),
-            default=kernel.ORACLE_CAP if name == "oracle" else kernel.DEFAULT_TABLE_CAP,
+            default=ORACLE_CAP if name == "oracle" else DEFAULT_TABLE_CAP,
             help="edge-count cap (default %(default)s)",
         )
         if name in ("partition", "mean", "var"):
@@ -463,14 +516,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("laplace-check", "compare the Laplace approximation against the exact partition sum"),
     ):
         sp = asy_sub.add_parser(name, parents=[io], help=help_text)
-        sp.add_argument("--tol", type=_tol_arg, default=asym.DEFAULT_TOL, help="gradient tolerance (default %(default)s)")
+        sp.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL, help="gradient tolerance (default %(default)s)")
         if name == "laplace-check":
             sp.add_argument("--margins", type=_margins_arg, required=True, help="counts for degrees 1..K, '1,2:1,2'")
-            sp.add_argument("--cap", type=_int_at_least(0), default=kernel.DEFAULT_TABLE_CAP, help="exact-side edge cap")
+            sp.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_TABLE_CAP, help="exact-side edge cap")
         else:
             sp.add_argument("--x", type=_point_arg, required=True, help="margin point 'a,b:c,d' for degrees 1..K")
         if name == "critical-point":
-            sp.add_argument("--max-iter", type=_int_at_least(1), default=asym.DEFAULT_MAX_ITER)
+            sp.add_argument("--max-iter", type=_int_at_least(1), default=DEFAULT_MAX_ITER)
         if name == "edge-mean":
             sp.add_argument("--type", type=_type_arg, required=True, help="edge type 'k,j'")
         sp.set_defaults(func=_cmd_asymptotics, action=name)
@@ -503,6 +556,8 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    from .degree_model import load_params, require_consistent
+
     try:
         p, q = load_params(args.params_file)
         if "seed" in vars(args):  # a sampling command

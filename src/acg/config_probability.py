@@ -28,7 +28,7 @@ import numpy as np
 
 from ._fanout import fan_out
 from .degree_model import EdgeTypeDist, NodeTypeDist, conditional_dists
-from .errors import InvalidConfiguration, NotATree, integral
+from .errors import InvalidConfiguration, InvalidDistribution, NotATree, integral
 from .sampler import DEFAULT_DELTA, generate_graph
 
 MAX_EMBED_EDGES = 4
@@ -316,9 +316,11 @@ def count_in_samples(
     h is checked before any graph is drawn.  The samples are spread over
     the usable CPUs (fan_out); each graph is drawn, counted and dropped in
     the process that draws it, and the report does not depend on how many
-    CPUs there are.
+    CPUs there are.  InvalidDistribution unless samples is an integer of at
+    least 1 and seed one of at least 0.
     """
     _types_in_range(_countable_types(h), p.K)
+    samples, seed = integral(samples, InvalidDistribution, 1), integral(seed, InvalidDistribution, 0)
 
     def count_sample(i):
         return count_config_occurrences(generate_graph(p, q, n, delta=delta, seed=[seed, i]), h)

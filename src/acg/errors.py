@@ -1,8 +1,13 @@
-"""Exception types shared across the package, and the integer rule of every input parse."""
+"""Exception types shared across the package, and the integer rule of every input parse.
+
+Only integral_array imports numpy, when it builds an array: the command-line
+parser loads this module, and `acg <command> --help` loads no numpy.
+"""
+
+from __future__ import annotations
 
 import numbers
-
-import numpy as np
+import sys
 
 
 class AcgError(Exception):
@@ -10,7 +15,7 @@ class AcgError(Exception):
 
 
 class InvalidDistribution(AcgError, ValueError):
-    """A weight matrix is malformed (shape, negativity, or sum too far from 1), or so is K, a degree or a size."""
+    """A weight matrix is malformed (shape, negativity, or sum too far from 1), or so is K, a degree, a size, a count or a seed."""
 
 
 class ZeroMeanDegree(AcgError, ValueError):
@@ -77,17 +82,24 @@ class MalformedSample(AcgError, ValueError):
     """A sample file does not have the layout write_sample gives it."""
 
 
-def integral(value, error) -> int:
-    """value as an int; error unless it is an integral number other than a bool (2.0 reads as 2)."""
+def integral(value, error, low=None) -> int:
+    """value as an int; error unless it is an integral number other than a bool (2.0 reads as 2), at least low if given."""
+    np = sys.modules.get("numpy")  # a numpy float exists only once numpy is loaded
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and value.is_integer():
-        return int(value)
-    raise error(f"expected an integer, got {value!r}")
+        number = int(value)
+    elif isinstance(value, float if np is None else (float, np.floating)) and value.is_integer():
+        number = int(value)
+    else:
+        raise error(f"expected an integer, got {value!r}")
+    if low is not None and number < low:
+        raise error(f"expected an integer >= {low}, got {value!r}")
+    return number
 
 
 def integral_array(values, error) -> np.ndarray:
     """values as an int64 array, each entry read by integral; an integer-typed array passes on its dtype."""
+    import numpy as np
+
     if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
         return values.astype(np.int64, copy=False)
     return np.vectorize(lambda v: integral(v, error), otypes=[np.int64])(np.asarray(values, dtype=object))

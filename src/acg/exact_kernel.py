@@ -34,16 +34,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._common import DEFAULT_TABLE_CAP, ORACLE_CAP
 from .errors import (
     AcgError,
     CapExceeded,
+    InvalidDistribution,
     MarginMismatch,
     ZeroPartition,
     integral_array,
 )
-
-DEFAULT_TABLE_CAP = 60
-ORACLE_CAP = 7
 
 _LN2 = math.log(2.0)
 _BALANCE_SWEEPS = 20
@@ -53,10 +52,13 @@ _ROUTE_TOL = 1e-12  # relative agreement required of the two moment routes for f
 
 
 def _weights(q) -> list[list]:
-    """Q as nested lists: of Fractions when any entry is a Fraction, else of floats."""
-    rows = [list(row) for row in getattr(q, "matrix", q)]
-    cast = Fraction if any(isinstance(x, Fraction) for row in rows for x in row) else float
-    return [[cast(x) for x in row] for row in rows]
+    """Q as nested lists: of Fractions when any entry is a Fraction, else of floats; InvalidDistribution if not numbers."""
+    try:
+        rows = [list(row) for row in getattr(q, "matrix", q)]
+        cast = Fraction if any(isinstance(x, Fraction) for row in rows for x in row) else float
+        return [[cast(x) for x in row] for row in rows]
+    except (TypeError, ValueError):
+        raise InvalidDistribution(f"Q must be a matrix of numbers, got {q!r}") from None
 
 
 def _zero(w):

@@ -55,6 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._common import DEFAULT_DELTA, DEFAULT_MAX_REDRAWS, DEFAULT_MAX_RESTARTS, _atomic_write
 from .degree_model import GUIDE_BUCKETS, EdgeTypeDist, NodeTypeDist
 from .errors import (
     ClipOverflow,
@@ -63,12 +64,10 @@ from .errors import (
     InvalidDistribution,
     MalformedSample,
     RetriesExhausted,
+    integral,
     integral_array,
 )
 
-DEFAULT_DELTA = 0.25
-DEFAULT_MAX_RESTARTS = 10
-DEFAULT_MAX_REDRAWS = 1000
 _REFRESH_EVERY = 4096  # steps between exact refreshes of drifting weight sums
 _WRITE_ROWS = 1 << 16  # rows per chunk of a sample file, which bounds the text held at once
 
@@ -114,9 +113,9 @@ def draw_node_sequence(p: NodeTypeDist, n: int, rng: np.random.Generator) -> Nod
     b / GUIDE_BUCKETS <= u, is a lower bound on i.  Stepping up while
     cdf <= u compares the same doubles as the search, so it stops at i
     (the last cdf entry is 1 > u).  Same cells, same generator state.
+    InvalidDistribution unless n is an integer of at least 1.
     """
-    if n < 1:
-        raise InvalidDistribution(f"need at least one node, got n={n}")
+    n = integral(n, InvalidDistribution, 1)
     cells = p.cells
     u = rng.random(n)
     idx = cells.guide[(u * GUIDE_BUCKETS).astype(np.intp)]
@@ -505,9 +504,14 @@ def generate_graph(
     max_redraws: int = DEFAULT_MAX_REDRAWS,
     max_restarts: int = DEFAULT_MAX_RESTARTS,
 ) -> MultiGraph:
-    """Draw, clip and wire one multigraph of n nodes (see accept_sequence)."""
+    """Draw, clip and wire one multigraph of n nodes (see accept_sequence).
+
+    InvalidDistribution unless n is an integer of at least 1 and seed is
+    None or an integer or list of integers, each at least 0.
+    """
     if p.K != q.K:
         raise InvalidDistribution(f"node K={p.K} does not match edge K={q.K}")
+    seed = _seed(seed)
     rng = np.random.default_rng(seed)
     x, d_raw, redraws = accept_sequence(p, n, delta, rng, max_redraws)
     g = sequential_wiring(x, q, rng, max_restarts=max_restarts)
@@ -522,6 +526,15 @@ def generate_graph(
         }
     )
     return g
+
+
+def _seed(seed):
+    """seed for default_rng: None, or an integer or a sequence of integers, each read by integral and at least 0."""
+    if seed is None:
+        return None
+    if isinstance(seed, (list, tuple, np.ndarray)):
+        return [integral(s, InvalidDistribution, 0) for s in seed]
+    return integral(seed, InvalidDistribution, 0)
 
 
 @dataclass(frozen=True)
@@ -694,20 +707,3 @@ def _read_columns(path: Path, sep: str, header) -> np.ndarray:
         row = out_of_order[0]
         raise MalformedSample(f"{path.name}: row {row} has the {header[0]} {table[0, row]}, expected {row}")
     return table[1:]
-
-
-def _atomic_write(path: Path, parts) -> None:
-    """Write a string, or an iterable of strings or bytes in order, to a temp file, then rename it to path.
-
-    Strings are written as UTF-8 and nothing translates line ends.  A
-    failed write removes the temp file and leaves path as it was.
-    """
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for part in [parts] if isinstance(parts, str) else parts:
-                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    tmp.replace(path)

@@ -14,7 +14,6 @@ over the usable CPUs with the serial loop's results; node-LLN draws all
 reps of a size from one stream, so it runs them in order.
 """
 
-import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -98,10 +97,10 @@ def _fit_slope(sizes, deviations) -> float:
 
 
 def _sizes(sizes) -> list:
-    """The sizes of an LLN suite as ints; InvalidDistribution unless each is an integral number of at least 1."""
-    sizes = [integral(v, InvalidDistribution) for v in sizes]
-    if min(sizes, default=1) < 1:
-        raise InvalidDistribution(f"suite sizes must be at least 1 node, got {min(sizes)}")
+    """The sizes of an LLN suite as ints; InvalidDistribution unless there is one and each is an integral number of at least 1."""
+    sizes = [integral(v, InvalidDistribution, 1) for v in sizes]
+    if not sizes:
+        raise InvalidDistribution("an LLN suite needs at least one size")
     return sizes
 
 
@@ -134,10 +133,12 @@ def node_lln(
     """Deviation of clipped node-type frequencies from P at each size.
 
     Also reports the fraction of raw draws whose stub discrepancy passed
-    the clip threshold.  Each size is an integral number of nodes, at least
-    1; anything else raises InvalidDistribution.
+    the clip threshold.  sizes holds at least one size, each an integral
+    number of nodes, at least 1; reps is an integer of at least 1 and seed
+    one of at least 0.  Anything else raises InvalidDistribution.
     """
     sizes = _sizes(sizes)
+    reps, seed = integral(reps, InvalidDistribution, 1), integral(seed, InvalidDistribution, 0)
     diffs, rates = [], []
     for size in sizes:
         rng = np.random.default_rng([seed, size])
@@ -165,9 +166,10 @@ def edge_lln(
     """Deviation of sampled edge-type frequencies from Q at each size.
 
     Rep r draws one graph at every size, the one of n nodes from the
-    stream [seed, n, r].  Sizes are read as node_lln reads them.
+    stream [seed, n, r].  Sizes, reps and seed are read as node_lln reads them.
     """
     sizes = _sizes(sizes)
+    reps, seed = integral(reps, InvalidDistribution, 1), integral(seed, InvalidDistribution, 0)
     width = q.K + 1
 
     def deviations(rep):
@@ -208,9 +210,12 @@ def first_edges_distribution(
     Chi-square compares the empirical counts with reps * prod Q over the
     supported type tuples; for length >= 2 the mutual information
     between the first two edge types is reported in nats.  Rep r draws
-    from the stream [seed, r].  DegenerateVariance, before any draw, unless
-    1 <= length <= 5 and reps >= the number of those tuples.
+    from the stream [seed, r].  InvalidDistribution unless length and reps
+    are integers and seed one of at least 0; DegenerateVariance, before any
+    draw, unless 1 <= length <= 5 and reps >= the number of those tuples.
     """
+    length, reps = integral(length, InvalidDistribution), integral(reps, InvalidDistribution)
+    seed = integral(seed, InvalidDistribution, 0)
     if length < 1 or length > 5:
         raise DegenerateVariance("length must be between 1 and 5")
     support = [(k, j) for k in range(q.K + 1) for j in range(q.K + 1) if q.matrix[k, j] > 0]
@@ -232,10 +237,7 @@ def first_edges_distribution(
     expected = np.array(
         [reps * math.prod(q.matrix[k, j] for k, j in c) for c in cells]
     )
-    off_support = reps - int(observed.sum())
-    if off_support:
-        chi2, p_value = float("inf"), 0.0
-    elif len(cells) == 1:
+    if len(cells) == 1:
         chi2, p_value = 0.0, 1.0
     else:
         chi2 = ((observed - expected) ** 2 / expected).sum()
@@ -250,7 +252,7 @@ def first_edges_distribution(
         chi_square=float(chi2),
         p_value=float(p_value),
         dof=len(cells) - 1,
-        off_support=off_support,
+        off_support=reps - int(observed.sum()),  # 0: first_edge_types picks only types where Q > 0
         mutual_information=mi,
     )
 
@@ -288,9 +290,11 @@ def self_loop_poisson(
 
     The mean is flagged against the predicted rate at 4 standard errors
     and the variance/mean ratio is reported; a Poisson count keeps that
-    ratio near 1.  Rep r draws from the stream [seed, r].  DegenerateVariance,
+    ratio near 1.  Rep r draws from the stream [seed, r].  InvalidDistribution
+    unless reps is an integer and seed one of at least 0; DegenerateVariance,
     before any draw, unless reps >= 2: one count has no sample variance.
     """
+    reps, seed = integral(reps, InvalidDistribution), integral(seed, InvalidDistribution, 0)
     if reps < 2:
         raise DegenerateVariance(f"the self-loop suite needs at least 2 reps, got {reps}")
 
@@ -346,7 +350,10 @@ def assortativity_replicates(
 
     A graph whose coefficient is undefined gives None, and the mean is
     taken over the others; it is None when no graph has a coefficient.
+    InvalidDistribution unless reps is an integer of at least 1 and seed
+    one of at least 0.
     """
+    reps, seed = integral(reps, InvalidDistribution, 1), integral(seed, InvalidDistribution, 0)
 
     def coefficient(rep):
         g = generate_graph(p, q, n, delta=delta, seed=[seed, rep])
@@ -364,30 +371,3 @@ def assortativity_replicates(
         coefficients=tuple(coeffs),
         mean_coefficient=float(np.mean(usable)) if usable else None,
     )
-
-
-def to_jsonable(obj):
-    """Recursively convert reports and numpy values to JSON-ready types."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {_key_str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return repr(obj)
-    return obj
-
-
-def _key_str(key):
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, np.integer)):
-        return str(int(key))
-    return repr(key)

@@ -1,13 +1,16 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from acg import cli, config_probability
+from acg import cli, config_probability, sampler
+
+SRC = Path(cli.__file__).parent
 
 
 def run_ok(argv, capsys):
@@ -518,7 +521,7 @@ def test_configs_count_checks_the_configuration_before_sampling(bal2_file, tmp_p
     def no_sampling(*args, **kwargs):
         raise AssertionError("a graph was drawn for a configuration the counter rejects")
 
-    monkeypatch.setattr(cli, "generate_graph", no_sampling)
+    monkeypatch.setattr(sampler, "generate_graph", no_sampling)
     monkeypatch.setattr(config_probability, "generate_graph", no_sampling)
     code = cli.run([
         "configs", "count", "--params", bal2_file, "--config", config_file(tmp_path, {"attachments": attachments}),
@@ -531,17 +534,51 @@ def test_configs_count_checks_the_configuration_before_sampling(bal2_file, tmp_p
     assert not (tmp_path / "configs_count.json").exists()
 
 
-def test_cli_import_leaves_scipy_out():
-    proc = subprocess.run(
-        [
-            sys.executable, "-c",
-            "import sys, acg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        ],
-        capture_output=True,
-        text=True,
-    )
+def _cli(*argv):
+    """A statement that runs the CLI on argv and exits with its status."""
+    return f"import acg.cli\nraise SystemExit(acg.cli.run({list(argv)!r}))"
+
+
+# (prelude, statement, modules the statement must not load) per row; a module
+# covers its submodules, and a fresh interpreter runs each row next to bal2.json
+IMPORT_FOOTPRINTS = {
+    "import-acg": ("", "import acg", [f"acg.{path.stem}" for path in SRC.glob("*.py") if path.stem != "__init__"]),
+    **{
+        f"{command}-help": ("", _cli(command, "--help"), ["numpy"])
+        for command in sorted({words[0] for words in SMALL_RUNS})
+    },
+    "exact-partition": (
+        "",
+        _cli("exact", "partition", "--params", "bal2.json", "--margins", "1,2:1,2", "--out-dir", "out"),
+        ["acg.sampler", "acg._fanout", "acg.config_probability", "acg.stats_validation"],
+    ),
+    "generate": (
+        "",
+        _cli("generate", "--params", "bal2.json", "--n", "50", "--seed", "1", "--out-dir", "out"),
+        ["acg.exact_kernel", "acg.asymptotics"],
+    ),
+    # numpy itself may import ctypes; importing the sampler must add neither it nor the kernel
+    "sampler-builds-no-kernel": ("import numpy", "import acg.cli, acg.sampler", ["ctypes", "acg._wiring"]),
+    # scipy serves the benchmark only
+    "every-layer-leaves-scipy-out": ("", "from acg import *", ["scipy"]),
+}
+
+
+@pytest.mark.parametrize("row", IMPORT_FOOTPRINTS)
+def test_import_footprint(row, bal2_file, tmp_path):
+    prelude, statement, absent = IMPORT_FOOTPRINTS[row]
+    code = "\n".join([
+        "import atexit, sys",
+        prelude,
+        "before = set(sys.modules)",
+        "atexit.register(lambda: print('loaded:', *sorted(set(sys.modules) - before)))",
+        statement,
+    ])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    loaded = proc.stdout.splitlines()[-1].split()[1:]
+    assert [m for m in loaded if any(m == a or m.startswith(a + ".") for a in absent)] == []
 
 
 @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])

@@ -27,13 +27,22 @@ def _count_five_edges():
 
 
 def _suite(fn, **kwargs):
-    return fn(*acg.load_params(BAL2_PARAMS), n=20, seed=1, **kwargs)
+    return fn(*acg.load_params(BAL2_PARAMS), **{"n": 20, "seed": 1, **kwargs})
 
 
-def _lln(fn, sizes):
+def _lln(fn, sizes, reps=2):
     p, q = acg.load_params(BAL2_PARAMS)
     args = (p,) if fn is acg.node_lln else (p, q)
-    return fn(*args, sizes, reps=2, seed=1)
+    return fn(*args, sizes, reps=reps, seed=1)
+
+
+def _graph(n, seed=1):
+    return acg.generate_graph(*acg.load_params(BAL2_PARAMS), n, seed=seed)
+
+
+def _count_in_samples(samples):
+    edge = cfg.ConfigurationTree((1, 2), [cfg.Attachment(1, 0, "in", (2, 1))])
+    return acg.count_in_samples(edge, *acg.load_params(BAL2_PARAMS), 20, samples, 1)
 
 
 def _clip_100(delta):
@@ -95,6 +104,19 @@ CASES = {
         False,
     ),
     "load_params-unknown-key": (lambda: acg.load_params({**BAL2_PARAMS, "extra": 1}), False),
+    # suite inputs that gave an empty report, NaN deviations or a raw numpy error
+    "node_lln-no-sizes": (lambda: _lln(acg.node_lln, []), False),
+    "edge_lln-no-reps": (lambda: _lln(acg.edge_lln, [100, 200], reps=0), False),
+    "generate_graph-fractional-n": (lambda: _graph(2.5), False),
+    "generate_graph-true-n": (lambda: _graph(True), False),
+    "generate_graph-negative-seed": (lambda: _graph(20, seed=-1), True),
+    "assortativity_replicates-negative-seed": (lambda: _suite(acg.assortativity_replicates, reps=2, seed=-1), True),
+    "assortativity_replicates-no-reps": (lambda: _suite(acg.assortativity_replicates, reps=0), False),
+    "count_in_samples-no-samples": (lambda: _count_in_samples(0), False),
+    "self_loop_poisson-fractional-reps": (lambda: _suite(acg.self_loop_poisson, reps=2.5), False),
+    "first_edges_distribution-true-length": (lambda: _suite(acg.first_edges_distribution, length=True, reps=50), False),
+    "h_value-strings": (lambda: acg.h_value(np.array(["a", "b", "c", "d"]), np.zeros(4), _q()), False),
+    "table_probability-string-Q": (lambda: acg.table_probability([[0, 0, 0], [0, 1, 0], [0, 0, 1]], "abc"), True),
 }
 
 

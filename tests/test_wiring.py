@@ -2,8 +2,6 @@
 
 import ctypes
 import shutil
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -108,15 +106,3 @@ def test_stub_matching_needs_one_step_per_stub():
     pool, owners = np.zeros(steps, dtype=np.int64), np.zeros(steps, dtype=np.int64)
     with pytest.raises(ValueError, match="2 steps for 3 stubs"):
         sampler._kernel().assign_stubs(degrees, np.ones(steps, dtype=np.int64), np.zeros((steps, 4)), 2, pool, owners)
-
-
-def test_cli_import_builds_no_kernel():
-    # numpy itself may import ctypes; acg.cli must add neither it nor the kernel
-    code = (
-        "import sys, numpy; before = 'ctypes' in sys.modules; import acg.cli, acg.sampler; "
-        "print(('ctypes' in sys.modules) == before, 'acg._wiring' in sys.modules, "
-        "acg.sampler._kernel.cache_info().currsize)"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "False", "0"]
