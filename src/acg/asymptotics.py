@@ -21,7 +21,7 @@ import numpy as np
 
 from . import exact_kernel
 from ._common import DEFAULT_MAX_ITER, DEFAULT_TOL
-from .errors import MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin, integral
+from .errors import InvalidDistribution, MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin, finite, integral
 
 ARMIJO_C = 1e-4
 TWO_PI = 2.0 * math.pi
@@ -168,7 +168,10 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     x is a double vector of normalized margins (both parts sum to 1).
     Iterates live on an orthonormal basis of the subspace orthogonal to
     the gauge direction, with Armijo backtracking; the start is alpha=0.
+    InvalidDistribution unless tol is a finite number > 0 and max_iter an
+    integer of at least 1.
     """
+    tol, max_iter = finite(tol, InvalidDistribution, above=0), integral(max_iter, InvalidDistribution, 1)
     x = _floats(x)
     qcore = _core(q)
     size = qcore.shape[0]

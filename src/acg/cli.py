@@ -26,6 +26,12 @@ this module imports the standard library and acg's numpy-free modules
 alone (errors, and _common with the parser's defaults), so `--help` and
 a rejected flag load no numpy and no layer.  Every layer a command needs
 is imported before it forks a replicate worker or starts a thread.
+
+The validation suites are one table, SUITES: a row holds a suite's run
+and its --n and --reps defaults, and each report builds its own TSV and
+summary line.  A numeric flag parses its text and reads the number by
+the rule the library reads the parameter with (errors.integral,
+errors.finite), so both reject the same values with the same message.
 """
 
 from __future__ import annotations
@@ -48,57 +54,36 @@ from ._common import (
     ORACLE_CAP,
     _atomic_write,
 )
-from .errors import AcgError
+from .errors import AcgError, finite, integral
 
-SUITES = ("node-lln", "edge-lln", "first-edges", "self-loops", "assortativity")
+
+def _parsed(text: str, parse):
+    """text read by parse (int or float), or text itself where it does not parse, for a rule to reject."""
+    try:
+        return parse(text)
+    except ValueError:
+        return text
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low, read by errors.integral."""
+    return lambda text: integral(_parsed(text, int), argparse.ArgumentTypeError, low)
+
+
+def _finite_above(above=None):
+    """argparse type: a finite number, greater than above if given, read by errors.finite."""
+    return lambda text: finite(_parsed(text, float), argparse.ArgumentTypeError, above)
 
 
 def _int_list(text: str) -> list:
     """argparse type: comma-separated integers, each at least 1."""
-    try:
-        values = [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    values = [_int_at_least(1)(tok) for tok in text.split(",") if tok]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one integer")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"expected integers >= 1, got {text!r}")
     return values
 
 
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
-
-
-def _tol_arg(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"expected a number > 0, got {text!r}")
-    return value
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
-        return value
-
-    return parse
-
-
-def _halves(text: str, caster, what: str):
+def _halves(text: str, caster):
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected '<minus>:<plus>' halves, got {text!r}")
@@ -106,7 +91,7 @@ def _halves(text: str, caster, what: str):
         minus = [caster(tok) for tok in parts[0].split(",") if tok]
         plus = [caster(tok) for tok in parts[1].split(",") if tok]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not minus or len(minus) != len(plus):
         raise argparse.ArgumentTypeError("minus and plus halves must be equal nonempty lists")
     return minus, plus
@@ -114,15 +99,12 @@ def _halves(text: str, caster, what: str):
 
 def _margins_arg(text: str):
     """'1,2:1,2' -> in/out edge counts for degrees 1..K."""
-    minus, plus = _halves(text, int, "integers")
-    if min(minus) < 0 or min(plus) < 0:
-        raise argparse.ArgumentTypeError("margin counts must be nonnegative")
-    return minus, plus
+    return _halves(text, _int_at_least(0))
 
 
 def _point_arg(text: str):
     """'0.25,0.25:0.25,0.25' -> normalized margin point for degrees 1..K."""
-    return _halves(text, float, "numbers")
+    return _halves(text, float)
 
 
 def _type_arg(text: str):
@@ -151,16 +133,10 @@ def _pairs_arg(text: str):
 
 def _resolve_seed(flag_value):
     if flag_value is not None:
-        return int(flag_value), "flag"
+        return flag_value, "flag"
     env = os.environ.get("ACG_SEED")
     if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise AcgError(f"ACG_SEED must be an integer, got {env!r}")
-        if seed < 0:
-            raise AcgError(f"ACG_SEED must be a nonnegative integer, got {env!r}")
-        return seed, "env"
+        return integral(_parsed(env, int), lambda message: AcgError(f"ACG_SEED: {message}"), 0), "env"
     import secrets
 
     seed = secrets.randbits(32)
@@ -406,42 +382,30 @@ def _cmd_configs(args, p, q, out) -> int:
     return 0
 
 
-# (n, reps) of each suite when --n / --reps are not given; the LLN suites take --sizes
-_SUITE_DEFAULTS = {
-    "node-lln": (None, 5),
-    "edge-lln": (None, 5),
-    "first-edges": (10000, 2000),
-    "self-loops": (2000, 200),
-    "assortativity": (10000, 20),
+# suite name -> (its run on (stats_validation, p, q, args, n, reps), its --n default, its --reps default);
+# the LLN suites read --sizes, so their --n default is None.  --suite all runs them in this order.
+SUITES = {
+    "node-lln": (lambda sv, p, q, a, n, reps: sv.node_lln(p, a.sizes, reps, a.seed, a.delta), None, 5),
+    "edge-lln": (lambda sv, p, q, a, n, reps: sv.edge_lln(p, q, a.sizes, reps, a.seed, a.delta), None, 5),
+    "first-edges": (
+        lambda sv, p, q, a, n, reps: sv.first_edges_distribution(p, q, n, a.length, reps, a.seed, a.delta),
+        10000,
+        2000,
+    ),
+    "self-loops": (lambda sv, p, q, a, n, reps: sv.self_loop_poisson(p, q, n, reps, a.seed, a.delta), 2000, 200),
+    "assortativity": (
+        lambda sv, p, q, a, n, reps: sv.assortativity_replicates(p, q, n, reps, a.seed, a.delta),
+        10000,
+        20,
+    ),
 }
 
 
 def _run_suite(suite, p, q, args):
-    from . import stats_validation as sv
+    from . import stats_validation
 
-    seed = args.seed
-    n_default, reps_default = _SUITE_DEFAULTS[suite]
-    n = n_default if args.n is None else args.n
-    reps = reps_default if args.reps is None else args.reps
-    if suite in ("node-lln", "edge-lln"):
-        if suite == "node-lln":
-            rep = sv.node_lln(p, args.sizes, reps=reps, seed=seed, delta=args.delta)
-        else:
-            rep = sv.edge_lln(p, q, args.sizes, reps=reps, seed=seed, delta=args.delta)
-        rows = list(zip(rep.sizes, rep.max_deviations, rep.tv_distances))
-        return rep, ("size", "max_deviation", "tv_distance"), rows, f"slope={rep.slope:.3f}"
-    if suite == "first-edges":
-        rep = sv.first_edges_distribution(p, q, n=n, length=args.length, reps=reps, seed=seed, delta=args.delta)
-        rows = [(rep.n, rep.chi_square, rep.p_value, rep.mutual_information)]
-        return rep, ("n", "chi_square", "p_value", "mutual_information"), rows, f"p={rep.p_value:.4f}"
-    if suite == "self-loops":
-        rep = sv.self_loop_poisson(p, q, n=n, reps=reps, seed=seed, delta=args.delta)
-        rows = [(rep.n, rep.mean, rep.predicted, rep.var_mean_ratio, rep.z_score)]
-        return rep, ("n", "mean", "predicted", "var_mean_ratio", "z_score"), rows, f"mean={rep.mean:.4f}"
-    rep = sv.assortativity_replicates(p, q, n=n, reps=reps, seed=seed, delta=args.delta)
-    rows = [(i, c if c is not None else float("nan")) for i, c in enumerate(rep.coefficients)]
-    mean_txt = "nan" if rep.mean_coefficient is None else f"{rep.mean_coefficient:.4f}"
-    return rep, ("rep", "coefficient"), rows, f"mean={mean_txt}"
+    run, n, reps = SUITES[suite]
+    return run(stats_validation, p, q, args, n if args.n is None else args.n, reps if args.reps is None else args.reps)
 
 
 def _cmd_validate(args, p, q, out) -> int:
@@ -449,10 +413,11 @@ def _cmd_validate(args, p, q, out) -> int:
     from .degree_model import params_dict
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    results = [(suite, *_run_suite(suite, p, q, args)) for suite in suites]
+    reports = [(suite, _run_suite(suite, p, q, args)) for suite in suites]
     _write_json(out / "meta.json", {**_run_echo(args, "suite"), "params": params_dict(p, q), "suites": suites})
-    for suite, rep, header, rows, summary in results:
+    for suite, rep in reports:
         stem = "validate_" + suite.replace("-", "_")
+        header, rows, summary = rep.table()
         _write_json(out / f"{stem}.json", {"report": rep, "suite": suite})
         _write_tsv(out / f"{stem}.tsv", header, rows)
         print(f"{suite}: {summary} -> {out / (stem + '.json')}")
@@ -473,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     io.add_argument("--out-dir", default=".", help="output directory (default current)")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="RNG seed (default: ACG_SEED, else random, logged)")
-    seeded.add_argument("--delta", type=_finite_float, default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
+    seeded.add_argument("--delta", type=_finite_above(), default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
 
     gen = sub.add_parser("generate", parents=[io, seeded], help="sample graphs and write nodes.csv / edges.tsv / meta.json")
     gen.add_argument("--n", type=_int_at_least(1), required=True, help="number of nodes")
@@ -516,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("laplace-check", "compare the Laplace approximation against the exact partition sum"),
     ):
         sp = asy_sub.add_parser(name, parents=[io], help=help_text)
-        sp.add_argument("--tol", type=_tol_arg, default=DEFAULT_TOL, help="gradient tolerance (default %(default)s)")
+        sp.add_argument("--tol", type=_finite_above(0), default=DEFAULT_TOL, help="gradient tolerance (default %(default)s)")
         if name == "laplace-check":
             sp.add_argument("--margins", type=_margins_arg, required=True, help="counts for degrees 1..K, '1,2:1,2'")
             sp.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_TABLE_CAP, help="exact-side edge cap")
@@ -540,11 +505,11 @@ def build_parser() -> argparse.ArgumentParser:
     cnt.set_defaults(func=_cmd_configs, action="count")
 
     val = sub.add_parser("validate", parents=[io, seeded], help="simulation test suites with JSON + TSV reports")
-    val.add_argument("--suite", choices=SUITES + ("all",), required=True)
+    val.add_argument("--suite", choices=(*SUITES, "all"), required=True)
     val.add_argument("--sizes", type=_int_list, default=[1000, 10000], help="graph sizes for LLN suites")
     val.add_argument("--reps", type=_int_at_least(1), default=None, help="repetitions (default depends on suite)")
     val.add_argument("--n", type=_int_at_least(1), default=None, help="graph size for non-LLN suites")
-    val.add_argument("--length", type=int, choices=range(1, 6), default=1, help="leading edge count for first-edges")
+    val.add_argument("--length", type=_int_at_least(1), choices=range(1, 6), default=1, help="leading edge count for first-edges")
     val.set_defaults(func=_cmd_validate)
 
     return parser

@@ -1,11 +1,15 @@
-"""Exception types shared across the package, and the integer rule of every input parse.
+"""Exception types shared across the package, and the rules every scalar input is read by.
 
-Only integral_array imports numpy, when it builds an array: the command-line
-parser loads this module, and `acg <command> --help` loads no numpy.
+integral reads an integer and finite a finite real number, each with an
+optional bound.  The library reads its arguments with them, and each
+command-line flag reads the number it parses, so both reject the same
+values with the same message.  Only integral_array imports numpy, when it
+builds an array: the parser loads this module, and `--help` loads no numpy.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 
@@ -15,7 +19,11 @@ class AcgError(Exception):
 
 
 class InvalidDistribution(AcgError, ValueError):
-    """A weight matrix is malformed (shape, negativity, or sum too far from 1), or so is K, a degree, a size, a count or a seed."""
+    """A weight matrix is malformed (shape, negativity, or sum too far from 1), or so is K, a degree, a size, a count or a seed.
+
+    Also a setting out of range: tol not finite and > 0, max_iter below 1,
+    a cap, max_redraws, max_restarts or count below 0, or delta not finite.
+    """
 
 
 class ZeroMeanDegree(AcgError, ValueError):
@@ -93,6 +101,21 @@ def integral(value, error, low=None) -> int:
         raise error(f"expected an integer, got {value!r}")
     if low is not None and number < low:
         raise error(f"expected an integer >= {low}, got {value!r}")
+    return number
+
+
+def finite(value, error, above=None) -> float:
+    """value as a float; error unless it is a real number other than a bool, finite, and greater than above if given."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"expected a finite number, got {value!r}")
+    if above is not None and number <= above:
+        raise error(f"expected a number > {above}, got {value!r}")
     return number
 
 

@@ -41,6 +41,7 @@ from .errors import (
     InvalidDistribution,
     MarginMismatch,
     ZeroPartition,
+    integral,
     integral_array,
 )
 
@@ -66,6 +67,7 @@ def _zero(w):
 
 
 def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+    cap = integral(cap, InvalidDistribution, 0)
     em = integral_array(e_minus, MarginMismatch)
     ep = integral_array(e_plus, MarginMismatch)
     if em.shape != (size,) or ep.shape != (size,):

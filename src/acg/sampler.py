@@ -49,7 +49,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -64,6 +63,7 @@ from .errors import (
     InvalidDistribution,
     MalformedSample,
     RetriesExhausted,
+    finite,
     integral,
     integral_array,
 )
@@ -128,9 +128,7 @@ def draw_node_sequence(p: NodeTypeDist, n: int, rng: np.random.Generator) -> Nod
 
 def clip_threshold(n: int, delta: float) -> float:
     """N^(1/2+delta), the largest |D| that clipping accepts; InvalidDistribution unless delta is finite."""
-    if not math.isfinite(delta):
-        raise InvalidDistribution(f"delta must be finite, got {delta!r}")
-    return float(n) ** (0.5 + delta)
+    return float(n) ** (0.5 + finite(delta, InvalidDistribution))
 
 
 def clip_sequence(
@@ -420,8 +418,10 @@ def sequential_wiring(
     draws one row of four uniforms per edge: two for the type chain and
     one for each stub.  A stalled attempt is restarted from scratch up to
     max_restarts times; the final attempt finishes under uniform stub
-    matching if it stalls too (flagged in meta).
+    matching if it stalls too (flagged in meta).  InvalidDistribution
+    unless max_restarts is an integer of at least 0.
     """
+    max_restarts = integral(max_restarts, InvalidDistribution, 0)
     margins = stub_census(x, k_cut=q.K)
     restarts = 0
     while True:
@@ -456,7 +456,9 @@ def first_edge_types(
     """Types (k, j) of the first `count` wired edges, without wiring any stub.
 
     Draws the same uniforms as the first `count` steps of sequential_wiring.
+    InvalidDistribution unless count is an integer of at least 0.
     """
+    count = integral(count, InvalidDistribution, 0)
     margins = stub_census(x, k_cut=q.K)
     if count > margins[1].sum():
         raise InfeasibleSequence(f"asked for {count} edges, sequence has {margins[1].sum()}")
@@ -479,8 +481,10 @@ def accept_sequence(
     A sequence is redrawn while the discrepancy threshold rejects it or
     clipping overflows the cutoff; RetriesExhausted after max_redraws
     redraws, and InvalidDistribution at the first clip for a delta that is
-    not finite.  Returns (clipped sequence, raw discrepancy D, redraws).
+    not finite.  InvalidDistribution, before any draw, unless max_redraws is
+    an integer of at least 0.  Returns (clipped sequence, raw discrepancy D, redraws).
     """
+    max_redraws = integral(max_redraws, InvalidDistribution, 0)
     redraws = 0
     while True:
         x = draw_node_sequence(p, n, rng)
@@ -506,11 +510,13 @@ def generate_graph(
 ) -> MultiGraph:
     """Draw, clip and wire one multigraph of n nodes (see accept_sequence).
 
-    InvalidDistribution unless n is an integer of at least 1 and seed is
-    None or an integer or list of integers, each at least 0.
+    InvalidDistribution unless n is an integer of at least 1, delta is
+    finite and seed is None or an integer or list of integers, each at
+    least 0.  meta records n, delta and seed as read: Python numbers.
     """
     if p.K != q.K:
         raise InvalidDistribution(f"node K={p.K} does not match edge K={q.K}")
+    n, delta = integral(n, InvalidDistribution, 1), finite(delta, InvalidDistribution)
     seed = _seed(seed)
     rng = np.random.default_rng(seed)
     x, d_raw, redraws = accept_sequence(p, n, delta, rng, max_redraws)

@@ -44,6 +44,11 @@ class LLNReport:
     reps: int
     seed: int
 
+    def table(self):
+        """The TSV header, TSV rows and summary line of this report in acg validate; every report has one."""
+        rows = list(zip(self.sizes, self.max_deviations, self.tv_distances))
+        return ("size", "max_deviation", "tv_distance"), rows, f"slope={self.slope:.3f}"
+
 
 @dataclass(frozen=True)
 class FirstEdgesReport:
@@ -60,6 +65,10 @@ class FirstEdgesReport:
     off_support: int
     mutual_information: float | None
 
+    def table(self):
+        rows = [(self.n, self.chi_square, self.p_value, self.mutual_information)]
+        return ("n", "chi_square", "p_value", "mutual_information"), rows, f"p={self.p_value:.4f}"
+
 
 @dataclass(frozen=True)
 class AssortativityReport:
@@ -70,6 +79,11 @@ class AssortativityReport:
     seed: int
     coefficients: tuple
     mean_coefficient: float | None
+
+    def table(self):
+        rows = list(enumerate(self.coefficients))  # an undefined coefficient, None, is written nan
+        mean = "nan" if self.mean_coefficient is None else f"{self.mean_coefficient:.4f}"
+        return ("rep", "coefficient"), rows, f"mean={mean}"
 
 
 @dataclass(frozen=True)
@@ -86,6 +100,10 @@ class SelfLoopReport:
     z_score: float
     var_mean_ratio: float
     mean_within_4se: bool
+
+    def table(self):
+        rows = [(self.n, self.mean, self.predicted, self.var_mean_ratio, self.z_score)]
+        return ("n", "mean", "predicted", "var_mean_ratio", "z_score"), rows, f"mean={self.mean:.4f}"
 
 
 def _fit_slope(sizes, deviations) -> float:

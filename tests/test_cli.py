@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from acg import cli, config_probability, sampler
+from acg import asymptotics, cli, config_probability, exact_kernel, sampler
+from acg.degree_model import load_params
+from acg.errors import AcgError
 
 SRC = Path(cli.__file__).parent
 
@@ -284,6 +286,20 @@ def test_validate_self_loops_suite(bal2_file, tmp_path, capsys):
     assert payload["report"]["reps"] == 30
 
 
+def test_validate_all_is_each_suite_alone_in_table_order(bal2_file, tmp_path, capsys):
+    flags = ["--params", bal2_file, "--sizes", "50,100", "--reps", "4", "--n", "60", "--seed", "2"]
+    out, _ = run_ok(["validate", "--suite", "all", *flags, "--out-dir", str(tmp_path / "all")], capsys)
+    assert read_json(tmp_path / "all" / "meta.json")["suites"] == list(cli.SUITES)
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == list(cli.SUITES)
+    for suite, line in zip(cli.SUITES, lines):
+        alone, _ = run_ok(["validate", "--suite", suite, *flags, "--out-dir", str(tmp_path / suite)], capsys)
+        assert alone.replace(str(tmp_path / suite), "OUT") == line.replace(str(tmp_path / "all"), "OUT") + "\n"
+        stem = "validate_" + suite.replace("-", "_")
+        for name in (f"{stem}.json", f"{stem}.tsv"):
+            assert (tmp_path / suite / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
 def test_exit_codes(bal2_file, tmp_path, capsys):
     assert cli.run([]) == 2
     capsys.readouterr()
@@ -534,9 +550,9 @@ def test_configs_count_checks_the_configuration_before_sampling(bal2_file, tmp_p
     assert not (tmp_path / "configs_count.json").exists()
 
 
-def _cli(*argv):
-    """A statement that runs the CLI on argv and exits with its status."""
-    return f"import acg.cli\nraise SystemExit(acg.cli.run({list(argv)!r}))"
+def _cli(*argv, status=0):
+    """A statement that runs the CLI on argv and exits with 0 when it returns status."""
+    return f"import acg.cli\nraise SystemExit(acg.cli.run({list(argv)!r}) != {status})"
 
 
 # (prelude, statement, modules the statement must not load) per row; a module
@@ -556,6 +572,17 @@ IMPORT_FOOTPRINTS = {
         "",
         _cli("generate", "--params", "bal2.json", "--n", "50", "--seed", "1", "--out-dir", "out"),
         ["acg.exact_kernel", "acg.asymptotics"],
+    ),
+    # a flag that its rule rejects stops the run before any layer loads
+    "validate-rejected-reps": (
+        "",
+        _cli("validate", "--params", "bal2.json", "--suite", "node-lln", "--reps", "0", "--out-dir", "out", status=2),
+        ["numpy"],
+    ),
+    "generate-rejected-delta": (
+        "",
+        _cli("generate", "--params", "bal2.json", "--n", "50", "--delta", "inf", "--out-dir", "out", status=2),
+        ["numpy"],
     ),
     # numpy itself may import ctypes; importing the sampler must add neither it nor the kernel
     "sampler-builds-no-kernel": ("import numpy", "import acg.cli, acg.sampler", ["ctypes", "acg._wiring"]),
@@ -597,6 +624,50 @@ def test_bad_tol_is_rejected(bal2_file, tmp_path, capsys, argv, value):
     assert code == 2
     assert "--tol" in err
     assert not out_dir.exists()
+
+
+_POINT = [0.4, 0.3, 0.6, 0.7]
+# flag -> (the command that reads it, a value its rule rejects, the library call that value feeds)
+SHARED_RULES = {
+    "--tol": (
+        ["asymptotics", "critical-point", "--x", "0.4,0.6:0.3,0.7"],
+        0.0,
+        lambda p, q, v: asymptotics.solve_critical_point(_POINT, q, tol=v),
+    ),
+    "--delta": (["generate", "--n", "50", "--seed", "1"], math.nan, lambda p, q, v: sampler.generate_graph(p, q, 50, v, 1)),
+    "--max-iter": (
+        ["asymptotics", "critical-point", "--x", "0.4,0.6:0.3,0.7"],
+        0,
+        lambda p, q, v: asymptotics.solve_critical_point(_POINT, q, max_iter=v),
+    ),
+    "--cap": (
+        ["exact", "partition", "--margins", "1,2:1,2"],
+        -1,
+        lambda p, q, v: exact_kernel.log_partition([0, 1, 2], [0, 1, 2], q, cap=v),
+    ),
+    "--max-redraws": (
+        ["generate", "--n", "50", "--seed", "1"],
+        -1,
+        lambda p, q, v: sampler.generate_graph(p, q, 50, seed=1, max_redraws=v),
+    ),
+    "--max-restarts": (
+        ["generate", "--n", "50", "--seed", "1"],
+        -1,
+        lambda p, q, v: sampler.generate_graph(p, q, 50, seed=1, max_restarts=v),
+    ),
+}
+
+
+@pytest.mark.parametrize("flag", SHARED_RULES)
+def test_a_flag_and_its_library_parameter_reject_a_value_alike(flag, bal2_file, tmp_path, capsys):
+    words, value, call = SHARED_RULES[flag]
+    code = cli.run([*words, "--params", bal2_file, flag, str(value), "--out-dir", str(tmp_path / "out")])
+    _, err = capsys.readouterr()
+    with pytest.raises(AcgError) as info:
+        call(*load_params(bal2_file), value)
+    assert code == 2
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: {info.value}")
+    assert not (tmp_path / "out").exists()
 
 
 def nothing_written(out_dir) -> bool:

@@ -6,12 +6,15 @@ routine that raised ValueError still does: the subclass it raises now is
 both an AcgError and a ValueError, so callers catching either keep working.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 import acg
+from acg import asymptotics, sampler
 from acg import config_probability as cfg
-from acg.errors import AcgError
+from acg.errors import AcgError, finite
 
 from conftest import BAL2_PARAMS
 
@@ -43,6 +46,16 @@ def _graph(n, seed=1):
 def _count_in_samples(samples):
     edge = cfg.ConfigurationTree((1, 2), [cfg.Attachment(1, 0, "in", (2, 1))])
     return acg.count_in_samples(edge, *acg.load_params(BAL2_PARAMS), 20, samples, 1)
+
+
+def _balanced_20():
+    """A clipped bal2 sequence of 20 nodes, its Q and an rng."""
+    p, q = acg.load_params(BAL2_PARAMS)
+    return acg.accept_sequence(p, 20, 0.25, np.random.default_rng(1))[0], q, np.random.default_rng(2)
+
+
+def _accept_20(max_redraws):
+    return acg.accept_sequence(acg.load_params(BAL2_PARAMS)[0], 20, 0.25, np.random.default_rng(1), max_redraws)
 
 
 def _clip_100(delta):
@@ -117,6 +130,24 @@ CASES = {
     "first_edges_distribution-true-length": (lambda: _suite(acg.first_edges_distribution, length=True, reps=50), False),
     "h_value-strings": (lambda: acg.h_value(np.array(["a", "b", "c", "d"]), np.zeros(4), _q()), False),
     "table_probability-string-Q": (lambda: acg.table_probability([[0, 0, 0], [0, 1, 0], [0, 0, 1]], "abc"), True),
+    # solver and sampler settings that raised a raw TypeError, or were read as another budget
+    "solve_critical_point-fractional-max_iter": (lambda: acg.solve_critical_point(np.full(4, 0.5), _q(), max_iter=1.5), False),
+    "solve_critical_point-string-max_iter": (lambda: acg.solve_critical_point(np.full(4, 0.5), _q(), max_iter="3"), False),
+    "solve_critical_point-string-tol": (lambda: acg.solve_critical_point(np.full(4, 0.5), _q(), tol="a"), False),
+    "asymptotic_edge_mean-no-tol": (lambda: acg.asymptotic_edge_mean(np.full(4, 0.5), _q(), 1, 1, tol=None), False),
+    "log_laplace_I_approx-no-tol": (lambda: asymptotics.log_laplace_I_approx(np.array([4.0, 8, 4, 8]), _q(), tol=None), False),
+    "log_partition-string-cap": (lambda: acg.log_partition([0, 1, 2], [0, 1, 2], _q(), cap="60"), False),
+    "log_partition-no-cap": (lambda: acg.log_partition([0, 1, 2], [0, 1, 2], _q(), cap=None), False),
+    "log_partition-fractional-cap": (lambda: acg.log_partition([0, 1, 2], [0, 1, 2], _q(), cap=60.5), False),
+    "log_partition-true-cap": (lambda: acg.log_partition([0, 1, 0], [0, 1, 0], _q(), cap=True), False),
+    "generate_graph-string-delta": (lambda: acg.generate_graph(*acg.load_params(BAL2_PARAMS), 20, delta="a"), False),
+    "generate_graph-no-delta": (lambda: acg.generate_graph(*acg.load_params(BAL2_PARAMS), 20, delta=None), False),
+    "first_edge_types-fractional-count": (lambda: sampler.first_edge_types(*_balanced_20(), 1.5), False),
+    "first_edge_types-negative-count": (lambda: sampler.first_edge_types(*_balanced_20(), -1), True),
+    "sequential_wiring-fractional-max_restarts": (lambda: acg.sequential_wiring(*_balanced_20(), 1.5), False),
+    "sequential_wiring-negative-max_restarts": (lambda: acg.sequential_wiring(*_balanced_20(), -1), False),
+    "accept_sequence-fractional-max_redraws": (lambda: _accept_20(1.5), False),
+    "accept_sequence-negative-max_redraws": (lambda: _accept_20(-1), False),
 }
 
 
@@ -140,3 +171,20 @@ def test_integer_inputs_pass_the_integer_rule():
     assert acg.load_params({**BAL2_PARAMS, "K": 2.0})[0].K == 2
     degrees = np.array([1, 0], dtype=np.int64)  # an int64 array passes on its dtype, uncopied
     assert acg.NodeTypeSequence(degrees, [0.0, 1.0]).in_degrees is degrees
+
+
+@pytest.mark.parametrize(
+    "value, above",
+    [(True, None), ("1", None), (None, None), (1 + 0j, None), (np.bool_(True), None)]
+    + [(v, None) for v in (float("nan"), float("inf"), -float("inf"), np.float64("nan"), 10**400)]
+    + [(0, 0), (-0.5, 0), (0.0, 0.0)],
+)
+def test_finite_rejects(value, above):
+    with pytest.raises(AcgError):
+        finite(value, AcgError, above)
+
+
+@pytest.mark.parametrize("value, want", [(np.float32(0.5), 0.5), (2, 2.0), (np.int64(3), 3.0), (-1e300, -1e300)])
+def test_finite_reads_a_python_float(value, want):
+    number = finite(value, AcgError, above=-math.inf)
+    assert type(number) is float and number == want

@@ -156,9 +156,9 @@ def test_clip_rejects_large_discrepancy():
 def test_clip_rejects_a_delta_that_is_not_finite(delta):
     x = seq([(0, 1)] * 100)  # D = 100 at N = 100, which delta 0.25 rejects
     assert clip_sequence(x, 2, delta=0.25, rng=np.random.default_rng(0)) is None
-    with pytest.raises(InvalidDistribution, match="delta must be finite"):
+    with pytest.raises(InvalidDistribution, match="expected a finite number"):
         clip_sequence(x, 2, delta=delta, rng=np.random.default_rng(0))
-    with pytest.raises(InvalidDistribution, match="delta must be finite"):
+    with pytest.raises(InvalidDistribution, match="expected a finite number"):
         clip_sequence(seq([(1, 1)]), 2, delta=delta)  # balanced, so nothing to clip
 
 
@@ -298,6 +298,18 @@ def test_write_read_sample_roundtrip(bal2, tmp_path):
     assert np.array_equal(back.edge_dst, g.edge_dst)
     assert np.array_equal(back.in_degrees, g.in_degrees)
     assert back.meta["n_edges"] == g.n_edges
+
+
+@pytest.mark.parametrize("numbers", [{"n": np.int64(150)}, {"delta": np.float32(0.25)}], ids=["int64-n", "float32-delta"])
+def test_numpy_scalars_write_the_sample_of_python_numbers(bal2, tmp_path, numbers):
+    p, q = bal2
+    want = generate_graph(p, q, 150, delta=0.25, seed=21)
+    g = generate_graph(p, q, **{"n": 150, **numbers}, seed=21)
+    assert (type(g.meta["n"]), type(g.meta["delta"])) == (int, float)
+    write_sample(g, tmp_path)
+    back = read_sample(tmp_path)
+    assert np.array_equal(back.edge_src, want.edge_src) and np.array_equal(back.edge_dst, want.edge_dst)
+    assert (back.meta["n"], back.meta["delta"]) == (150, 0.25)
     assert (tmp_path / "nodes.csv").read_text().splitlines()[0] == "id,j,k"
     empty = MultiGraph(*[np.zeros(n, dtype=np.int64) for n in (4, 4, 0, 0, 0, 0)])
     write_sample(empty, tmp_path / "empty")
