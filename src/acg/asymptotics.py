@@ -76,10 +76,8 @@ def _complement_basis(v):
 
 
 def _core(q):
-    """Q as a K x K array over positive degrees, rows k and columns j."""
-    m = getattr(q, "matrix", q)
-    m = np.asarray(m, dtype=float)
-    return m[1:, 1:]
+    """Q, read by exact_kernel._weights, as a K x K float array over positive degrees, rows k and columns j."""
+    return np.array(exact_kernel._weights(q), dtype=float)[1:, 1:]
 
 
 def _weight_matrix(alpha, qcore):

@@ -32,6 +32,9 @@ and its --n and --reps defaults, and each report builds its own TSV and
 summary line.  A numeric flag parses its text and reads the number by
 the rule the library reads the parameter with (errors.integral,
 errors.finite), so both reject the same values with the same message.
+The list flags (--sizes, --margins, --x, --type, --sequence, --types)
+share one grammar: entries separated by ',', pairs by ';' and the minus
+and plus halves by ':', each entry read by those same rules.
 """
 
 from __future__ import annotations
@@ -75,60 +78,30 @@ def _finite_above(above=None):
     return lambda text: finite(_parsed(text, float), argparse.ArgumentTypeError, above)
 
 
-def _int_list(text: str) -> list:
-    """argparse type: comma-separated integers, each at least 1."""
-    values = [_int_at_least(1)(tok) for tok in text.split(",") if tok]
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
+def _entries(read, sep=",", length=None):
+    """argparse type: sep-separated entries, empty ones skipped, each read by read; at least one, or exactly length."""
+
+    def parse(text: str) -> list:
+        values = [read(tok) for tok in text.split(sep) if tok]
+        if (len(values) != length) if length else not values:
+            count = f"{length} entries" if length else "at least one entry"
+            raise argparse.ArgumentTypeError(f"expected {count} separated by {sep!r}, got {text!r}")
+        return values
+
+    return parse
 
 
-def _halves(text: str, caster):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected '<minus>:<plus>' halves, got {text!r}")
-    try:
-        minus = [caster(tok) for tok in parts[0].split(",") if tok]
-        plus = [caster(tok) for tok in parts[1].split(",") if tok]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not minus or len(minus) != len(plus):
-        raise argparse.ArgumentTypeError("minus and plus halves must be equal nonempty lists")
-    return minus, plus
+def _halves(read):
+    """argparse type: '<minus>:<plus>', two equal-length lists of entries read by read."""
+    split = _entries(_entries(read), ":", 2)
 
+    def parse(text: str) -> list:
+        minus, plus = split(text)
+        if len(minus) != len(plus):
+            raise argparse.ArgumentTypeError(f"minus and plus halves must have equal length, got {text!r}")
+        return [minus, plus]
 
-def _margins_arg(text: str):
-    """'1,2:1,2' -> in/out edge counts for degrees 1..K."""
-    return _halves(text, _int_at_least(0))
-
-
-def _point_arg(text: str):
-    """'0.25,0.25:0.25,0.25' -> normalized margin point for degrees 1..K."""
-    return _halves(text, float)
-
-
-def _type_arg(text: str):
-    try:
-        k, j = (int(tok) for tok in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'k,j' like 2,2, got {text!r}")
-    return k, j
-
-
-def _pairs_arg(text: str):
-    """'1,2;2,1' -> list of integer pairs."""
-    out = []
-    for chunk in text.split(";"):
-        if not chunk:
-            continue
-        try:
-            a, b = (int(tok) for tok in chunk.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected 'a,b;a,b;...', got {text!r}")
-        out.append((a, b))
-    if not out:
-        raise argparse.ArgumentTypeError("expected at least one pair")
-    return out
+    return parse
 
 
 def _resolve_seed(flag_value):
@@ -439,6 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=_int_at_least(0), default=None, help="RNG seed (default: ACG_SEED, else random, logged)")
     seeded.add_argument("--delta", type=_finite_above(), default=DEFAULT_DELTA, help="clip exponent offset (default %(default)s)")
+    # the list flags: one grammar, each entry read by a scalar rule
+    margins = _halves(_int_at_least(0))
+    pair = _entries(_int_at_least(None), length=2)
+    pairs = _entries(pair, ";")
 
     gen = sub.add_parser("generate", parents=[io, seeded], help="sample graphs and write nodes.csv / edges.tsv / meta.json")
     gen.add_argument("--n", type=_int_at_least(1), required=True, help="number of nodes")
@@ -464,13 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="edge-count cap (default %(default)s)",
         )
         if name in ("partition", "mean", "var"):
-            sp.add_argument("--margins", type=_margins_arg, required=True, help="counts for degrees 1..K, '1,2:1,2'")
+            sp.add_argument("--margins", type=margins, required=True, help="counts for degrees 1..K, '1,2:1,2'")
         if name in ("mean", "var"):
-            sp.add_argument("--type", type=_type_arg, required=True, help="edge type 'k,j'")
+            sp.add_argument("--type", type=pair, required=True, help="edge type 'k,j'")
         if name in ("joint", "oracle"):
-            sp.add_argument("--sequence", type=_pairs_arg, required=True, help="node types 'j,k;j,k;...'")
+            sp.add_argument("--sequence", type=pairs, required=True, help="node types 'j,k;j,k;...'")
         if name == "joint":
-            sp.add_argument("--types", type=_pairs_arg, required=True, help="leading edge types 'k,j;k,j;...'")
+            sp.add_argument("--types", type=pairs, required=True, help="leading edge types 'k,j;k,j;...'")
         sp.set_defaults(func=_cmd_exact, action=name)
 
     asy = sub.add_parser("asymptotics", help="saddlepoint quantities for large margins")
@@ -483,14 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp = asy_sub.add_parser(name, parents=[io], help=help_text)
         sp.add_argument("--tol", type=_finite_above(0), default=DEFAULT_TOL, help="gradient tolerance (default %(default)s)")
         if name == "laplace-check":
-            sp.add_argument("--margins", type=_margins_arg, required=True, help="counts for degrees 1..K, '1,2:1,2'")
+            sp.add_argument("--margins", type=margins, required=True, help="counts for degrees 1..K, '1,2:1,2'")
             sp.add_argument("--cap", type=_int_at_least(0), default=DEFAULT_TABLE_CAP, help="exact-side edge cap")
         else:
-            sp.add_argument("--x", type=_point_arg, required=True, help="margin point 'a,b:c,d' for degrees 1..K")
+            sp.add_argument("--x", type=_halves(_finite_above()), required=True, help="margin point 'a,b:c,d' for degrees 1..K")
         if name == "critical-point":
             sp.add_argument("--max-iter", type=_int_at_least(1), default=DEFAULT_MAX_ITER)
         if name == "edge-mean":
-            sp.add_argument("--type", type=_type_arg, required=True, help="edge type 'k,j'")
+            sp.add_argument("--type", type=pair, required=True, help="edge type 'k,j'")
         sp.set_defaults(func=_cmd_asymptotics, action=name)
 
     cfgp = sub.add_parser("configs", help="small-configuration probabilities and counts")
@@ -506,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", parents=[io, seeded], help="simulation test suites with JSON + TSV reports")
     val.add_argument("--suite", choices=(*SUITES, "all"), required=True)
-    val.add_argument("--sizes", type=_int_list, default=[1000, 10000], help="graph sizes for LLN suites")
+    val.add_argument("--sizes", type=_entries(_int_at_least(1)), default=[1000, 10000], help="graph sizes for LLN suites")
     val.add_argument("--reps", type=_int_at_least(1), default=None, help="repetitions (default depends on suite)")
     val.add_argument("--n", type=_int_at_least(1), default=None, help="graph size for non-LLN suites")
     val.add_argument("--length", type=_int_at_least(1), choices=range(1, 6), default=1, help="leading edge count for first-edges")

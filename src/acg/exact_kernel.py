@@ -41,6 +41,7 @@ from .errors import (
     InvalidDistribution,
     MarginMismatch,
     ZeroPartition,
+    finite,
     integral,
     integral_array,
 )
@@ -53,13 +54,24 @@ _ROUTE_TOL = 1e-12  # relative agreement required of the two moment routes for f
 
 
 def _weights(q) -> list[list]:
-    """Q as nested lists: of Fractions when any entry is a Fraction, else of floats; InvalidDistribution if not numbers."""
+    """Q as nested lists: of Fractions when any entry is a Fraction, else of floats.
+
+    The one reader of Q for the exact and saddlepoint layers:
+    InvalidDistribution unless Q (or q.matrix) is a square matrix of size
+    K+1 >= 2 whose entries are finite nonnegative numbers, each read by
+    errors.finite.
+    """
     try:
         rows = [list(row) for row in getattr(q, "matrix", q)]
-        cast = Fraction if any(isinstance(x, Fraction) for row in rows for x in row) else float
-        return [[cast(x) for x in row] for row in rows]
-    except (TypeError, ValueError):
-        raise InvalidDistribution(f"Q must be a matrix of numbers, got {q!r}") from None
+    except TypeError:
+        rows = []
+    if len(rows) < 2 or any(len(row) != len(rows) for row in rows):
+        raise InvalidDistribution(f"Q must be a square matrix of size K+1 >= 2, got {q!r}")
+    for x in itertools.chain(*rows):
+        if finite(x, lambda message: InvalidDistribution(f"Q: {message}")) < 0:
+            raise InvalidDistribution(f"Q must have nonnegative entries, got {x!r}")
+    cast = Fraction if any(isinstance(x, Fraction) for x in itertools.chain(*rows)) else float
+    return [[cast(x) for x in row] for row in rows]
 
 
 def _zero(w):
@@ -340,15 +352,23 @@ def exact_edge_mean(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE
 
 
 def exact_edge_variance(e_minus, e_plus, q, k: int, j: int, cap: int = DEFAULT_TABLE_CAP):
-    """Variance of the type-(k, j) edge count given the margins (two routes; the ratio one via E[e_kj (e_kj - 1)])."""
+    """Variance of the type-(k, j) edge count given the margins, E[e] + E[e (e - 1)] - E[e]^2.
+
+    Both moments are computed by the two routes of exact_edge_mean, the
+    ratio one for E[e (e - 1)] being Q[k,j]^2 Z(e - 2 d_jk) / Z(e), and
+    checked before the subtraction, whose cancellation would leave the
+    tolerance nothing to scale with.  A float result is clamped at 0,
+    where rounding can push a fixed count's variance below it.
+    """
     w = _weights(q)
     k, j = _edge_type((k, j), len(w))
     em, ep, z = _margin_sum(e_minus, e_plus, w, cap, mark=(k, j))
-    mean_d = z.acc[1] / z.acc[0]
-    mean_r = _reduced(em, ep, w, [(k, j)], z)
-    ratio = mean_r + _reduced(em, ep, w, [(k, j)] * 2, z) - mean_r * mean_r
-    _cross_check("edge-variance", z.acc[2] / z.acc[0] - mean_d * mean_d, ratio)
-    return ratio
+    mean = _reduced(em, ep, w, [(k, j)], z)
+    pairs = _reduced(em, ep, w, [(k, j)] * 2, z)
+    _cross_check("edge-variance mean", z.acc[1] / z.acc[0], mean)
+    _cross_check("edge-variance pair", (z.acc[2] - z.acc[1]) / z.acc[0], pairs)
+    variance = mean + pairs - mean * mean
+    return variance if isinstance(variance, Fraction) else max(variance, 0.0)
 
 
 def joint_first_M_prob(e_minus, e_plus, q, types, cap: int = DEFAULT_TABLE_CAP):

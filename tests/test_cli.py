@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -338,6 +339,19 @@ def test_exact_mean_rejects_type_outside_cutoff(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_exact_var_of_a_heavy_cell_matches_fractions(tmp_path, capsys):
+    # the variance 0.095 is small next to E[e (e - 1)] ~ 3300, within the default cap
+    q = [[0, 0, 0], [0, 0.1, 0.1], [0, 0.1, 0.7]]
+    params = tmp_path / "heavy.json"
+    params.write_text(json.dumps({"K": 2, "P": [[0, 0, 0], [0, 0, 0.5], [0, 0.5, 0]], "Q": q}))
+    out, _ = run_ok([
+        "exact", "var", "--params", str(params), "--margins", "1,59:1,59", "--type", "2,2", "--out-dir", str(tmp_path),
+    ], capsys)
+    exact = exact_kernel.exact_edge_variance([0, 1, 59], [0, 1, 59], [[Fraction(x) for x in row] for row in q], 2, 2)
+    assert read_json(tmp_path / "exact_var.json")["value"] == pytest.approx(float(exact), rel=1e-9)
+    assert float(out) == pytest.approx(float(exact), rel=1e-9)
+
+
 def test_exact_partition_beyond_float_range(tmp_path, capsys):
     params = tmp_path / "k3.json"
     params.write_text(json.dumps(K3_PARAMS))
@@ -584,6 +598,11 @@ IMPORT_FOOTPRINTS = {
         _cli("generate", "--params", "bal2.json", "--n", "50", "--delta", "inf", "--out-dir", "out", status=2),
         ["numpy"],
     ),
+    "asymptotics-rejected-x": (
+        "",
+        _cli("asymptotics", "critical-point", "--params", "bal2.json", "--x", "nan,0.5:0.5,0.5", "--out-dir", "out", status=2),
+        ["numpy"],
+    ),
     # numpy itself may import ctypes; importing the sampler must add neither it nor the kernel
     "sampler-builds-no-kernel": ("import numpy", "import acg.cli, acg.sampler", ["ctypes", "acg._wiring"]),
     # scipy serves the benchmark only
@@ -623,6 +642,29 @@ def test_bad_tol_is_rejected(bal2_file, tmp_path, capsys, argv, value):
     _, err = capsys.readouterr()
     assert code == 2
     assert "--tol" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["asymptotics", "critical-point", "--x", "nan,0.5:0.5,0.5"],
+        ["asymptotics", "edge-mean", "--type", "2,2", "--x", "inf,0.5:0.5,0.5"],
+        ["exact", "mean", "--margins", "1,2:1,2", "--type", "2"],
+        ["exact", "var", "--margins", "1,2:1,2", "--type", "1,2,3"],
+        ["exact", "oracle", "--sequence", "1,2;2"],
+        ["exact", "partition", "--margins", "1,2:1"],
+        ["asymptotics", "laplace-check", "--margins", "1,2"],
+        ["validate", "--suite", "node-lln", "--seed", "1", "--sizes", ","],
+    ],
+)
+def test_malformed_list_flags_are_rejected(bal2_file, tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    code = cli.run([*argv, "--params", bal2_file, "--out-dir", str(out_dir)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert f"argument {argv[-2]}:" in err
+    assert out == ""
     assert not out_dir.exists()
 
 

@@ -64,6 +64,11 @@ def _clip_100(delta):
     return acg.clip_sequence(x, 2, delta=delta, rng=np.random.default_rng(0))
 
 
+_Q_NEGATIVE = [[0, 0, 0], [0, -0.1, 0.6], [0, 0.6, -0.1]]
+_Q_RAGGED = [[0, 0, 0], [0, 0.5], [0, 0.25, 0.25]]
+_Q_NAN = [[0, 0, 0], [0, 0.25, 0.25], [0, 0.25, float("nan")]]
+
+
 # (call, whether it raised a ValueError before)
 CASES = {
     "double_vector-ragged": (lambda: acg.double_vector([1.0, 2.0], [1.0]), True),
@@ -148,6 +153,12 @@ CASES = {
     "sequential_wiring-negative-max_restarts": (lambda: acg.sequential_wiring(*_balanced_20(), -1), False),
     "accept_sequence-fractional-max_redraws": (lambda: _accept_20(1.5), False),
     "accept_sequence-negative-max_redraws": (lambda: _accept_20(-1), False),
+    # a malformed Q, which the exact and saddlepoint layers once read without a check
+    "log_partition-negative-Q": (lambda: acg.log_partition([0, 1, 2], [0, 1, 2], _Q_NEGATIVE), True),
+    "log_partition-ragged-Q": (lambda: acg.log_partition([0, 1, 2], [0, 1, 2], _Q_RAGGED), False),
+    "exact_edge_mean-nan-Q": (lambda: acg.exact_edge_mean([0, 1, 1], [0, 1, 1], _Q_NAN, 1, 1), False),
+    "solve_critical_point-one-dimensional-Q": (lambda: acg.solve_critical_point(np.full(4, 0.5), np.full(4, 0.25)), False),
+    "solve_critical_point-string-Q": (lambda: acg.solve_critical_point(np.full(4, 0.5), "abc"), True),
 }
 
 

@@ -125,6 +125,23 @@ def test_exact_edge_variance_fixture_values(bal2):
     assert kernel.exact_edge_variance(E3_MINUS, E3_PLUS, Q_FRAC_DISAS, 1, 1) == Fraction(0)
 
 
+# (margins, Q, edge type): the heavy cell (2, 2), whose variance 0.095 is small next to
+# E[e (e - 1)] ~ 3300, and the cell (2, 1), whose count is fixed at 22 by the margins
+VARIANCE_CASES = {
+    "heavy-cell": (([0, 1, 59], [0, 1, 59]), [[0, 0, 0], [0, 0.1, 0.1], [0, 0.1, 0.7]], (2, 2)),
+    "fixed-count": (([0, 46, 0], [0, 24, 22]), [[0, 0, 0], [0, 0.21, 0.13], [0, 0.33, 0.33]], (2, 1)),
+}
+
+
+@pytest.mark.parametrize("case", VARIANCE_CASES)
+def test_exact_edge_variance_of_float_q_matches_fractions(case):
+    (em, ep), q, (k, j) = VARIANCE_CASES[case]
+    value = kernel.exact_edge_variance(em, ep, q, k, j)
+    exact = kernel.exact_edge_variance(em, ep, [[Fraction(x) for x in row] for row in q], k, j)
+    assert value >= 0
+    assert value == pytest.approx(float(exact), rel=1e-9, abs=1e-12)
+
+
 def test_margin_sums_are_exact():
     for em, ep in [(E3_MINUS, E3_PLUS), (np.array([0, 3, 2]), np.array([0, 1, 4]))]:
         for k in (1, 2):
