@@ -105,6 +105,11 @@ def h_value(alpha, e, q):
         raise MarginMismatch("alpha and e must be double vectors matching Q")
     if alpha.dtype.kind not in "biufc" or e.dtype.kind not in "biufc":
         raise MarginMismatch(f"alpha and e must be arrays of numbers, got {alpha.dtype} and {e.dtype}")
+    return _h(alpha, e, qcore)
+
+
+def _h(alpha, e, qcore):
+    """h_value on checked double vectors and the core that _core has read."""
     return _weight_matrix(alpha, qcore).sum() - np.dot(alpha, e)
 
 
@@ -119,9 +124,14 @@ def h_derivatives(alpha, e, q):
     alpha = _floats(alpha)
     e = _floats(e)
     qcore = _core(q)
-    size = qcore.shape[0]
-    if alpha.shape != (2 * size,) or e.shape != alpha.shape:
+    if alpha.shape != (2 * qcore.shape[0],) or e.shape != alpha.shape:
         raise MarginMismatch("alpha and e must be double vectors matching Q")
+    return _derivatives(alpha, e, qcore)
+
+
+def _derivatives(alpha, e, qcore):
+    """h_derivatives on checked float double vectors and the core that _core has read."""
+    size = qcore.shape[0]
     w = _weight_matrix(alpha, qcore)
     col = w.sum(axis=0)
     row = w.sum(axis=1)
@@ -170,8 +180,11 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     integer of at least 1.
     """
     tol, max_iter = finite(tol, InvalidDistribution, above=0), integral(max_iter, InvalidDistribution, 1)
-    x = _floats(x)
-    qcore = _core(q)
+    return _solve(_floats(x), _core(q), tol, max_iter)
+
+
+def _solve(x, qcore, tol, max_iter):
+    """solve_critical_point on a float x, the core that _core has read, and checked settings."""
     size = qcore.shape[0]
     if x.shape != (2 * size,):
         raise MarginMismatch("x must be a double vector matching Q")
@@ -190,7 +203,7 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     beta = np.zeros(basis.shape[1])
     alpha = embed(beta)
     for iteration in range(max_iter):
-        grad, hess = h_derivatives(alpha, x, q)
+        grad, hess = _derivatives(alpha, x, qcore)
         grad_red = basis.T @ grad[idx]
         grad_norm = float(np.linalg.norm(grad_red))
         hess_red = basis.T @ hess[np.ix_(idx, idx)] @ basis
@@ -201,7 +214,7 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
                 alpha=alpha,
                 gradient_norm=grad_norm,
                 iterations=iteration,
-                h_at_min=float(h_value(alpha, x, q)),
+                h_at_min=float(_h(alpha, x, qcore)),
                 hessian_projected_det=det,
             )
         try:
@@ -212,7 +225,7 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         if slope >= 0:
             step = -grad_red
             slope = -grad_norm**2
-        value = float(h_value(alpha, x, q))
+        value = float(_h(alpha, x, qcore))
         # once the predicted decrease is below float resolution the
         # sufficient-decrease test is meaningless; take the plain Newton
         # step and let the gradient test decide
@@ -223,7 +236,7 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
         t = 1.0
         while t > 2.0**-60:
             candidate = beta + t * step
-            if h_value(embed(candidate), x, q) <= value + ARMIJO_C * t * slope:
+            if _h(embed(candidate), x, qcore) <= value + ARMIJO_C * t * slope:
                 break
             t *= 0.5
         else:
@@ -278,8 +291,9 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     e = _floats(e)
     total = _edge_total(e)
     x = e / total
-    result = solve_critical_point(x, q, tol=tol)
+    tol = finite(tol, InvalidDistribution, above=0)
     qcore = _core(q)
+    result = _solve(x, qcore, tol, DEFAULT_MAX_ITER)
     size = qcore.shape[0]
     det0 = result.hessian_projected_det
     if len(_active_coordinates(x, qcore)) < 2 * size or det0 <= 0:
@@ -304,9 +318,7 @@ def asymptotic_edge_mean(x, q, k, j, tol=DEFAULT_TOL):
     """
     x = _floats(x)
     qcore = _core(q)
-    k, j = integral(k, MarginMismatch), integral(j, MarginMismatch)
-    if not (1 <= k <= qcore.shape[0] and 1 <= j <= qcore.shape[0]):
-        raise MarginMismatch(f"edge type ({k}, {j}) outside degrees 1..{qcore.shape[0]}")
-    result = solve_critical_point(x, q, tol=tol)
-    minus, plus = split_parts(result.alpha)
+    k, j = exact_kernel._edge_type((k, j), qcore.shape[0] + 1)
+    tol = finite(tol, InvalidDistribution, above=0)
+    minus, plus = split_parts(_solve(x, qcore, tol, DEFAULT_MAX_ITER).alpha)
     return float(qcore[k - 1, j - 1] * math.exp(minus[j - 1] + plus[k - 1]))

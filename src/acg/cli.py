@@ -23,9 +23,13 @@ Each command imports only the layer it runs, when it runs: generate the
 sampler, exact the exact kernel, asymptotics the saddlepoint layer,
 configs the configuration counter and validate the suites.  At the top
 this module imports the standard library and acg's numpy-free modules
-alone (errors, and _common with the parser's defaults), so `--help` and
-a rejected flag load no numpy and no layer.  Every layer a command needs
-is imported before it forks a replicate worker or starts a thread.
+alone (errors, _params with the parameter reader, and _common with the
+parser's defaults), so `--help` and a rejected flag load no numpy and no
+layer.  exact loads no numpy at all: run reads the parameter file once
+into rows of P and Q, exact hands Q's rows to the exact kernel, which
+works on lists, and every other command builds the numpy distributions
+it needs from the same rows.  Every layer a command needs is imported
+before it forks a replicate worker or starts a thread.
 
 The validation suites are one table, SUITES: a row holds a suite's run
 and its --n and --reps defaults, and each report builds its own TSV and
@@ -57,6 +61,7 @@ from ._common import (
     ORACLE_CAP,
     _atomic_write,
 )
+from ._params import read_params
 from .errors import AcgError, finite, integral
 
 
@@ -121,31 +126,30 @@ def to_jsonable(obj):
     """Recursively convert reports and numpy values to JSON-ready types."""
     import dataclasses
 
-    import numpy as np  # both loaded with the params file, before any result is written
-
+    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {_key_str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if np is not None:
+        if isinstance(obj, np.ndarray):
+            return [to_jsonable(v) for v in obj.tolist()]
+        if isinstance(obj, np.integer):
+            return int(obj)
+        if isinstance(obj, np.floating):
+            return float(obj)
     if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
         return repr(obj)
     return obj
 
 
 def _key_str(key):
-    import numpy as np
-
+    np = sys.modules.get("numpy")
     if isinstance(key, str):
         return key
-    if isinstance(key, (int, np.integer)):
+    if isinstance(key, int if np is None else (int, np.integer)):
         return str(int(key))
     return repr(key)
 
@@ -222,7 +226,8 @@ def _cmd_generate(args, p, q, out) -> int:
     return 0
 
 
-def _cmd_exact(args, p, q, out) -> int:
+def _cmd_exact(args, k_cut, q, out) -> int:
+    """q is Q as the rows read_params gives: the exact kernel reads lists, and loads no numpy."""
     from . import exact_kernel as kernel
 
     echo = _run_echo(args, "margins", "type", "sequence", "types")
@@ -249,7 +254,7 @@ def _cmd_exact(args, p, q, out) -> int:
         }
         _emit(out / f"exact_{args.action}.json", result, line=f"{value:.10f}")
     elif args.action == "joint":
-        em, ep = kernel.margins_of_sequence(args.sequence, q.K + 1)
+        em, ep = kernel.margins_of_sequence(args.sequence, k_cut + 1)
         value = float(kernel.joint_first_M_prob(em, ep, q, args.types, cap=args.cap))
         result = {
             "run": echo,
@@ -259,7 +264,7 @@ def _cmd_exact(args, p, q, out) -> int:
         }
         _emit(out / "exact_joint.json", result, line=f"{value:.10f}")
     else:
-        em, ep = kernel.margins_of_sequence(args.sequence, q.K + 1)
+        em, ep = kernel.margins_of_sequence(args.sequence, k_cut + 1)
         dist = kernel.enumerate_wirings_oracle(em, ep, q, cap=args.cap)
         tables = [
             {
@@ -498,16 +503,20 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
-    from .degree_model import load_params, require_consistent
-
     try:
-        p, q = load_params(args.params_file)
-        if "seed" in vars(args):  # a sampling command
-            require_consistent(p, q)
-            args.seed, args.seed_source = _resolve_seed(args.seed)
+        k_cut, p_rows, q_rows = read_params(args.params_file)
+        if args.command == "exact":
+            pair = k_cut, q_rows
+        else:
+            from .degree_model import pair_of_rows, require_consistent
+
+            pair = pair_of_rows(p_rows, q_rows)
+            if "seed" in vars(args):  # a sampling command
+                require_consistent(*pair)
+                args.seed, args.seed_source = _resolve_seed(args.seed)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, p, q, out)
+        return args.func(args, *pair, out)
     except (AcgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,35 +10,21 @@ margins equal the degree-size-biased margins of P.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentPair, InvalidDistribution, ZeroMeanDegree, integral
+from ._params import edge_rows, independent_rows, mean_degree, node_rows, read_params
+from .errors import InconsistentPair, InvalidDistribution
 
-RENORM_TOL = 1e-9
 CONSISTENCY_TOL = 1e-9
 # buckets of the node-type guide table; a power of two, so u * GUIDE_BUCKETS
 # only shifts u's exponent and its floor is the exact bucket of u
 GUIDE_BUCKETS = 1 << 14
 
 
-def _as_prob_matrix(weights, name: str) -> np.ndarray:
-    try:
-        m = np.array(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidDistribution(f"{name} must be a square matrix of numbers: {exc}") from None
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-        raise InvalidDistribution(f"{name} must be a square matrix of size K+1 >= 2, got shape {m.shape}")
-    if not np.isfinite(m).all() or (m < 0).any():
-        raise InvalidDistribution(f"{name} must have finite nonnegative entries")
-    total = m.sum()
-    if abs(total - 1.0) > RENORM_TOL:
-        raise InvalidDistribution(
-            f"{name} sums to {total!r}; deviation from 1 exceeds the renormalization tolerance {RENORM_TOL}"
-        )
-    m /= total
+def _frozen(rows) -> np.ndarray:
+    m = np.array(rows, dtype=float)
     m.setflags(write=False)
     return m
 
@@ -46,7 +32,8 @@ def _as_prob_matrix(weights, name: str) -> np.ndarray:
 def derive_marginals(weights) -> tuple[np.ndarray, np.ndarray, float]:
     """Return (in-degree marginal, out-degree marginal, mean degree z) of a node-type matrix.
 
-    The two computations of z (from either marginal) must agree; z = 0 raises.
+    The two computations of z (from either marginal) must agree, by the
+    rule the parameter reader applies (_params.mean_degree); z = 0 raises.
     """
     m = np.asarray(weights, dtype=float)
     p_in = m.sum(axis=1)
@@ -54,11 +41,7 @@ def derive_marginals(weights) -> tuple[np.ndarray, np.ndarray, float]:
     degrees = np.arange(m.shape[0], dtype=float)
     z_in = float(degrees @ p_in)
     z_out = float(degrees @ p_out)
-    z = z_out
-    if abs(z_in - z_out) > 1e-12 * max(1.0, z):
-        raise InvalidDistribution(f"marginal mean degrees disagree: {z_in} vs {z_out}")
-    if z <= 0.0:
-        raise ZeroMeanDegree("node-type distribution has mean degree zero")
+    z = mean_degree(z_in, z_out)
     p_in.setflags(write=False)
     p_out.setflags(write=False)
     return p_in, p_out, z
@@ -75,7 +58,12 @@ class NodeTypeDist:
 
     @classmethod
     def from_weights(cls, weights) -> "NodeTypeDist":
-        m = _as_prob_matrix(weights, "node-type weights")
+        return cls._of_rows(node_rows(weights))
+
+    @classmethod
+    def _of_rows(cls, rows) -> "NodeTypeDist":
+        """The distribution of rows that _params.node_rows has read."""
+        m = _frozen(rows)
         p_in, p_out, z = derive_marginals(m)
         return cls(matrix=m, in_marginal=p_in, out_marginal=p_out, mean_degree=z)
 
@@ -127,9 +115,12 @@ class EdgeTypeDist:
 
     @classmethod
     def from_weights(cls, weights) -> "EdgeTypeDist":
-        m = _as_prob_matrix(weights, "edge-type weights")
-        if m[0, :].any() or m[:, 0].any():
-            raise InvalidDistribution("edge-type weights must vanish on the degree-0 row and column")
+        return cls._of_rows(edge_rows(weights))
+
+    @classmethod
+    def _of_rows(cls, rows) -> "EdgeTypeDist":
+        """The distribution of rows that _params.edge_rows has read."""
+        m = _frozen(rows)
         q_out = m.sum(axis=1)
         q_in = m.sum(axis=0)
         q_out.setflags(write=False)
@@ -197,9 +188,8 @@ def require_consistent(p: NodeTypeDist, q: EdgeTypeDist) -> None:
 
 
 def independent_edge_dist(p: NodeTypeDist) -> EdgeTypeDist:
-    """The product edge-type distribution Q[k, j] = (k P+_k / z)(j P-_j / z)."""
-    out, inn = size_biased_marginals(p)
-    return EdgeTypeDist.from_weights(np.outer(out, inn))
+    """The product edge-type distribution Q[k, j] = (k P+_k / z)(j P-_j / z), by _params.independent_rows."""
+    return EdgeTypeDist._of_rows(independent_rows(p.matrix.tolist()))
 
 
 @dataclass(frozen=True)
@@ -258,39 +248,17 @@ def self_loop_rate(p: NodeTypeDist, q: EdgeTypeDist) -> float:
 def load_params(source) -> tuple[NodeTypeDist, EdgeTypeDist]:
     """Load a (P, Q) pair from a JSON file path, file object, or dict.
 
-    Schema: {"K": int, "P": [[...]], "Q": [[...]] | "independent"}, plus the
-    "derived" block that params_dict adds, which is ignored; any other key
-    raises InvalidDistribution.  K is an integral number (2.0 reads as 2), so
-    2.7, true or "2" raise InvalidDistribution.
+    _params.read_params reads and checks it: the schema is {"K": int,
+    "P": [[...]], "Q": [[...]] | "independent"}, plus the "derived" block
+    that params_dict adds, which is ignored.
     """
-    if isinstance(source, dict):
-        raw = source
-    elif hasattr(source, "read"):
-        raw = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    try:
-        k_cut = integral(raw["K"], InvalidDistribution)
-        p_weights = raw["P"]
-        q_spec = raw["Q"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidDistribution(f"parameter object must define an integer K, P and Q: {exc}") from exc
-    unknown = sorted(map(str, raw.keys() - {"K", "P", "Q", "derived"}))
-    if unknown:
-        raise InvalidDistribution(f"parameter object has unknown keys {unknown}; allowed: K, P, Q, derived")
-    p = NodeTypeDist.from_weights(p_weights)
-    if p.K != k_cut:
-        raise InvalidDistribution(f"P has shape for K={p.K} but K={k_cut} was declared")
-    if isinstance(q_spec, str):
-        if q_spec != "independent":
-            raise InvalidDistribution(f"unknown edge-type spec {q_spec!r}")
-        q = independent_edge_dist(p)
-    else:
-        q = EdgeTypeDist.from_weights(q_spec)
-        if q.K != k_cut:
-            raise InvalidDistribution(f"Q has shape for K={q.K} but K={k_cut} was declared")
-    return p, q
+    _, p_rows, q_rows = read_params(source)
+    return pair_of_rows(p_rows, q_rows)
+
+
+def pair_of_rows(p_rows, q_rows) -> tuple[NodeTypeDist, EdgeTypeDist]:
+    """The (P, Q) pair of the rows that _params.read_params returns, built without reading them again."""
+    return NodeTypeDist._of_rows(p_rows), EdgeTypeDist._of_rows(q_rows)
 
 
 def derived_summary(p: NodeTypeDist, q: EdgeTypeDist) -> dict:

@@ -22,6 +22,11 @@ ride along on the program, and the margin-reduction ratio
 Q[k, j] Z(e - d_jk) / Z(e) checks them by an independent route.  Sizes
 are capped explicitly: DEFAULT_TABLE_CAP total edges for the program,
 ORACLE_CAP for the brute-force stub-permutation oracle.
+
+The module imports no numpy.  Margins, edge types, tables and node-type
+sequences are read as lists of ints, each entry by errors.integral, and
+Q by the parameter reader's rule, _params.matrix_rows; numpy arrays are
+accepted wherever a list is.
 """
 
 from __future__ import annotations
@@ -32,19 +37,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._common import DEFAULT_TABLE_CAP, ORACLE_CAP
-from .errors import (
-    AcgError,
-    CapExceeded,
-    InvalidDistribution,
-    MarginMismatch,
-    ZeroPartition,
-    finite,
-    integral,
-    integral_array,
-)
+from ._params import matrix_rows
+from .errors import AcgError, CapExceeded, InvalidDistribution, MarginMismatch, ZeroPartition, integral
 
 _LN2 = math.log(2.0)
 _BALANCE_SWEEPS = 20
@@ -59,17 +54,9 @@ def _weights(q) -> list[list]:
     The one reader of Q for the exact and saddlepoint layers:
     InvalidDistribution unless Q (or q.matrix) is a square matrix of size
     K+1 >= 2 whose entries are finite nonnegative numbers, each read by
-    errors.finite.
+    the rule of the parameter reader, _params.matrix_rows.
     """
-    try:
-        rows = [list(row) for row in getattr(q, "matrix", q)]
-    except TypeError:
-        rows = []
-    if len(rows) < 2 or any(len(row) != len(rows) for row in rows):
-        raise InvalidDistribution(f"Q must be a square matrix of size K+1 >= 2, got {q!r}")
-    for x in itertools.chain(*rows):
-        if finite(x, lambda message: InvalidDistribution(f"Q: {message}")) < 0:
-            raise InvalidDistribution(f"Q must have nonnegative entries, got {x!r}")
+    rows = matrix_rows(getattr(q, "matrix", q), "Q")
     cast = Fraction if any(isinstance(x, Fraction) for x in itertools.chain(*rows)) else float
     return [[cast(x) for x in row] for row in rows]
 
@@ -78,18 +65,31 @@ def _zero(w):
     return Fraction(0) if isinstance(w[0][0], Fraction) else 0.0
 
 
-def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _entries(values, what: str) -> list:
+    """values as a list; MarginMismatch, naming what values should be, when it is not a sequence."""
+    try:
+        return list(values)
+    except TypeError:
+        raise MarginMismatch(f"{what} must be a sequence, got {values!r}") from None
+
+
+def _ints(values, what: str) -> list[int]:
+    """values as a list of ints, each read by errors.integral with MarginMismatch."""
+    return [integral(v, MarginMismatch) for v in _entries(values, what)]
+
+
+def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[list[int], list[int], int]:
     cap = integral(cap, InvalidDistribution, 0)
-    em = integral_array(e_minus, MarginMismatch)
-    ep = integral_array(e_plus, MarginMismatch)
-    if em.shape != (size,) or ep.shape != (size,):
-        raise MarginMismatch(f"margins must have length {size}, got {em.shape} and {ep.shape}")
-    if (em < 0).any() or (ep < 0).any():
+    em = _ints(e_minus, "a margin")
+    ep = _ints(e_plus, "a margin")
+    if len(em) != size or len(ep) != size:
+        raise MarginMismatch(f"margins must have length {size}, got {len(em)} and {len(ep)}")
+    if min(em) < 0 or min(ep) < 0:
         raise MarginMismatch("margins must be nonnegative integers")
     if em[0] != 0 or ep[0] != 0:
         raise MarginMismatch("degree-0 stubs cannot exist; margin entry 0 must be zero")
-    total_minus = int(em.sum())
-    total_plus = int(ep.sum())
+    total_minus = sum(em)
+    total_plus = sum(ep)
     if total_minus != total_plus:
         raise MarginMismatch(f"stub totals differ: {total_minus} in-stubs vs {total_plus} out-stubs")
     if total_minus > cap:
@@ -97,18 +97,19 @@ def _check_margins(e_minus, e_plus, size: int, cap: int) -> tuple[np.ndarray, np
     return em, ep, total_minus
 
 
-def margins_of_sequence(pairs, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stub-count margins (e-, e+) of a node-type sequence of (j, k) pairs with degrees 0..size-1."""
-    seq = integral_array(pairs, MarginMismatch)
-    if seq.ndim != 2 or seq.shape[1] != 2:
-        raise MarginMismatch(f"expected a sequence of (j, k) pairs, got shape {seq.shape}")
-    if seq.min(initial=0) < 0 or seq.max(initial=0) >= size:
+def margins_of_sequence(pairs, size: int) -> tuple[list[int], list[int]]:
+    """Stub-count margins (e-, e+), as lists, of a node-type sequence of (j, k) pairs with degrees 0..size-1."""
+    seq = [_ints(pair, "a node type") for pair in _entries(pairs, "a node-type sequence")]
+    if not seq or any(len(pair) != 2 for pair in seq):
+        raise MarginMismatch(f"expected a sequence of (j, k) pairs, got {pairs!r}")
+    if not all(0 <= d < size for d in itertools.chain(*seq)):
         raise MarginMismatch(f"sequence degrees must be integers in 0..{size - 1}")
-    degrees = np.arange(size)
-    em = degrees * np.bincount(seq[:, 0], minlength=size)
-    ep = degrees * np.bincount(seq[:, 1], minlength=size)
-    if em.sum() != ep.sum():
-        raise MarginMismatch(f"stub totals differ: {em.sum()} vs {ep.sum()}")
+    em, ep = [0] * size, [0] * size
+    for j, k in seq:
+        em[j] += j
+        ep[k] += k
+    if sum(em) != sum(ep):
+        raise MarginMismatch(f"stub totals differ: {sum(em)} vs {sum(ep)}")
     return em, ep
 
 
@@ -185,7 +186,6 @@ def _partition_sum(em, ep, w, mark=None) -> _Sum | None:
     (w, d1, d2) to q (w, d1 + w, d2 + 2 d1 + w); the marked column is
     processed last, so before it d1 = d2 = 0.
     """
-    em, ep = [int(v) for v in em], [int(v) for v in ep]
     size = len(w)
     rows = [k for k in range(size) if ep[k]]
     cols = [j for j in range(size) if em[j]]
@@ -264,9 +264,9 @@ def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
     z = _partition_sum(em, ep, w)
     if z is None:
         return _zero(w)
-    scale = math.factorial(int(em.sum()))
+    scale = math.factorial(sum(em))
     for v in itertools.chain(em, ep):
-        scale *= math.factorial(int(v))
+        scale *= math.factorial(v)
     if isinstance(w[0][0], Fraction):
         return scale * z.value()
     num = scale // z.den  # den = prod e-! divides scale
@@ -277,23 +277,23 @@ def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
         return math.inf
 
 
-def _pad_table(table, size: int) -> np.ndarray:
-    t = integral_array(table, MarginMismatch)
-    if t.ndim != 2 or (t < 0).any():
-        raise MarginMismatch(f"a table is a 2-d array of nonnegative integers, got shape {t.shape}")
-    if t.shape[0] > size or t.shape[1] > size:
-        raise MarginMismatch(f"table shape {t.shape} exceeds distribution size {size}")
-    pad = np.zeros((size, size), dtype=int)
-    pad[: t.shape[0], : t.shape[1]] = t
-    return pad
+def _pad_table(table, size: int) -> list[list[int]]:
+    """table as size rows of size ints, padded with zeros; MarginMismatch unless it is a rectangular table of nonnegative integers that fits."""
+    rows = [_ints(row, "a table row") for row in _entries(table, "a table")]
+    width = len(rows[0]) if rows else 0
+    if not rows or any(len(row) != width or min(row, default=0) < 0 for row in rows):
+        raise MarginMismatch(f"a table is a 2-d array of nonnegative integers, got {table!r}")
+    if len(rows) > size or width > size:
+        raise MarginMismatch(f"table shape ({len(rows)}, {width}) exceeds distribution size {size}")
+    return [row + [0] * (size - width) for row in rows] + [[0] * size for _ in range(size - len(rows))]
 
 
 def table_probability(table, q, cap: int = DEFAULT_TABLE_CAP):
     """Probability that the wiring realizes a given edge-type table."""
     w = _weights(q)
     t = _pad_table(table, len(w))
-    _, _, z = _margin_sum(t.sum(axis=0), t.sum(axis=1), w, cap)
-    cells = [(w[k][j], int(v)) for (k, j), v in np.ndenumerate(t) if v]
+    _, _, z = _margin_sum([sum(col) for col in zip(*t)], [sum(row) for row in t], w, cap)
+    cells = [(w[k][j], v) for k, row in enumerate(t) for j, v in enumerate(row) if v]
     if any(x == 0 for x, _ in cells):
         return _zero(w)
     if isinstance(w[0][0], Fraction):
@@ -308,13 +308,13 @@ def _cross_check(what, direct, ratio) -> None:
 
 
 def _edge_type(t, size: int) -> tuple[int, int]:
-    """t as a (k, j) pair of ints; MarginMismatch unless it is a pair of integers in 0..size-1."""
-    pair = integral_array(t, MarginMismatch)
-    if pair.shape != (2,):
+    """t as a (k, j) pair of ints; MarginMismatch unless it is a pair of integers in 1..size-1, the degrees an edge joins."""
+    pair = _ints(t, "an edge type")
+    if len(pair) != 2:
         raise MarginMismatch(f"an edge type is a (k, j) pair of integers, got {t!r}")
-    k, j = map(int, pair)
-    if not (0 <= k < size and 0 <= j < size):
-        raise MarginMismatch(f"edge type ({k}, {j}) lies outside degrees 0..{size - 1}")
+    k, j = pair
+    if not (1 <= k < size and 1 <= j < size):
+        raise MarginMismatch(f"edge type ({k}, {j}) outside degrees 1..{size - 1}")
     return k, j
 
 
@@ -325,11 +325,11 @@ def _reduced(em, ep, w, types, z=None):
     is driven below 0, and zero when no table has the reduced margins.
     """
     weight = math.prod((w[k][j] for k, j in types), start=_zero(w) + 1)
-    rest_m, rest_p = em.copy(), ep.copy()
+    rest_m, rest_p = list(em), list(ep)
     for k, j in types:
         rest_m[j] -= 1
         rest_p[k] -= 1
-    possible = weight != 0 and min(rest_m.min(), rest_p.min()) >= 0
+    possible = weight != 0 and min(*rest_m, *rest_p) >= 0
     z_rest = _partition_sum(rest_m, rest_p, w) if possible else None
     if z_rest is None:
         return _zero(w)
@@ -420,11 +420,11 @@ def enumerate_wirings_oracle(e_minus, e_plus, q, cap: int = ORACLE_CAP) -> Oracl
     bijection_counts: dict = {}
     for perm in itertools.permutations(out_stub_deg):
         weight = zero + 1
-        table = np.zeros((size, size), dtype=int)
+        table = [[0] * size for _ in range(size)]
         for k, j in zip(perm, in_stub_deg):
             weight = weight * rows[k][j]
-            table[k, j] += 1
-        key = tuple(map(tuple, table.tolist()))
+            table[k][j] += 1
+        key = tuple(map(tuple, table))
         table_weights[key] = table_weights.get(key, zero) + weight
         bijection_counts[key] = bijection_counts.get(key, 0) + 1
     weight_sum = sum(table_weights.values(), zero)

@@ -339,6 +339,18 @@ def test_exact_mean_rejects_type_outside_cutoff(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("action", ["mean", "var"])
+def test_exact_moment_of_a_degree_0_type_is_rejected_as_asymptotics_rejects_it(bal2_file, tmp_path, capsys, action):
+    # no edge joins a degree-0 stub; exact mean once printed 0.0000000000 here
+    rest = ["--params", bal2_file, "--type", "0,1", "--out-dir", str(tmp_path / "out")]
+    assert cli.run(["exact", action, "--margins", "1,2:1,2", *rest]) == 1
+    _, exact_err = capsys.readouterr()
+    assert cli.run(["asymptotics", "edge-mean", "--x", "0.4,0.6:0.3,0.7", *rest]) == 1
+    _, asymptotics_err = capsys.readouterr()
+    assert exact_err == asymptotics_err == "error: edge type (0, 1) outside degrees 1..2\n"
+    assert not any((tmp_path / "out").iterdir())
+
+
 def test_exact_var_of_a_heavy_cell_matches_fractions(tmp_path, capsys):
     # the variance 0.095 is small next to E[e (e - 1)] ~ 3300, within the default cap
     q = [[0, 0, 0], [0, 0.1, 0.1], [0, 0.1, 0.7]]
@@ -577,11 +589,16 @@ IMPORT_FOOTPRINTS = {
         f"{command}-help": ("", _cli(command, "--help"), ["numpy"])
         for command in sorted({words[0] for words in SMALL_RUNS})
     },
-    "exact-partition": (
-        "",
-        _cli("exact", "partition", "--params", "bal2.json", "--margins", "1,2:1,2", "--out-dir", "out"),
-        ["acg.sampler", "acg._fanout", "acg.config_probability", "acg.stats_validation"],
-    ),
+    # the exact kernel reads Q's rows as lists: no exact action loads numpy
+    **{
+        f"exact-{words[1]}": (
+            "",
+            _cli(*words, "--params", "bal2.json", *argv, "--out-dir", "out"),
+            ["numpy", "acg.sampler", "acg._fanout", "acg.config_probability", "acg.stats_validation"],
+        )
+        for words, argv in SMALL_RUNS.items()
+        if words[0] == "exact"
+    },
     "generate": (
         "",
         _cli("generate", "--params", "bal2.json", "--n", "50", "--seed", "1", "--out-dir", "out"),

@@ -157,6 +157,8 @@ CASES = {
     "log_partition-negative-Q": (lambda: acg.log_partition([0, 1, 2], [0, 1, 2], _Q_NEGATIVE), True),
     "log_partition-ragged-Q": (lambda: acg.log_partition([0, 1, 2], [0, 1, 2], _Q_RAGGED), False),
     "exact_edge_mean-nan-Q": (lambda: acg.exact_edge_mean([0, 1, 1], [0, 1, 1], _Q_NAN, 1, 1), False),
+    # an edge type on degree 0, which no edge has: exact_edge_mean once answered 0.0 for it
+    "exact_edge_mean-degree-0-type": (lambda: acg.exact_edge_mean([0, 1, 2], [0, 1, 2], _q(), 0, 1), False),
     "solve_critical_point-one-dimensional-Q": (lambda: acg.solve_critical_point(np.full(4, 0.5), np.full(4, 0.25)), False),
     "solve_critical_point-string-Q": (lambda: acg.solve_critical_point(np.full(4, 0.5), "abc"), True),
 }

@@ -40,9 +40,7 @@ Q_FRAC_DISAS = [
 
 
 def test_margins_of_sequence():
-    em, ep = kernel.margins_of_sequence(E3_SEQUENCE, 3)
-    assert em.tolist() == [0, 1, 2]
-    assert ep.tolist() == [0, 1, 2]
+    assert kernel.margins_of_sequence(E3_SEQUENCE, 3) == ([0, 1, 2], [0, 1, 2])
     with pytest.raises(MarginMismatch):
         kernel.margins_of_sequence([(1, 2)], 3)  # unbalanced stubs
     with pytest.raises(MarginMismatch):
