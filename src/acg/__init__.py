@@ -37,7 +37,6 @@ _EXPORTS = {
     "EdgeTypeDist": "degree_model",
     "NodeTypeDist": "degree_model",
     "conditional_dists": "degree_model",
-    "derive_marginals": "degree_model",
     "independent_edge_dist": "degree_model",
     "load_params": "degree_model",
     "self_loop_rate": "degree_model",

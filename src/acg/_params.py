@@ -8,8 +8,11 @@ rows, and `acg exact` hands Q's rows to the exact kernel, so that
 command loads no numpy.  matrix_rows is also the exact kernel's reader
 of Q, so every matrix entry in the package is read by one rule.
 
-A matrix is divided by its correctly rounded sum (math.fsum), which no
-summation order and no Python version changes.
+Every sum over P or Q is taken here, as its correctly rounded value
+(math.fsum), which no summation order and no Python version changes: a
+matrix's normalisation, P's marginals and mean degree (marginals), Q's
+margins (sums) and the size-biased margins P implies (size_biased).
+degree_model stores these lists as arrays and sums nothing itself.
 """
 
 from __future__ import annotations
@@ -53,27 +56,35 @@ def _prob_rows(weights, name: str) -> list[list[float]]:
     return [[x / total for x in row] for row in rows]
 
 
-def mean_degree(z_in: float, z_out: float) -> float:
-    """The mean degree z_out, once it agrees with the mean in-degree z_in; ZeroMeanDegree when it is 0."""
+def sums(rows) -> tuple[list[float], list[float]]:
+    """(row sums, column sums) of a matrix's rows, each the correctly rounded sum (math.fsum)."""
+    return [math.fsum(row) for row in rows], [math.fsum(col) for col in zip(*rows)]
+
+
+def marginals(p_rows) -> tuple[list[float], list[float], float]:
+    """(in-degree marginal, out-degree marginal, mean degree z) of node-type rows P[j][k].
+
+    z is the mean out-degree, once it agrees with the mean in-degree;
+    ZeroMeanDegree when it is 0.
+    """
+    p_in, p_out = sums(p_rows)
+    z_in, z_out = (math.fsum(d * x for d, x in enumerate(m)) for m in (p_in, p_out))
     if abs(z_in - z_out) > 1e-12 * max(1.0, z_out):
         raise InvalidDistribution(f"marginal mean degrees disagree: {z_in} vs {z_out}")
     if z_out <= 0.0:
         raise ZeroMeanDegree("node-type distribution has mean degree zero")
-    return z_out
+    return p_in, p_out, z_out
 
 
-def _marginals(p_rows) -> tuple[list[float], list[float], float]:
-    """(in-degree marginal, out-degree marginal, mean degree) of node-type rows P[j][k]."""
-    p_in = [math.fsum(row) for row in p_rows]
-    p_out = [math.fsum(col) for col in zip(*p_rows)]
-    z_in, z_out = (math.fsum(d * x for d, x in enumerate(m)) for m in (p_in, p_out))
-    return p_in, p_out, mean_degree(z_in, z_out)
+def size_biased(p_in, p_out, z) -> tuple[list[float], list[float]]:
+    """(k P+_k / z, j P-_j / z): the edge-type margins (out, in) that P's marginals and mean degree imply."""
+    return [k * x / z for k, x in enumerate(p_out)], [j * x / z for j, x in enumerate(p_in)]
 
 
 def node_rows(weights) -> list[list[float]]:
     """A node-type matrix P[j][k], normalized, with mean in- and out-degree equal and nonzero."""
     rows = _prob_rows(weights, "node-type weights")
-    _marginals(rows)
+    marginals(rows)
     return rows
 
 
@@ -87,10 +98,20 @@ def edge_rows(weights) -> list[list[float]]:
 
 def independent_rows(p_rows) -> list[list[float]]:
     """The product edge-type matrix Q[k][j] = (k P+_k / z)(j P-_j / z) of node-type rows, read by edge_rows."""
-    p_in, p_out, z = _marginals(p_rows)
-    out = [k * x / z for k, x in enumerate(p_out)]
-    inn = [j * x / z for j, x in enumerate(p_in)]
+    out, inn = size_biased(*marginals(p_rows))
     return edge_rows([[a * b for b in inn] for a in out])
+
+
+def load_json(source, error):
+    """The JSON value in a file path or file object; error, naming the file, when it holds no JSON."""
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8
+        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
+        raise error(f"{name} is not a JSON file: {exc}") from exc
 
 
 def read_params(source) -> tuple[int, list[list[float]], list[list[float]]]:
@@ -101,13 +122,7 @@ def read_params(source) -> tuple[int, list[list[float]], list[list[float]]]:
     any other key raises InvalidDistribution.  K is an integral number (2.0
     reads as 2), so 2.7, true or "2" raise InvalidDistribution.
     """
-    if isinstance(source, dict):
-        raw = source
-    elif hasattr(source, "read"):
-        raw = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+    raw = source if isinstance(source, dict) else load_json(source, InvalidDistribution)
     try:
         k_cut = integral(raw["K"], InvalidDistribution)
         p_weights = raw["P"]

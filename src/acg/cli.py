@@ -61,8 +61,8 @@ from ._common import (
     ORACLE_CAP,
     _atomic_write,
 )
-from ._params import read_params
-from .errors import AcgError, finite, integral
+from ._params import load_json, read_params
+from .errors import AcgError, InvalidConfiguration, finite, integral
 
 
 def _parsed(text: str, parse):
@@ -336,8 +336,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
 def _cmd_configs(args, p, q, out) -> int:
     from . import config_probability as cfg
 
-    with open(args.config_file) as fh:
-        h = cfg.config_from_dict(json.load(fh))
+    h = cfg.config_from_dict(load_json(args.config_file, InvalidConfiguration))
     if args.action == "predict":
         value = cfg.tree_config_prob(h, p, q)
         result = {

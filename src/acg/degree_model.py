@@ -10,11 +10,12 @@ margins equal the degree-size-biased margins of P.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._params import edge_rows, independent_rows, mean_degree, node_rows, read_params
+from ._params import edge_rows, independent_rows, marginals, node_rows, read_params, size_biased, sums
 from .errors import InconsistentPair, InvalidDistribution
 
 CONSISTENCY_TOL = 1e-9
@@ -27,24 +28,6 @@ def _frozen(rows) -> np.ndarray:
     m = np.array(rows, dtype=float)
     m.setflags(write=False)
     return m
-
-
-def derive_marginals(weights) -> tuple[np.ndarray, np.ndarray, float]:
-    """Return (in-degree marginal, out-degree marginal, mean degree z) of a node-type matrix.
-
-    The two computations of z (from either marginal) must agree, by the
-    rule the parameter reader applies (_params.mean_degree); z = 0 raises.
-    """
-    m = np.asarray(weights, dtype=float)
-    p_in = m.sum(axis=1)
-    p_out = m.sum(axis=0)
-    degrees = np.arange(m.shape[0], dtype=float)
-    z_in = float(degrees @ p_in)
-    z_out = float(degrees @ p_out)
-    z = mean_degree(z_in, z_out)
-    p_in.setflags(write=False)
-    p_out.setflags(write=False)
-    return p_in, p_out, z
 
 
 @dataclass(frozen=True)
@@ -63,9 +46,8 @@ class NodeTypeDist:
     @classmethod
     def _of_rows(cls, rows) -> "NodeTypeDist":
         """The distribution of rows that _params.node_rows has read."""
-        m = _frozen(rows)
-        p_in, p_out, z = derive_marginals(m)
-        return cls(matrix=m, in_marginal=p_in, out_marginal=p_out, mean_degree=z)
+        p_in, p_out, z = marginals(rows)
+        return cls(matrix=_frozen(rows), in_marginal=_frozen(p_in), out_marginal=_frozen(p_out), mean_degree=z)
 
     @property
     def K(self) -> int:
@@ -120,12 +102,8 @@ class EdgeTypeDist:
     @classmethod
     def _of_rows(cls, rows) -> "EdgeTypeDist":
         """The distribution of rows that _params.edge_rows has read."""
-        m = _frozen(rows)
-        q_out = m.sum(axis=1)
-        q_in = m.sum(axis=0)
-        q_out.setflags(write=False)
-        q_in.setflags(write=False)
-        return cls(matrix=m, out_marginal=q_out, in_marginal=q_in)
+        q_out, q_in = sums(rows)
+        return cls(matrix=_frozen(rows), out_marginal=_frozen(q_out), in_marginal=_frozen(q_in))
 
     @property
     def K(self) -> int:
@@ -136,7 +114,8 @@ class EdgeTypeDist:
         """Read-only float64 R[k, j] = Q[k, j] / (Q+_k Q-_j); zero wherever a margin vanishes.
 
         Each entry is the product of the margins, then one division, as a
-        scalar loop would compute it.
+        scalar loop would compute it.  The wiring draws by this matrix, and
+        self_loop_rate reads it.
         """
         live = (self.out_marginal > 0)[:, None] & (self.in_marginal > 0)[None, :]
         rate = np.zeros(self.matrix.shape)
@@ -155,19 +134,11 @@ class ConsistencyReport:
     in_residuals: np.ndarray  # Q-_j - j P-_j / z
 
 
-def size_biased_marginals(p: NodeTypeDist) -> tuple[np.ndarray, np.ndarray]:
-    """Return (k P+_k / z, j P-_j / z): the edge-type margins implied by P."""
-    degrees = np.arange(p.K + 1, dtype=float)
-    out = degrees * p.out_marginal / p.mean_degree
-    inn = degrees * p.in_marginal / p.mean_degree
-    return out, inn
-
-
 def validate_pair(p: NodeTypeDist, q: EdgeTypeDist) -> ConsistencyReport:
     """Check the consistency conditions between a node- and edge-type distribution."""
     if p.K != q.K:
         raise InvalidDistribution(f"degree cutoffs differ: node K={p.K}, edge K={q.K}")
-    implied_out, implied_in = size_biased_marginals(p)
+    implied_out, implied_in = size_biased(p.in_marginal.tolist(), p.out_marginal.tolist(), p.mean_degree)
     out_res = q.out_marginal - implied_out
     in_res = q.in_marginal - implied_in
     worst = float(max(np.abs(out_res).max(), np.abs(in_res).max()))
@@ -232,17 +203,15 @@ def self_loop_rate(p: NodeTypeDist, q: EdgeTypeDist) -> float:
     probability Q[k,j] / (E Q+_k Q-_j); summing over the N P[j,k] nodes of
     type (j, k), each with j k such pairs, gives the value above.
 
-    Terms with a vanishing edge-type margin contribute zero.
+    The ratio is EdgeTypeDist.rate, the one the wiring draws by, so terms
+    with a vanishing edge-type margin contribute zero.  The sum is the
+    correctly rounded one (math.fsum), as every sum over P and Q is.
     """
     if p.K != q.K:
         raise InvalidDistribution(f"degree cutoffs differ: node K={p.K}, edge K={q.K}")
-    z = p.mean_degree
-    degrees = np.arange(p.K + 1, dtype=float)
-    jk = np.outer(degrees, degrees)  # [j, k]
-    denom = np.outer(q.in_marginal, q.out_marginal)  # [j, k] -> Q-_j Q+_k
-    num = jk * p.matrix * q.matrix.T  # Q[k, j] transposed onto (j, k)
-    mask = denom > 0
-    return float((num[mask] / denom[mask]).sum() / z)
+    rate = q.rate.tolist()
+    terms = (j * k * x * rate[k][j] for j, row in enumerate(p.matrix.tolist()) for k, x in enumerate(row))
+    return math.fsum(terms) / p.mean_degree
 
 
 def load_params(source) -> tuple[NodeTypeDist, EdgeTypeDist]:

@@ -31,7 +31,13 @@ SLOPE_WINDOW = (-0.65, -0.35)
 
 @dataclass(frozen=True)
 class LLNReport:
-    """Per-size deviation summary of empirical type frequencies."""
+    """Per-size deviation summary of empirical type frequencies.
+
+    slope is the least-squares slope of log max_deviation on log size, and
+    slope_ok whether it lies in slope_window.  A slope needs two sizes: with
+    one, slope is NaN, an undefined statistic rather than a failed fit, and
+    slope_ok is False.
+    """
 
     kind: str
     sizes: tuple

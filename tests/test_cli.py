@@ -481,6 +481,22 @@ def test_configs_count_rejects_a_params_file_as_configuration(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--params", "--config"])
+def test_a_file_that_is_not_json_is_named_in_one_error_line(bal2_file, tmp_path, capsys, flag):
+    # cut off inside P; json.load's message once came out alone, without the file
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"K": 2, "P": [[0,')
+    files = {"--params": bal2_file, "--config": config_file(tmp_path, SINGLE_IN_EDGE), flag: str(truncated)}
+    out_dir = tmp_path / "out"
+    argv = ["configs", "predict", "--params", files["--params"], "--config", files["--config"], "--out-dir", str(out_dir)]
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {truncated} is not a JSON file: Expecting value: line 1 column 19 (char 18)\n"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize(
     "argv",

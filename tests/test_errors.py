@@ -6,6 +6,7 @@ routine that raised ValueError still does: the subclass it raises now is
 both an AcgError and a ValueError, so callers catching either keep working.
 """
 
+import io
 import math
 
 import numpy as np
@@ -122,6 +123,8 @@ CASES = {
         False,
     ),
     "load_params-unknown-key": (lambda: acg.load_params({**BAL2_PARAMS, "extra": 1}), False),
+    # a params stream that is not JSON, which raised a raw json.JSONDecodeError
+    "load_params-truncated-json": (lambda: acg.load_params(io.StringIO('{"K": 2, "P": [[0,')), True),
     # suite inputs that gave an empty report, NaN deviations or a raw numpy error
     "node_lln-no-sizes": (lambda: _lln(acg.node_lln, []), False),
     "edge_lln-no-reps": (lambda: _lln(acg.edge_lln, [100, 200], reps=0), False),

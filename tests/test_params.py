@@ -4,18 +4,26 @@ numpy divided each matrix by m.sum(), a pairwise sum; the reader divides
 by math.fsum, the correctly rounded sum.  The two may differ in the last
 bit on other matrices, but on every parameter fixture they agree bit for
 bit, which keeps every output made from a fixture unchanged.
+
+The quantities derived from (P, Q) follow the same fsum rule: P's
+marginals and mean degree, Q's margins and the rate R that both the
+wiring and the self-loop prediction read.
 """
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from acg._params import read_params
+from acg.degree_model import load_params, self_loop_rate
 from acg.errors import InvalidDistribution
 
 from conftest import ASSORT_PARAMS, BAL2_PARAMS, DISAS_PARAMS
+from helpers import self_loop_rate_exact
 
 FIXTURES = Path(__file__).resolve().parents[1] / "clibench" / "fixtures"
 PARAMS = {
@@ -65,3 +73,32 @@ def test_reader_rejects_a_bool_entry():
     # every node of type (1, 1); numpy read True as 1.0
     with pytest.raises(InvalidDistribution, match="expected a number, got True"):
         read_params({"K": 2, "P": [[0, 0, 0], [0, True, 0], [0, 0, 0]], "Q": "independent"})
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_derived_sums_are_the_fsum_rule_bit_for_bit(name):
+    p, q = load_params(PARAMS[name])
+    p_rows, q_rows = p.matrix.tolist(), q.matrix.tolist()
+    p_in = [math.fsum(row) for row in p_rows]
+    p_out = [math.fsum(col) for col in zip(*p_rows)]
+    q_out = [math.fsum(row) for row in q_rows]
+    q_in = [math.fsum(col) for col in zip(*q_rows)]
+    assert p.in_marginal.tobytes() == _bits(p_in)
+    assert p.out_marginal.tobytes() == _bits(p_out)
+    assert p.mean_degree == math.fsum(k * x for k, x in enumerate(p_out))
+    assert q.out_marginal.tobytes() == _bits(q_out)
+    assert q.in_marginal.tobytes() == _bits(q_in)
+    rate = [[x / (q_out[k] * q_in[j]) if x else 0.0 for j, x in enumerate(row)] for k, row in enumerate(q_rows)]
+    assert q.rate.tobytes() == _bits(rate)
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_self_loop_rate_agrees_with_rational_arithmetic(name):
+    p, q = load_params(PARAMS[name])
+    exact = self_loop_rate_exact(p.matrix.tolist(), q.matrix.tolist())
+    assert abs(Fraction(self_loop_rate(p, q)) - exact) <= Fraction(1e-15) * exact
+

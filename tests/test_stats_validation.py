@@ -35,6 +35,8 @@ def test_node_lln_degenerate_law_has_zero_deviation():
     rep = sv.node_lln(p, sizes=[50], reps=2, seed=1)
     assert rep.max_deviations[0] == pytest.approx(0.0, abs=1e-12)
     assert rep.acceptance_rates[0] == 1.0
+    # one size gives no slope: an undefined statistic, which is never within its window
+    assert math.isnan(rep.slope) and not rep.slope_ok
 
 
 def test_edge_lln_fields_and_determinism(bal2):
