@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 
-from .errors import InvalidDistribution, ZeroMeanDegree, finite, integral
+from .errors import AcgError, InvalidDistribution, ZeroMeanDegree, finite, integral
 
 RENORM_TOL = 1e-9
 
@@ -102,16 +102,25 @@ def independent_rows(p_rows) -> list[list[float]]:
     return edge_rows([[a * b for b in inn] for a in out])
 
 
-def load_json(source, error):
-    """The JSON value in a file path or file object; error, naming the file, when it holds no JSON."""
+def load_json(source, error, read=lambda value: value):
+    """read of the JSON value in a file path or file object.
+
+    error when the file holds no JSON, and an AcgError that read raises
+    again with its class, each with the file's name in front.
+    """
+    name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
     try:
         if hasattr(source, "read"):
-            return json.load(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            value = json.load(source)
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                value = json.load(fh)
     except ValueError as exc:  # json.JSONDecodeError, or bytes that are not UTF-8
-        name = getattr(source, "name", "<stream>") if hasattr(source, "read") else source
         raise error(f"{name} is not a JSON file: {exc}") from exc
+    try:
+        return read(value)
+    except AcgError as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def read_params(source) -> tuple[int, list[list[float]], list[list[float]]]:
@@ -120,9 +129,16 @@ def read_params(source) -> tuple[int, list[list[float]], list[list[float]]]:
     Schema: {"K": int, "P": [[...]], "Q": [[...]] | "independent"}, plus the
     "derived" block that degree_model.params_dict adds, which is ignored;
     any other key raises InvalidDistribution.  K is an integral number (2.0
-    reads as 2), so 2.7, true or "2" raise InvalidDistribution.
+    reads as 2), so 2.7, true or "2" raise InvalidDistribution.  The
+    message of every rejection of a file names the file.
     """
-    raw = source if isinstance(source, dict) else load_json(source, InvalidDistribution)
+    if isinstance(source, dict):
+        return _params_of(source)
+    return load_json(source, InvalidDistribution, _params_of)
+
+
+def _params_of(raw) -> tuple[int, list[list[float]], list[list[float]]]:
+    """read_params on the parsed JSON value."""
     try:
         k_cut = integral(raw["K"], InvalidDistribution)
         p_weights = raw["P"]

@@ -64,17 +64,6 @@ def gauge_direction(size):
     return double_vector(np.ones(size), -np.ones(size))
 
 
-def _complement_basis(v):
-    """Orthonormal basis, as columns, of the subspace orthogonal to a nonzero v.
-
-    The trailing right singular vectors of the 1 x n matrix v.  The copy
-    makes the basis C-ordered: products with the Fortran-ordered transpose
-    view round differently, and Newton iterates would move in their last
-    digits.
-    """
-    return np.linalg.svd(v[None, :])[2][1:].T.copy()
-
-
 def _core(q):
     """Q, read by exact_kernel._weights, as a K x K float array over positive degrees, rows k and columns j."""
     return np.array(exact_kernel._weights(q), dtype=float)[1:, 1:]
@@ -155,29 +144,30 @@ class CriticalPointResult:
 
 
 def _active_coordinates(x, qcore):
-    """Indices (in double-vector layout) carried by Q's margins.
+    """Mask (in double-vector layout) of the coordinates carried by Q's margins.
 
     Mass of x outside the margins of Q makes the minimization diverge,
     so that is rejected; coordinates where both vanish are frozen at 0.
     """
-    size = qcore.shape[0]
     xm, xp = split_parts(x)
     col = qcore.sum(axis=0)
     row = qcore.sum(axis=1)
     if (xm[col == 0] > 0).any() or (xp[row == 0] > 0).any():
         raise UnsupportedMargin("margin puts mass on degrees that Q never produces")
-    keep = np.concatenate([col > 0, row > 0])
-    return np.flatnonzero(keep)
+    return np.concatenate([col > 0, row > 0])
 
 
 def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Newton's method for the critical point of H(.; x) with gauge 1~ . alpha = 0.
 
-    x is a double vector of normalized margins (both parts sum to 1).
-    Iterates live on an orthonormal basis of the subspace orthogonal to
-    the gauge direction, with Armijo backtracking; the start is alpha=0.
-    InvalidDistribution unless tol is a finite number > 0 and max_iter an
-    integer of at least 1.
+    x is a double vector of stub margins whose two parts have equal
+    positive totals; at total 1 the critical point's tilted weights are
+    per-edge fractions.  Iterates move alpha within the gauge slice, with
+    Armijo backtracking, from the start alpha=0; hessian_projected_det is
+    the product of the Hessian's eigenvalues off the gauge direction (and
+    off the coordinates that Q leaves empty, which stay 0).
+    MarginMismatch unless x is such a double vector; InvalidDistribution
+    unless tol is a finite number > 0 and max_iter an integer of at least 1.
     """
     tol, max_iter = finite(tol, InvalidDistribution, above=0), integral(max_iter, InvalidDistribution, 1)
     return _solve(_floats(x), _core(q), tol, max_iter)
@@ -191,24 +181,23 @@ def _solve(x, qcore, tol, max_iter):
     xm, xp = split_parts(x)
     if (x < 0).any() or not math.isclose(xm.sum(), xp.sum(), rel_tol=0, abs_tol=1e-9):
         raise MarginMismatch("margins must be nonnegative with equal stub totals")
-    idx = _active_coordinates(x, qcore)
-    gauge = gauge_direction(size)[idx]
-    basis = _complement_basis(gauge)
-
-    def embed(beta):
-        alpha = np.zeros(2 * size)
-        alpha[idx] = basis @ beta
-        return alpha
-
-    beta = np.zeros(basis.shape[1])
-    alpha = embed(beta)
+    if min(xm.sum(), xp.sum()) <= 0:
+        raise MarginMismatch("margins must carry at least one edge")
+    active = _active_coordinates(x, qcore)
+    gauge = np.where(active, gauge_direction(size), 0.0)
+    unit = gauge / np.linalg.norm(gauge)
+    # H kills the gauge direction and vanishes on the frozen coordinates; adding
+    # unit unit^T and 1 on each frozen diagonal entry makes it invertible without
+    # changing it on the gauge slice, so Newton steps stay in that slice and the
+    # determinant is the projected one
+    fix = np.outer(unit, unit) + np.diag(~active)
+    alpha = np.zeros(2 * size)
     for iteration in range(max_iter):
         grad, hess = _derivatives(alpha, x, qcore)
-        grad_red = basis.T @ grad[idx]
-        grad_norm = float(np.linalg.norm(grad_red))
-        hess_red = basis.T @ hess[np.ix_(idx, idx)] @ basis
+        grad_norm = float(np.linalg.norm(grad - (grad @ unit) * unit))
+        hess += fix
         if grad_norm <= tol:
-            sign, logdet = np.linalg.slogdet(hess_red)
+            sign, logdet = np.linalg.slogdet(hess)
             det = float(sign * math.exp(logdet)) if np.isfinite(logdet) else 0.0
             return CriticalPointResult(
                 alpha=alpha,
@@ -218,31 +207,29 @@ def _solve(x, qcore, tol, max_iter):
                 hessian_projected_det=det,
             )
         try:
-            step = np.linalg.solve(hess_red, -grad_red)
+            step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             raise NoConvergence("projected Hessian is singular at an iterate") from None
-        slope = float(grad_red @ step)
-        if slope >= 0:
-            step = -grad_red
-            slope = -grad_norm**2
+        if grad @ step >= 0:
+            step = -grad
+        # x's totals agree only to 1e-9, so grad may leave the gauge slice; the step may not
+        step -= (step @ unit) * unit
+        slope = float(grad @ step)
         value = float(_h(alpha, x, qcore))
         # once the predicted decrease is below float resolution the
         # sufficient-decrease test is meaningless; take the plain Newton
         # step and let the gradient test decide
         if ARMIJO_C * abs(slope) < 8 * np.finfo(float).eps * max(1.0, abs(value)):
-            beta = beta + step
-            alpha = embed(beta)
+            alpha = alpha + step
             continue
         t = 1.0
         while t > 2.0**-60:
-            candidate = beta + t * step
-            if _h(embed(candidate), x, qcore) <= value + ARMIJO_C * t * slope:
+            if _h(alpha + t * step, x, qcore) <= value + ARMIJO_C * t * slope:
                 break
             t *= 0.5
         else:
             raise NoConvergence("backtracking line search stalled")
-        beta = beta + t * step
-        alpha = embed(beta)
+        alpha = alpha + t * step
     raise NoConvergence(f"no critical point after {max_iter} Newton iterations")
 
 
@@ -285,19 +272,24 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     over the 2K - 1 directions orthogonal to 1~, where Laplace's method
     gives (2 pi / E)^(K - 1/2) det0^(-1/2) exp(E H(alpha*; x) - E log E);
     the length gives one factor 2 pi and the term (1/2) log(2K).
-    SingularHessian when Q leaves a degree class empty or det0 <= 0.  Kept
-    in the log domain: E log E leaves the float range quickly.
+    SingularHessian when e leaves a degree class without stubs, as it must
+    where Q leaves the class empty (H has no minimum along that class's
+    coordinate), or when det0 <= 0.  Kept in the log domain: E log E
+    leaves the float range quickly.
     """
     e = _floats(e)
     total = _edge_total(e)
-    x = e / total
     tol = finite(tol, InvalidDistribution, above=0)
     qcore = _core(q)
-    result = _solve(x, qcore, tol, DEFAULT_MAX_ITER)
     size = qcore.shape[0]
+    if e.shape != (2 * size,):
+        raise MarginMismatch("e must be a double vector matching Q")
+    if (e == 0).any():
+        raise SingularHessian("margins leave a degree class without stubs")
+    result = _solve(e / total, qcore, tol, DEFAULT_MAX_ITER)
     det0 = result.hessian_projected_det
-    if len(_active_coordinates(x, qcore)) < 2 * size or det0 <= 0:
-        raise SingularHessian("projected Hessian is not positive definite on every coordinate")
+    if det0 <= 0:
+        raise SingularHessian("projected Hessian is not positive definite")
     return (
         (size + 0.5) * math.log(TWO_PI)
         + 0.5 * math.log(2 * size)
@@ -312,9 +304,10 @@ def asymptotic_edge_mean(x, q, k, j, tol=DEFAULT_TOL):
     """Limiting per-edge fraction of type (k, j) edges at margin profile x.
 
     Equals the tilted weight Q[k, j] exp(alpha* . delta_jk) at the
-    critical point of H(.; x), which by the critical-point equation has
-    margins x and total mass 1.  When x matches Q's own margins the
-    critical point is 0 and this is Q[k, j] itself.
+    critical point of H(.; x), whose weights by the critical-point
+    equation have margins x; so they are per-edge fractions when each part
+    of x sums to 1.  When x matches Q's own margins the critical point is
+    0 and this is Q[k, j] itself.  MarginMismatch as solve_critical_point.
     """
     x = _floats(x)
     qcore = _core(q)

@@ -336,7 +336,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
 def _cmd_configs(args, p, q, out) -> int:
     from . import config_probability as cfg
 
-    h = cfg.config_from_dict(load_json(args.config_file, InvalidConfiguration))
+    h = load_json(args.config_file, InvalidConfiguration, cfg.config_from_dict)
     if args.action == "predict":
         value = cfg.tree_config_prob(h, p, q)
         result = {

@@ -55,6 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from ._common import DEFAULT_DELTA, DEFAULT_MAX_REDRAWS, DEFAULT_MAX_RESTARTS, _atomic_write
+from ._params import load_json
 from .degree_model import GUIDE_BUCKETS, EdgeTypeDist, NodeTypeDist
 from .errors import (
     ClipOverflow,
@@ -613,7 +614,8 @@ def write_sample(g: MultiGraph, out_dir) -> None:
 def read_sample(sample_dir) -> MultiGraph:
     """Load a sample written by write_sample.
 
-    MalformedSample if a file does not parse, holds a negative field or
+    MalformedSample if a file (meta.json too) does not parse or holds
+    bytes that are not UTF-8, if one holds a negative field or
     row ids other than 0, 1, 2, ... in order, or has an edge whose
     endpoint is not a node, whose k or j is not its source's out-degree
     or its target's in-degree, or whose self_loop is not 1 exactly when
@@ -642,7 +644,7 @@ def read_sample(sample_dir) -> MultiGraph:
             node = off[0]
             raise MalformedSample(f"edges.tsv: node {node} is the {role} of {counts[node]} edges, not {degrees[node]}")
     meta_path = directory / "meta.json"
-    meta = json.loads(meta_path.read_text(encoding="utf-8")) if meta_path.exists() else {}
+    meta = load_json(meta_path, MalformedSample) if meta_path.exists() else {}
     return MultiGraph(in_degrees, out_degrees, src, dst, k, j, meta=meta)
 
 
@@ -693,16 +695,18 @@ def _chunk(lib, sep: str, cols, start: int):
 def _read_columns(path: Path, sep: str, header) -> np.ndarray:
     """The integer columns after the row index of a file written by _columns; the index must run 0, 1, 2, ..."""
     with open(path, encoding="utf-8") as fh:
-        found = fh.readline().rstrip("\n")
-        if found != sep.join(header):
-            raise MalformedSample(f"{path.name} starts with {found!r}, expected {sep.join(header)!r}")
-        start = fh.tell()
-        if not fh.read(1):  # np.loadtxt warns on no rows and returns shape (0, 1)
-            return np.zeros((len(header) - 1, 0), dtype=np.int64)
-        fh.seek(start)
         try:
+            found = fh.readline().rstrip("\n")
+            if found != sep.join(header):
+                raise MalformedSample(f"{path.name} starts with {found!r}, expected {sep.join(header)!r}")
+            start = fh.tell()
+            if not fh.read(1):  # np.loadtxt warns on no rows and returns shape (0, 1)
+                return np.zeros((len(header) - 1, 0), dtype=np.int64)
+            fh.seek(start)
             table = np.loadtxt(fh, dtype=np.int64, delimiter=sep, ndmin=2, unpack=True)
-        except ValueError as exc:
+        except MalformedSample:
+            raise
+        except ValueError as exc:  # a field that is no integer, or bytes that are not UTF-8
             raise MalformedSample(f"{path.name}: {exc}") from None
     if len(table) != len(header):
         raise MalformedSample(f"{path.name} has {len(table)} columns, expected {len(header)}")

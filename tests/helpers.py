@@ -71,10 +71,11 @@ def random_consistent_pair(rng, K: int = 2):
 
     The node law is a mixture of two random tables chosen so mean in- and
     out-degree agree; the edge law is fitted to the implied stub marginals
-    by iterative proportional scaling from a random positive start.
+    by iterative proportional scaling from a random positive start.  At
+    K = 1 every table is balanced, and both laws put all mass on (1, 1).
     """
     degs = np.arange(1, K + 1, dtype=float)
-    while True:
+    while K > 1:
         w1 = rng.uniform(0.05, 1.0, (K, K))
         w2 = rng.uniform(0.05, 1.0, (K, K))
         w1 /= w1.sum()
@@ -92,6 +93,8 @@ def random_consistent_pair(rng, K: int = 2):
         core = t * w1 + (1.0 - t) * w2
         if core.min() > 1e-4:
             break
+    else:
+        core = np.ones((1, 1))
     p = np.zeros((K + 1, K + 1))
     p[1:, 1:] = core
     z = float(degs @ core.sum(axis=1))

@@ -8,7 +8,7 @@ from acg import exact_kernel as kernel
 from acg.errors import MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin
 
 from conftest import SKEW_Q
-from helpers import coordinate_descent_alpha, fourier_integrand, from_margins
+from helpers import coordinate_descent_alpha, fourier_integrand, from_margins, random_consistent_pair
 
 Q1 = np.array([[0.0, 0.0], [0.0, 1.0]])  # K = 1, all mass on (1, 1)
 
@@ -161,13 +161,22 @@ def test_solver_reports_infeasible_margins(disas):
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 6])
-def test_complement_basis_is_orthonormal_and_gauge_free(size):
-    gauge = asym.gauge_direction(size)
-    for v in (gauge, gauge[1:]):
-        basis = asym._complement_basis(v)
-        assert basis.shape == (len(v), len(v) - 1)
-        assert np.allclose(basis.T @ basis, np.eye(len(v) - 1), rtol=0, atol=1e-14)
-        assert np.allclose(v @ basis, 0.0, rtol=0, atol=1e-14)
+def test_critical_point_is_gauge_fixed_with_the_projected_determinant(size):
+    # Newton runs on alpha itself: each step stays in the slice 1~ . alpha = 0, and
+    # det(H + gauge term) is the product of H's eigenvalues off the gauge direction
+    rng = np.random.default_rng(size)
+    _, q = random_consistent_pair(rng, size)
+    if size == 1:
+        assert np.array_equal(q.matrix, Q1)
+    core = q.matrix[1:, 1:]
+    for _ in range(3):
+        tilt = rng.normal(0.0, 0.5, 2 * size)
+        w = core * np.exp(np.add.outer(tilt[size:], tilt[:size]))
+        x = asym.double_vector(w.sum(axis=0), w.sum(axis=1)) / w.sum()
+        res = asym.solve_critical_point(x, q)
+        assert abs(asym.gauge_direction(size) @ res.alpha) <= 1e-12
+        eigenvalues = np.linalg.eigvalsh(asym.h_derivatives(res.alpha, x, q)[1])
+        assert res.hessian_projected_det == pytest.approx(np.prod(eigenvalues[1:]), rel=1e-12)
 
 
 def test_det0_hessian_k1_value():

@@ -13,6 +13,8 @@ from acg import asymptotics, cli, config_probability, exact_kernel, sampler
 from acg.degree_model import load_params
 from acg.errors import AcgError
 
+from conftest import BAL2_PARAMS
+
 SRC = Path(cli.__file__).parent
 
 
@@ -494,6 +496,24 @@ def test_a_file_that_is_not_json_is_named_in_one_error_line(bal2_file, tmp_path,
     assert code == 1
     assert out == ""
     assert err == f"error: {truncated} is not a JSON file: Expecting value: line 1 column 19 (char 18)\n"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--params", "--config"])
+def test_a_rejected_file_is_named_in_one_error_line(bal2_file, tmp_path, capsys, flag):
+    # valid JSON that its reader rejects: a fractional K, and an unknown key of a configuration;
+    # configs reads both files, and the message once did not say which one failed
+    rejected = tmp_path / "rejected.json"
+    body = {"--params": {**BAL2_PARAMS, "K": 2.7}, "--config": {**SINGLE_IN_EDGE, "roots": [1, 2]}}[flag]
+    rejected.write_text(json.dumps(body))
+    files = {"--params": bal2_file, "--config": config_file(tmp_path, SINGLE_IN_EDGE), flag: str(rejected)}
+    out_dir = tmp_path / "out"
+    argv = ["configs", "predict", "--params", files["--params"], "--config", files["--config"], "--out-dir", str(out_dir)]
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {rejected}: ") and err.count("\n") == 1
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 

@@ -8,6 +8,8 @@ both an AcgError and a ValueError, so callers catching either keep working.
 
 import io
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -63,6 +65,15 @@ def _clip_100(delta):
     """clip_sequence of D = 100 at N = 100, which delta 0.25 rejects (100 > 100^0.75)."""
     x = acg.NodeTypeSequence(np.zeros(100, dtype=np.int64), np.ones(100, dtype=np.int64))
     return acg.clip_sequence(x, 2, delta=delta, rng=np.random.default_rng(0))
+
+
+def _read_spoiled_sample(name, data):
+    """read_sample of a written bal2 sample after appending data to its file name."""
+    with tempfile.TemporaryDirectory() as d:
+        sampler.write_sample(_graph(20), d)
+        with open(os.path.join(d, name), "ab") as fh:
+            fh.write(data)
+        return sampler.read_sample(d)
 
 
 _Q_NEGATIVE = [[0, 0, 0], [0, -0.1, 0.6], [0, 0.6, -0.1]]
@@ -164,6 +175,16 @@ CASES = {
     "exact_edge_mean-degree-0-type": (lambda: acg.exact_edge_mean([0, 1, 2], [0, 1, 2], _q(), 0, 1), False),
     "solve_critical_point-one-dimensional-Q": (lambda: acg.solve_critical_point(np.full(4, 0.5), np.full(4, 0.25)), False),
     "solve_critical_point-string-Q": (lambda: acg.solve_critical_point(np.full(4, 0.5), "abc"), True),
+    # x = 0, where H has no minimum: a "critical point" once came back after 24 iterations
+    "solve_critical_point-zero-margins": (lambda: acg.solve_critical_point(np.zeros(4), _q()), False),
+    "asymptotic_edge_mean-zero-margins": (lambda: acg.asymptotic_edge_mean(np.zeros(4), _q(), 2, 2), False),
+    # no stubs of in-degree 1: the solver chased alpha toward -inf and gave exact/Laplace = 4.9e-5
+    "log_laplace_I_approx-empty-class": (lambda: asymptotics.log_laplace_I_approx(np.array([0.0, 12, 4, 8]), _q()), False),
+    "log_laplace_I_approx-shape": (lambda: asymptotics.log_laplace_I_approx(np.array([0.0, 1, 1, 0, 1, 1]), _q()), True),
+    # json.JSONDecodeError and UnicodeDecodeError came out raw
+    "read_sample-meta-not-json": (lambda: _read_spoiled_sample("meta.json", b"}"), True),
+    "read_sample-nodes-not-utf8": (lambda: _read_spoiled_sample("nodes.csv", b"\xff"), True),
+    "read_sample-edges-not-utf8": (lambda: _read_spoiled_sample("edges.tsv", b"\xff"), True),
 }
 
 

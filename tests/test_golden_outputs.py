@@ -42,7 +42,7 @@ GOLDEN = {
     ),
     "asymptotics-critical-point": (
         ["asymptotics", "critical-point", "--x", "0.4,0.6:0.3,0.7"],
-        "dbd362f8c5b7aedec9f72a43681c24cc4493ebd660ed2e8a69f73df67bd5c8f3",
+        "43011f717df1e51dfba06d9478625c997be11f4990bffdea7f92c1fe302150fc",
     ),
     "asymptotics-edge-mean": (
         ["asymptotics", "edge-mean", "--x", "0.4,0.6:0.3,0.7", "--type", "2,2"],
