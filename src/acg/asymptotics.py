@@ -6,12 +6,12 @@ controlled by the convex function
     H(alpha; e) = sum_kj exp(alpha_j^- + alpha_k^+) Q[k, j] - alpha . e
 
 over "double vectors" alpha = (alpha^-, alpha^+) of length 2K.  H is
-invariant along the gauge direction (1, ..., 1, -1, ..., -1), so the
-critical point is pinned to the subspace orthogonal to it.  The Laplace
-approximation built at that critical point, log_laplace_I_approx,
-estimates the Fourier integral whose exact value, log_exact_I, is
-(2 pi)^(2K) times the table partition sum.  Both stay in the log domain,
-since the integral leaves the float range quickly as E grows.
+constant along each gauge direction, 1 on the in- and -1 on the
+out-classes of a part that Q's edge types join, and the critical point
+is pinned orthogonal to them.  The Laplace approximation built there,
+log_laplace_I_approx, estimates the Fourier integral whose exact value,
+log_exact_I, is (2 pi)^(2K) times the table partition sum; both stay in
+the log domain, as the integral leaves the float range quickly in E.
 """
 
 import math
@@ -143,30 +143,43 @@ class CriticalPointResult:
     hessian_projected_det: float
 
 
-def _active_coordinates(x, qcore):
-    """Mask (in double-vector layout) of the coordinates carried by Q's margins.
+def _gauge_units(x, qcore):
+    """H's unit gauge vectors, 1 on the in- and -1 on the out-classes of each part that Q's types join.
 
-    Mass of x outside the margins of Q makes the minimization diverge,
-    so that is rejected; coordinates where both vanish are frozen at 0.
+    In-class j and out-class k are joined where Q[k, j] > 0; a class that Q
+    leaves empty is a part of its own.  MarginMismatch unless x is a double
+    vector matching Q with nonnegative entries and equal positive totals;
+    UnsupportedMargin, as H then has no minimum, when they differ on a part.
     """
+    size = qcore.shape[0]
+    if x.shape != (2 * size,):
+        raise MarginMismatch("x must be a double vector matching Q")
     xm, xp = split_parts(x)
-    col = qcore.sum(axis=0)
-    row = qcore.sum(axis=1)
-    if (xm[col == 0] > 0).any() or (xp[row == 0] > 0).any():
-        raise UnsupportedMargin("margin puts mass on degrees that Q never produces")
-    return np.concatenate([col > 0, row > 0])
+    if (x < 0).any() or not math.isclose(xm.sum(), xp.sum(), rel_tol=0, abs_tol=1e-9) or min(xm.sum(), xp.sum()) <= 0:
+        raise MarginMismatch("margins must be nonnegative with equal positive stub totals")
+    reach = np.block([[np.eye(size, dtype=bool), qcore.T > 0], [qcore > 0, np.eye(size, dtype=bool)]])
+    for _ in range((2 * size).bit_length()):  # each squaring doubles the joins a row of reach spans
+        reach = reach @ reach
+    units = []
+    for part in np.unique(reach, axis=0):
+        minus, plus = (side.sum() for side in split_parts(np.where(part, x, 0.0)))
+        if not math.isclose(minus, plus, rel_tol=0, abs_tol=0 if part.sum() == 1 else 1e-9):
+            js, ks = ((np.flatnonzero(side) + 1).tolist() for side in split_parts(part))
+            raise UnsupportedMargin(f"margin totals differ on the part of in-degrees {js} and out-degrees {ks}")
+        units.append(np.where(part, gauge_direction(size), 0.0) / math.sqrt(part.sum()))
+    return units
 
 
 def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
-    """Newton's method for the critical point of H(.; x) with gauge 1~ . alpha = 0.
+    """Newton's method for the critical point of H(.; x), gauge-fixed on each part of Q's support.
 
-    x is a double vector of stub margins whose two parts have equal
-    positive totals; at total 1 the critical point's tilted weights are
-    per-edge fractions.  Iterates move alpha within the gauge slice, with
-    Armijo backtracking, from the start alpha=0; hessian_projected_det is
-    the product of the Hessian's eigenvalues off the gauge direction (and
-    off the coordinates that Q leaves empty, which stay 0).
-    MarginMismatch unless x is such a double vector; InvalidDistribution
+    x is a double vector of stub margins whose halves have equal positive
+    totals, on each part of the degree classes that Q's edge types join too;
+    at total 1 the critical point's tilted weights are per-edge fractions.
+    Iterates move alpha orthogonally to every part's gauge vector, with
+    Armijo backtracking, from alpha=0; hessian_projected_det is the product
+    of the Hessian's eigenvalues off those vectors.  MarginMismatch or
+    UnsupportedMargin unless x is such a double vector; InvalidDistribution
     unless tol is a finite number > 0 and max_iter an integer of at least 1.
     """
     tol, max_iter = finite(tol, InvalidDistribution, above=0), integral(max_iter, InvalidDistribution, 1)
@@ -175,26 +188,18 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
 
 def _solve(x, qcore, tol, max_iter):
     """solve_critical_point on a float x, the core that _core has read, and checked settings."""
-    size = qcore.shape[0]
-    if x.shape != (2 * size,):
-        raise MarginMismatch("x must be a double vector matching Q")
-    xm, xp = split_parts(x)
-    if (x < 0).any() or not math.isclose(xm.sum(), xp.sum(), rel_tol=0, abs_tol=1e-9):
-        raise MarginMismatch("margins must be nonnegative with equal stub totals")
-    if min(xm.sum(), xp.sum()) <= 0:
-        raise MarginMismatch("margins must carry at least one edge")
-    active = _active_coordinates(x, qcore)
-    gauge = np.where(active, gauge_direction(size), 0.0)
-    unit = gauge / np.linalg.norm(gauge)
-    # H kills the gauge direction and vanishes on the frozen coordinates; adding
-    # unit unit^T and 1 on each frozen diagonal entry makes it invertible without
-    # changing it on the gauge slice, so Newton steps stay in that slice and the
-    # determinant is the projected one
-    fix = np.outer(unit, unit) + np.diag(~active)
-    alpha = np.zeros(2 * size)
+    units = _gauge_units(x, qcore)
+
+    def off(v):
+        return v - sum((v @ u) * u for u in units)
+
+    # F, the projector onto H's null space (which the units span), makes H + F invertible without
+    # changing H on the gauge slice: Newton steps stay in it, and det(H + F) is the projected determinant
+    fix = sum(np.outer(u, u) for u in units)
+    alpha = np.zeros(x.shape[0])
     for iteration in range(max_iter):
         grad, hess = _derivatives(alpha, x, qcore)
-        grad_norm = float(np.linalg.norm(grad - (grad @ unit) * unit))
+        grad_norm = float(np.linalg.norm(off(grad)))
         hess += fix
         if grad_norm <= tol:
             sign, logdet = np.linalg.slogdet(hess)
@@ -213,7 +218,7 @@ def _solve(x, qcore, tol, max_iter):
         if grad @ step >= 0:
             step = -grad
         # x's totals agree only to 1e-9, so grad may leave the gauge slice; the step may not
-        step -= (step @ unit) * unit
+        step = off(step)
         slope = float(grad @ step)
         value = float(_h(alpha, x, qcore))
         # once the predicted decrease is below float resolution the
@@ -246,17 +251,6 @@ def log_exact_I(e, q, cap=exact_kernel.DEFAULT_TABLE_CAP):
     return 2 * size * math.log(TWO_PI) + lp
 
 
-def _edge_total(e):
-    em, ep = split_parts(np.asarray(e, dtype=float))
-    total_minus = float(em.sum())
-    total_plus = float(ep.sum())
-    if not math.isclose(total_minus, total_plus, rel_tol=0, abs_tol=1e-9):
-        raise MarginMismatch(f"stub totals differ: {total_minus} vs {total_plus}")
-    if total_minus <= 0:
-        raise MarginMismatch("margins must carry at least one edge")
-    return total_minus
-
-
 def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     """log of the saddlepoint estimate of the margin-constraint integral.
 
@@ -274,19 +268,24 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     the length gives one factor 2 pi and the term (1/2) log(2K).
     SingularHessian when e leaves a degree class without stubs, as it must
     where Q leaves the class empty (H has no minimum along that class's
-    coordinate), or when det0 <= 0.  Kept in the log domain: E log E
-    leaves the float range quickly.
+    coordinate), when Q's support splits into parts that no edge type
+    joins (each part adds a gauge orbit), or when det0 <= 0.  Kept in the
+    log domain: E log E leaves the float range quickly.
     """
     e = _floats(e)
-    total = _edge_total(e)
+    em, ep = split_parts(e)
+    total = float(em.sum())
+    if not (total > 0 and math.isclose(total, ep.sum(), rel_tol=0, abs_tol=1e-9)):
+        raise MarginMismatch(f"margins need equal positive stub totals, got {total} and {float(ep.sum())}")
     tol = finite(tol, InvalidDistribution, above=0)
     qcore = _core(q)
-    size = qcore.shape[0]
-    if e.shape != (2 * size,):
-        raise MarginMismatch("e must be a double vector matching Q")
+    parts = len(_gauge_units(e / total, qcore))
     if (e == 0).any():
         raise SingularHessian("margins leave a degree class without stubs")
+    if parts > 1:
+        raise SingularHessian(f"Q's support splits into {parts} parts that no edge type joins")
     result = _solve(e / total, qcore, tol, DEFAULT_MAX_ITER)
+    size = em.shape[0]
     det0 = result.hessian_projected_det
     if det0 <= 0:
         raise SingularHessian("projected Hessian is not positive definite")

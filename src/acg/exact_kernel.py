@@ -129,9 +129,8 @@ class _Sum:
         return math.log(self.acc[0]) + self.shift * _LN2 - math.log(self.den)
 
     def value(self):
-        if isinstance(self.acc[0], Fraction):
-            return self.acc[0] / self.den
-        return math.exp(self.log())
+        """Z itself, for Fraction sums (whose shift is 0)."""
+        return self.acc[0] / self.den
 
     def over(self, other):
         """Z(self) / Z(other), exact for Fractions."""

@@ -121,10 +121,18 @@ def _fit_slope(sizes, deviations) -> float:
 
 
 def _sizes(sizes) -> list:
-    """The sizes of an LLN suite as ints; InvalidDistribution unless there is one and each is an integral number of at least 1."""
+    """The sizes of an LLN suite as ints.
+
+    InvalidDistribution unless there is one and each is a distinct integral
+    number of at least 1: a repeated size draws the same stream again, and
+    the slope would be fitted to a copy of one point.
+    """
     sizes = [integral(v, InvalidDistribution, 1) for v in sizes]
     if not sizes:
         raise InvalidDistribution("an LLN suite needs at least one size")
+    repeated = [v for v in sizes if sizes.count(v) > 1]
+    if repeated:
+        raise InvalidDistribution(f"an LLN suite takes each size once, got {repeated[0]} more than once")
     return sizes
 
 
@@ -157,9 +165,9 @@ def node_lln(
     """Deviation of clipped node-type frequencies from P at each size.
 
     Also reports the fraction of raw draws whose stub discrepancy passed
-    the clip threshold.  sizes holds at least one size, each an integral
-    number of nodes, at least 1; reps is an integer of at least 1 and seed
-    one of at least 0.  Anything else raises InvalidDistribution.
+    the clip threshold.  sizes holds at least one size, each a distinct
+    integral number of nodes, at least 1; reps is an integer of at least 1
+    and seed one of at least 0.  Anything else raises InvalidDistribution.
     """
     sizes = _sizes(sizes)
     reps, seed = integral(reps, InvalidDistribution, 1), integral(seed, InvalidDistribution, 0)
@@ -175,7 +183,7 @@ def node_lln(
             np.add.at(freq, (x.in_degrees, x.out_degrees), 1.0 / size)
             at_size.append(np.abs(freq - p.matrix))
         diffs.append(at_size)
-        rates.append(reps / attempts if attempts else float("nan"))
+        rates.append(reps / attempts)
     return _lln_report("node", sizes, diffs, reps, seed, acceptance_rates=tuple(rates))
 
 
@@ -261,11 +269,8 @@ def first_edges_distribution(
     expected = np.array(
         [reps * math.prod(q.matrix[k, j] for k, j in c) for c in cells]
     )
-    if len(cells) == 1:
-        chi2, p_value = 0.0, 1.0
-    else:
-        chi2 = ((observed - expected) ** 2 / expected).sum()
-        p_value = _chi2_sf(chi2, len(cells) - 1)
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    p_value = _chi2_sf(chi2, len(cells) - 1)
     mi = _mutual_information(drawn, reps) if length >= 2 else None
     return FirstEdgesReport(
         n=n,
@@ -282,7 +287,7 @@ def first_edges_distribution(
 
 
 def _chi2_sf(x, dof):
-    """Upper tail P(X >= x) of a chi-square law with integer dof >= 1.
+    """Upper tail P(X >= x) of a chi-square law with integer dof >= 1; 1.0 at any x <= 0, also at dof 0.
 
     With y = x/2 this is the regularized Q(dof/2, y), which for integer or
     half-integer order has the closed form Q(a0, y) + sum_a y^a e^-y / Gamma(a + 1) over

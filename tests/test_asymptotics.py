@@ -179,6 +179,80 @@ def test_critical_point_is_gauge_fixed_with_the_projected_determinant(size):
         assert res.hessian_projected_det == pytest.approx(np.prod(eigenvalues[1:]), rel=1e-12)
 
 
+# laws whose support splits into parts that no edge type joins, each part given as
+# (in-classes, out-classes)
+ANTI_Q = np.array([[0, 0, 0], [0, 0, 0.5], [0, 0.5, 0]])  # perfectly disassortative
+DIAG_Q = np.array([[0, 0, 0], [0, 0.5, 0], [0, 0, 0.5]])  # perfectly assortative
+BLOCK_Q = np.zeros((5, 5))
+BLOCK_Q[1:3, 1:3] = [[0.1, 0.2], [0.05, 0.15]]
+BLOCK_Q[3:5, 3:5] = [[0.2, 0.1], [0.15, 0.05]]
+SPLIT_LAWS = {
+    "anti-diagonal": (ANTI_Q, [([1], [2]), ([2], [1])]),
+    "diagonal": (DIAG_Q, [([1], [1]), ([2], [2])]),
+    "block-diagonal": (BLOCK_Q, [([1, 2], [1, 2]), ([3, 4], [3, 4])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_LAWS))
+def test_critical_point_on_a_split_support_is_gauge_fixed_on_every_part(name):
+    # H is flat along each part's gauge vector: alpha is orthogonal to all of them, and
+    # det(H + F) is the product of H's eigenvalues off them
+    q, parts = SPLIT_LAWS[name]
+    size = q.shape[0] - 1
+    core = q[1:, 1:]
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        tilt = rng.normal(0.0, 0.5, 2 * size)
+        w = core * np.exp(np.add.outer(tilt[size:], tilt[:size]))
+        x = asym.double_vector(w.sum(axis=0), w.sum(axis=1)) / w.sum()
+        res = asym.solve_critical_point(x, q)
+        for js, ks in parts:
+            u = np.zeros(2 * size)
+            u[[j - 1 for j in js]] = 1.0
+            u[[size + k - 1 for k in ks]] = -1.0
+            assert abs(u @ res.alpha) / np.linalg.norm(u) <= 1e-12
+        eigenvalues = np.linalg.eigvalsh(asym.h_derivatives(res.alpha, x, q)[1])
+        assert res.hessian_projected_det == pytest.approx(np.prod(eigenvalues[len(parts):]), rel=1e-12)
+
+
+def test_split_supports_reach_their_critical_points():
+    tilted = asym.double_vector([0.3, 0.7], [0.7, 0.3])
+    assert asym.asymptotic_edge_mean(tilted, ANTI_Q, 1, 2) == pytest.approx(0.7, abs=1e-10)
+    assert asym.solve_critical_point(tilted, ANTI_Q).hessian_projected_det == pytest.approx(0.84, abs=1e-8)
+    at_margins = asym.solve_critical_point(np.full(4, 0.5), ANTI_Q)
+    assert at_margins.iterations == 0
+    assert at_margins.hessian_projected_det == pytest.approx(1.0, abs=1e-12)
+    assortative = asym.double_vector([0.3, 0.7], [0.3, 0.7])
+    assert asym.asymptotic_edge_mean(assortative, DIAG_Q, 1, 1) == pytest.approx(0.3, abs=1e-10)
+
+
+def test_solver_rejects_unequal_totals_on_a_part():
+    one_class_each = r"margin totals differ on the part of in-degrees \[\d\] and out-degrees \[\d\]"
+    with pytest.raises(UnsupportedMargin, match=one_class_each):
+        asym.solve_critical_point(asym.double_vector([0.3, 0.7], [0.3, 0.7]), ANTI_Q)
+    with pytest.raises(UnsupportedMargin, match=one_class_each):
+        asym.asymptotic_edge_mean(asym.double_vector([0.3, 0.7], [0.7, 0.3]), DIAG_Q, 1, 1)
+    # the global totals agree; each part's do not
+    x = asym.double_vector([0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.3])
+    with pytest.raises(UnsupportedMargin, match=r"in-degrees \[(1, 2|3, 4)\] and out-degrees \[(1, 2|3, 4)\]"):
+        asym.solve_critical_point(x, BLOCK_Q)
+
+
+@pytest.mark.parametrize(
+    "q, e", [(ANTI_Q, [3.0, 7.0, 7.0, 3.0]), (DIAG_Q, [3.0, 7.0, 3.0, 7.0])], ids=["anti-diagonal", "diagonal"]
+)
+def test_laplace_refuses_a_split_support(q, e):
+    # each part adds a gauge orbit, which the Laplace formula does not count
+    with pytest.raises(SingularHessian, match="splits into 2 parts"):
+        asym.log_laplace_I_approx(np.array(e), q)
+
+
+def test_solver_stops_at_max_iter(bal2):
+    _, q = bal2
+    with pytest.raises(NoConvergence, match="after 1 Newton iterations"):
+        asym.solve_critical_point(asym.double_vector([0.4, 0.6], [0.3, 0.7]), q, max_iter=1)
+
+
 def test_det0_hessian_k1_value():
     res = asym.solve_critical_point(np.array([1.0, 1.0]), Q1)
     assert res.hessian_projected_det == pytest.approx(2.0, rel=1e-12)

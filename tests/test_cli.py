@@ -851,6 +851,20 @@ def test_validate_rejects_one_self_loop_rep_before_writing(bal2_file, tmp_path, 
     assert nothing_written(out_dir)
 
 
+@pytest.mark.parametrize("suite", ["node-lln", "edge-lln"])
+def test_validate_rejects_a_repeated_size_before_writing(bal2_file, tmp_path, capsys, suite):
+    # both entries drew the stream of size 500, and a slope was fitted to two copies of one point
+    out_dir = tmp_path / "out"
+    code = cli.run([
+        "validate", "--params", bal2_file, "--suite", suite, "--sizes", "500,500", "--reps", "2", "--seed", "1",
+        "--out-dir", str(out_dir),
+    ])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert (out, err) == ("", "error: an LLN suite takes each size once, got 500 more than once\n")
+    assert nothing_written(out_dir)
+
+
 def test_validate_writes_nothing_when_its_third_suite_fails(bal2_file, tmp_path, capsys):
     # the LLN suites balance their even sizes in time; at the odd n = 101 first-edges never
     # draws a balanced sequence, which delta -10 requires

@@ -160,6 +160,12 @@ def test_load_params_names_why_it_rejects(params, reason):
         load_params(params)
 
 
+def test_validate_pair_rejects_laws_of_different_cutoffs(bal2):
+    p1, _ = load_params({"K": 1, "P": [[0, 0], [0, 1]], "Q": "independent"})
+    with pytest.raises(InvalidDistribution, match="degree cutoffs differ: node K=1, edge K=2"):
+        validate_pair(p1, bal2[1])
+
+
 def test_derived_summary_fields(bal2):
     p, q = bal2
     info = derived_summary(p, q)

@@ -181,6 +181,9 @@ CASES = {
     # no stubs of in-degree 1: the solver chased alpha toward -inf and gave exact/Laplace = 4.9e-5
     "log_laplace_I_approx-empty-class": (lambda: asymptotics.log_laplace_I_approx(np.array([0.0, 12, 4, 8]), _q()), False),
     "log_laplace_I_approx-shape": (lambda: asymptotics.log_laplace_I_approx(np.array([0.0, 1, 1, 0, 1, 1]), _q()), True),
+    # a repeated size drew the same stream twice, and the slope was fitted to the copy
+    "node_lln-repeated-size": (lambda: _lln(acg.node_lln, [100, 100]), False),
+    "edge_lln-repeated-size": (lambda: _lln(acg.edge_lln, [100, 100]), False),
     # json.JSONDecodeError and UnicodeDecodeError came out raw
     "read_sample-meta-not-json": (lambda: _read_spoiled_sample("meta.json", b"}"), True),
     "read_sample-nodes-not-utf8": (lambda: _read_spoiled_sample("nodes.csv", b"\xff"), True),

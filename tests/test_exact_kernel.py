@@ -262,6 +262,27 @@ def test_margin_validation_errors(bal2):
         kernel.enumerate_wirings_oracle(*kernel.margins_of_sequence([(2, 2)] * 5, 3), q)
 
 
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda q: kernel.log_partition([0, 1], [0, 1], q), "margins must have length 3, got 2 and 2"),
+        (lambda q: kernel.log_partition([0, -1, 2], [0, 1, 0], q), "margins must be nonnegative integers"),
+        (lambda q: kernel.margins_of_sequence([(1, 2, 1)], 3), r"expected a sequence of \(j, k\) pairs"),
+        (lambda q: kernel.table_probability([[0, 0, 0, 0]], q), r"table shape \(1, 4\) exceeds distribution size 3"),
+        (lambda q: kernel.joint_first_M_prob([0, 1, 0], [0, 1, 0], q, [(1,)]), r"an edge type is a \(k, j\) pair"),
+        (
+            lambda q: kernel.joint_first_M_prob([0, 1, 0], [0, 1, 0], q, [(1, 1), (1, 1)]),
+            "asked for 2 leading edges but only 1 exist",
+        ),
+    ],
+    ids=["margin-length", "negative-margin", "not-a-pair", "table-larger-than-Q", "type-not-a-pair", "too-many-types"],
+)
+def test_malformed_exact_input_is_rejected_with_its_reason(bal2, call, reason):
+    _, q = bal2
+    with pytest.raises(MarginMismatch, match=reason):
+        call(q)
+
+
 def test_wiring_probability_consistency(bal2):
     _, q = bal2
     # a full wiring's probability is its table's probability split evenly

@@ -20,7 +20,7 @@ import pytest
 
 from acg._params import read_params
 from acg.degree_model import load_params, self_loop_rate
-from acg.errors import InvalidDistribution
+from acg.errors import InvalidDistribution, ZeroMeanDegree
 
 from conftest import ASSORT_PARAMS, BAL2_PARAMS, DISAS_PARAMS
 from helpers import self_loop_rate_exact
@@ -73,6 +73,12 @@ def test_reader_rejects_a_bool_entry():
     # every node of type (1, 1); numpy read True as 1.0
     with pytest.raises(InvalidDistribution, match="expected a number, got True"):
         read_params({"K": 2, "P": [[0, 0, 0], [0, True, 0], [0, 0, 0]], "Q": "independent"})
+
+
+def test_a_node_law_without_stubs_is_rejected():
+    # every node has in- and out-degree 0, so there is no edge to wire
+    with pytest.raises(ZeroMeanDegree, match="mean degree zero"):
+        load_params({"K": 1, "P": [[1, 0], [0, 0]], "Q": [[0, 0], [0, 1]]})
 
 
 def _bits(values) -> bytes:

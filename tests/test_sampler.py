@@ -174,6 +174,16 @@ def test_clip_needs_rng_only_when_unbalanced():
         clip_sequence(seq([(1, 2), (2, 2)]), 2)
 
 
+@pytest.mark.parametrize(
+    "in_degrees, out_degrees, reason",
+    [([1, 2], [1], "1-d and equally long"), ([1, -2], [1, 1], "degrees must be nonnegative")],
+    ids=["unequal-lengths", "negative-degree"],
+)
+def test_node_type_sequence_rejects_malformed_degrees(in_degrees, out_degrees, reason):
+    with pytest.raises(InvalidDistribution, match=reason):
+        NodeTypeSequence(in_degrees, out_degrees)
+
+
 def test_stub_census_counts():
     x = seq([(1, 2), (2, 1), (1, 1), (1, 1)])
     e_minus, e_plus = stub_census(x)
