@@ -143,53 +143,61 @@ class CriticalPointResult:
     hessian_projected_det: float
 
 
-def _gauge_units(x, qcore):
-    """H's unit gauge vectors, 1 on the in- and -1 on the out-classes of each part that Q's types join.
+def _point(x, q, tol):
+    """(x as floats, Q's core, H's unit gauge vectors, tol), each read and checked once.
 
-    In-class j and out-class k are joined where Q[k, j] > 0; a class that Q
-    leaves empty is a part of its own.  MarginMismatch unless x is a double
-    vector matching Q with nonnegative entries and equal positive totals;
-    UnsupportedMargin, as H then has no minimum, when they differ on a part.
+    A gauge vector is 1 on the in- and -1 on the out-classes of a part that
+    Q's types join (in-class j and out-class k where Q[k, j] > 0; a class
+    that Q leaves empty is a part of its own).  InvalidDistribution unless
+    tol is a finite number > 0; MarginMismatch unless x is a double vector
+    matching Q (shape read first), finite, nonnegative, with equal positive
+    totals.  H has a minimum only inside the polytope of tables on Q's
+    support: UnsupportedMargin when x's totals differ on a part or x is 0 on
+    a class of a part of several classes.  Other boundary points pass.
     """
+    tol = finite(tol, InvalidDistribution, above=0)
+    x = _floats(x)
+    qcore = _core(q)
     size = qcore.shape[0]
     if x.shape != (2 * size,):
         raise MarginMismatch("x must be a double vector matching Q")
-    xm, xp = split_parts(x)
-    if (x < 0).any() or not math.isclose(xm.sum(), xp.sum(), rel_tol=0, abs_tol=1e-9) or min(xm.sum(), xp.sum()) <= 0:
-        raise MarginMismatch("margins must be nonnegative with equal positive stub totals")
+    totals = [side.sum() for side in split_parts(x)]
+    if not (np.isfinite(x) & (x >= 0)).all() or min(totals) <= 0 or not math.isclose(*totals, rel_tol=0, abs_tol=1e-9):
+        raise MarginMismatch("margins must be finite and nonnegative with equal positive stub totals")
     reach = np.block([[np.eye(size, dtype=bool), qcore.T > 0], [qcore > 0, np.eye(size, dtype=bool)]])
     for _ in range((2 * size).bit_length()):  # each squaring doubles the joins a row of reach spans
         reach = reach @ reach
     units = []
     for part in np.unique(reach, axis=0):
         minus, plus = (side.sum() for side in split_parts(np.where(part, x, 0.0)))
-        if not math.isclose(minus, plus, rel_tol=0, abs_tol=0 if part.sum() == 1 else 1e-9):
+        unequal = not math.isclose(minus, plus, rel_tol=0, abs_tol=1e-9 if part.sum() > 1 else 0)
+        if unequal or (part.sum() > 1 and (x[part] == 0).any()):
             js, ks = ((np.flatnonzero(side) + 1).tolist() for side in split_parts(part))
-            raise UnsupportedMargin(f"margin totals differ on the part of in-degrees {js} and out-degrees {ks}")
+            why = "totals differ on" if unequal else "is 0 on a class of"
+            raise UnsupportedMargin(f"margin {why} the part of in-degrees {js} and out-degrees {ks}")
         units.append(np.where(part, gauge_direction(size), 0.0) / math.sqrt(part.sum()))
-    return units
+    return x, qcore, units, tol
 
 
 def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Newton's method for the critical point of H(.; x), gauge-fixed on each part of Q's support.
 
-    x is a double vector of stub margins whose halves have equal positive
-    totals, on each part of the degree classes that Q's edge types join too;
-    at total 1 the critical point's tilted weights are per-edge fractions.
-    Iterates move alpha orthogonally to every part's gauge vector, with
-    Armijo backtracking, from alpha=0; hessian_projected_det is the product
-    of the Hessian's eigenvalues off those vectors.  MarginMismatch or
-    UnsupportedMargin unless x is such a double vector; InvalidDistribution
-    unless tol is a finite number > 0 and max_iter an integer of at least 1.
+    x is a double vector of stub margins with equal positive totals on each
+    part of the degree classes that Q's edge types join, and no zero on a
+    class of a part of several; at total 1 the critical point's tilted
+    weights are per-edge fractions.  Iterates move alpha orthogonally to
+    every part's gauge vector, with Armijo backtracking, from alpha=0;
+    hessian_projected_det is the product of the Hessian's eigenvalues off
+    those vectors.  MarginMismatch or UnsupportedMargin unless x is such a
+    double vector; InvalidDistribution unless tol is a finite number > 0
+    and max_iter an integer of at least 1.
     """
-    tol, max_iter = finite(tol, InvalidDistribution, above=0), integral(max_iter, InvalidDistribution, 1)
-    return _solve(_floats(x), _core(q), tol, max_iter)
+    max_iter = integral(max_iter, InvalidDistribution, 1)
+    return _solve(*_point(x, q, tol), max_iter)
 
 
-def _solve(x, qcore, tol, max_iter):
-    """solve_critical_point on a float x, the core that _core has read, and checked settings."""
-    units = _gauge_units(x, qcore)
-
+def _solve(x, qcore, units, tol, max_iter):
+    """solve_critical_point on the point, core, gauge vectors and tol that _point has read, and a checked max_iter."""
     def off(v):
         return v - sum((v @ u) * u for u in units)
 
@@ -266,26 +274,18 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     over the 2K - 1 directions orthogonal to 1~, where Laplace's method
     gives (2 pi / E)^(K - 1/2) det0^(-1/2) exp(E H(alpha*; x) - E log E);
     the length gives one factor 2 pi and the term (1/2) log(2K).
-    SingularHessian when e leaves a degree class without stubs, as it must
-    where Q leaves the class empty (H has no minimum along that class's
-    coordinate), when Q's support splits into parts that no edge type
-    joins (each part adds a gauge orbit), or when det0 <= 0.  Kept in the
-    log domain: E log E leaves the float range quickly.
+    Errors as solve_critical_point, whose UnsupportedMargin covers e with no
+    stubs on a class that Q's types join; SingularHessian when Q's support
+    splits into more than one part (each adds a gauge orbit; a class that Q
+    leaves empty is a part of its own) or when det0 <= 0.  Kept in the log
+    domain: E log E leaves the float range quickly.
     """
-    e = _floats(e)
-    em, ep = split_parts(e)
-    total = float(em.sum())
-    if not (total > 0 and math.isclose(total, ep.sum(), rel_tol=0, abs_tol=1e-9)):
-        raise MarginMismatch(f"margins need equal positive stub totals, got {total} and {float(ep.sum())}")
-    tol = finite(tol, InvalidDistribution, above=0)
-    qcore = _core(q)
-    parts = len(_gauge_units(e / total, qcore))
-    if (e == 0).any():
-        raise SingularHessian("margins leave a degree class without stubs")
-    if parts > 1:
-        raise SingularHessian(f"Q's support splits into {parts} parts that no edge type joins")
-    result = _solve(e / total, qcore, tol, DEFAULT_MAX_ITER)
-    size = em.shape[0]
+    e, qcore, units, tol = _point(e, q, tol)
+    if len(units) > 1:
+        raise SingularHessian(f"Q's support splits into {len(units)} parts that no edge type joins")
+    size = qcore.shape[0]
+    total = float(e[:size].sum())
+    result = _solve(e / total, qcore, units, tol, DEFAULT_MAX_ITER)
     det0 = result.hessian_projected_det
     if det0 <= 0:
         raise SingularHessian("projected Hessian is not positive definite")
@@ -306,11 +306,10 @@ def asymptotic_edge_mean(x, q, k, j, tol=DEFAULT_TOL):
     critical point of H(.; x), whose weights by the critical-point
     equation have margins x; so they are per-edge fractions when each part
     of x sums to 1.  When x matches Q's own margins the critical point is
-    0 and this is Q[k, j] itself.  MarginMismatch as solve_critical_point.
+    0 and this is Q[k, j] itself.  Errors as solve_critical_point, and
+    MarginMismatch unless (k, j) is an edge type on degrees 1..K.
     """
-    x = _floats(x)
-    qcore = _core(q)
+    x, qcore, units, tol = _point(x, q, tol)
     k, j = exact_kernel._edge_type((k, j), qcore.shape[0] + 1)
-    tol = finite(tol, InvalidDistribution, above=0)
-    minus, plus = split_parts(_solve(x, qcore, tol, DEFAULT_MAX_ITER).alpha)
+    minus, plus = split_parts(_solve(x, qcore, units, tol, DEFAULT_MAX_ITER).alpha)
     return float(qcore[k - 1, j - 1] * math.exp(minus[j - 1] + plus[k - 1]))

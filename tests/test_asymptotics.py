@@ -247,6 +247,28 @@ def test_laplace_refuses_a_split_support(q, e):
         asym.log_laplace_I_approx(np.array(e), q)
 
 
+@pytest.mark.parametrize("x", [[0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]], ids=["0,1:0,1", "0,1:1,0"])
+def test_a_zero_on_a_joined_class_has_no_critical_point(bal2, x):
+    # H falls without bound as the zero class's coordinate goes to -inf; at 0,1:0,1 the solver once
+    # stopped after 23 iterations with alpha_1 = -22.75 and a projected determinant of 7.7e-21
+    _, q = bal2
+    x = np.array(x)
+    zero_class = r"^margin is 0 on a class of the part of in-degrees \[1, 2\] and out-degrees \[1, 2\]$"
+    with pytest.raises(UnsupportedMargin, match=zero_class):
+        asym.solve_critical_point(x, q)
+    with pytest.raises(UnsupportedMargin, match=zero_class):
+        asym.asymptotic_edge_mean(x, q, 2, 2)
+    with pytest.raises(UnsupportedMargin, match=zero_class):
+        asym.log_laplace_I_approx(12 * x, q)
+
+
+def test_solver_rejects_non_finite_margins(bal2):
+    # inf stubs on both sides once passed the totals check and ran Newton on inf - inf
+    _, q = bal2
+    with pytest.raises(MarginMismatch, match="finite"):
+        asym.solve_critical_point(np.array([np.inf, 1.0, np.inf, 1.0]), q)
+
+
 def test_solver_stops_at_max_iter(bal2):
     _, q = bal2
     with pytest.raises(NoConvergence, match="after 1 Newton iterations"):

@@ -353,6 +353,17 @@ def test_exact_moment_of_a_degree_0_type_is_rejected_as_asymptotics_rejects_it(b
     assert not any((tmp_path / "out").iterdir())
 
 
+def test_critical_point_at_a_zero_on_a_joined_class_is_rejected(bal2_file, tmp_path, capsys):
+    # H has no minimum there; a "critical point" with alpha_1 = -22.75 was once written
+    out_dir = tmp_path / "out"
+    argv = ["asymptotics", "critical-point", "--params", bal2_file, "--x", "0,1:0,1", "--out-dir", str(out_dir)]
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: margin is 0 on a class of the part of in-degrees [1, 2] and out-degrees [1, 2]\n"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_exact_var_of_a_heavy_cell_matches_fractions(tmp_path, capsys):
     # the variance 0.095 is small next to E[e (e - 1)] ~ 3300, within the default cap
     q = [[0, 0, 0], [0, 0.1, 0.1], [0, 0.1, 0.7]]

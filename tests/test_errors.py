@@ -181,6 +181,14 @@ CASES = {
     # no stubs of in-degree 1: the solver chased alpha toward -inf and gave exact/Laplace = 4.9e-5
     "log_laplace_I_approx-empty-class": (lambda: asymptotics.log_laplace_I_approx(np.array([0.0, 12, 4, 8]), _q()), False),
     "log_laplace_I_approx-shape": (lambda: asymptotics.log_laplace_I_approx(np.array([0.0, 1, 1, 0, 1, 1]), _q()), True),
+    "log_laplace_I_approx-unequal-totals": (lambda: asymptotics.log_laplace_I_approx(np.array([4.0, 8, 4, 9]), _q()), True),
+    # no stubs on a class that Q joins, where H has no minimum: a "critical point" once came back
+    # after 23 iterations with alpha_1 = -22.75 and a projected determinant of 7.7e-21
+    "solve_critical_point-zero-on-a-joined-class": (lambda: acg.solve_critical_point(np.array([0.0, 1, 0, 1]), _q()), False),
+    "asymptotic_edge_mean-zero-on-a-joined-class": (
+        lambda: acg.asymptotic_edge_mean(np.array([0.0, 1, 0, 1]), _q(), 2, 2),
+        False,
+    ),
     # a repeated size drew the same stream twice, and the slope was fitted to the copy
     "node_lln-repeated-size": (lambda: _lln(acg.node_lln, [100, 100]), False),
     "edge_lln-repeated-size": (lambda: _lln(acg.edge_lln, [100, 100]), False),

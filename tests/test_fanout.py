@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -64,6 +65,23 @@ def test_a_worker_that_dies_raises_an_acg_error(monkeypatch):
     monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
     with pytest.raises(AcgError, match="exited without"):
         _fanout.fan_out(_exits_at, range(4))
+    assert multiprocessing.active_children() == []
+
+
+def _interrupted_at_0(key):
+    if key == 0:
+        raise KeyboardInterrupt
+    time.sleep(30)
+    return key
+
+
+def test_an_interrupt_in_this_process_stops_the_workers(monkeypatch):
+    # the first chunk runs here; its interrupt must terminate the worker, not wait out its 30 s
+    monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _fanout.fan_out(_interrupted_at_0, [0, 1])
+    assert time.monotonic() - start < 10
     assert multiprocessing.active_children() == []
 
 

@@ -187,6 +187,27 @@ def test_assortativity_degenerate():
         sv.assortativity_coefficient(g)
 
 
+ONE_SELF_LOOP = {"K": 1, "P": [[0, 0], [0, 1.0]], "Q": "independent"}  # n = 1 wires one self-loop
+
+
+def test_self_loop_counts_without_spread():
+    # every count is the predicted 1: no standard error, yet the mean sits on the prediction
+    p, q = load_params(ONE_SELF_LOOP)
+    rep = sv.self_loop_poisson(p, q, n=1, reps=3, seed=1)
+    assert rep.counts == (1, 1, 1)
+    assert (rep.z_score, rep.var_mean_ratio, rep.mean_within_4se) == (0.0, 0.0, True)
+
+
+def test_one_edge_has_no_assortativity():
+    p, q = load_params(ONE_SELF_LOOP)
+    g = generate_graph(p, q, 1, seed=1)
+    assert g.n_edges == 1
+    with pytest.raises(DegenerateVariance, match="at least two edges"):
+        sv.assortativity_coefficient(g)
+    report = sv.assortativity_replicates(p, q, n=1, reps=2, seed=1)
+    assert (report.coefficients, report.mean_coefficient) == ((None, None), None)
+
+
 def _degenerate_assortativity(monkeypatch):
     # one node type: every edge joins the same degrees, so no coefficient exists
     p, q = load_params(SINGLE_TYPE)
