@@ -12,12 +12,21 @@ is pinned orthogonal to them.  The Laplace approximation built there,
 log_laplace_I_approx, estimates the Fourier integral whose exact value,
 log_exact_I, is (2 pi)^(2K) times the table partition sum; both stay in
 the log domain, as the integral leaves the float range quickly in E.
+
+The module imports no numpy.  Double vectors are read into lists of
+floats and the solver works on lists, with Gaussian elimination for its
+Newton steps and determinants.  Every sum runs left to right, so no
+Python version's sum() changes a result, and an exponential that
+overflows reads as inf.  Only the functions that return arrays
+(double_vector, split_parts, to_margins, gauge_direction, h_derivatives,
+and solve_critical_point for its alpha) import numpy, when called.
 """
 
+import cmath
 import math
-from dataclasses import dataclass
-
-import numpy as np
+import numbers
+import sys
+from collections import namedtuple
 
 from . import exact_kernel
 from ._common import DEFAULT_MAX_ITER, DEFAULT_TOL
@@ -27,16 +36,10 @@ ARMIJO_C = 1e-4
 TWO_PI = 2.0 * math.pi
 
 
-def _floats(v):
-    """v as a float array; MarginMismatch when it does not convert."""
-    try:
-        return np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
-        raise MarginMismatch(f"expected an array of numbers, got {v!r}") from None
-
-
 def double_vector(minus, plus):
     """Stack a minus part (indexed by j=1..K) and a plus part (k=1..K)."""
+    import numpy as np
+
     minus = np.atleast_1d(np.asarray(minus))
     plus = np.atleast_1d(np.asarray(plus))
     if minus.shape != plus.shape or minus.ndim != 1:
@@ -46,6 +49,8 @@ def double_vector(minus, plus):
 
 def split_parts(v):
     """Inverse of double_vector: return (minus, plus) views."""
+    import numpy as np
+
     v = np.asarray(v)
     if v.ndim != 1 or v.shape[0] % 2:
         raise MarginMismatch(f"double vectors have even length, got shape {v.shape}")
@@ -55,30 +60,74 @@ def split_parts(v):
 
 def to_margins(v):
     """Double vector -> margin arrays with the degree-0 slot prepended."""
+    import numpy as np
+
     minus, plus = split_parts(v)
     return np.concatenate([[0], minus]), np.concatenate([[0], plus])
 
 
 def gauge_direction(size):
     """The direction 1~ = 1^- - 1^+ along which H is constant."""
-    return double_vector(np.ones(size), -np.ones(size))
+    return double_vector([1.0] * size, [-1.0] * size)
 
 
 def _core(q):
-    """Q, read by exact_kernel._weights, as a K x K float array over positive degrees, rows k and columns j."""
-    return np.array(exact_kernel._weights(q), dtype=float)[1:, 1:]
+    """Q, read by exact_kernel._weights, as K rows of K floats over positive degrees, rows k and columns j."""
+    return [[float(x) for x in row[1:]] for row in exact_kernel._weights(q)[1:]]
 
 
-def _weight_matrix(alpha, qcore):
-    """W[k, j] = exp(alpha_j^- + alpha_k^+) Q[k, j], complex-safe.
+def _vector(v, size, name, kind=numbers.Real):
+    """v as a list of 2 size floats, or complex numbers where kind is numbers.Complex.
 
-    Entries off Q's support stay exactly 0 even when the exponential
-    overflows there.
+    MarginMismatch unless v is a sequence of 2 size numbers of that kind;
+    the length is read before any entry.  A number beyond the float range
+    reads as an infinity.
     """
-    minus, plus = split_parts(alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = qcore * np.exp(np.add.outer(plus, minus))
-    return np.where(qcore != 0, w, 0)
+    entries = exact_kernel._entries(v, name)
+    if len(entries) != 2 * size:
+        raise MarginMismatch(f"{name} must be a double vector of {2 * size} entries matching Q, got {len(entries)}")
+    if not all(isinstance(a, kind) for a in entries):
+        raise MarginMismatch(f"{name} must be a double vector of numbers, got {v!r}")
+    return [_number(a) for a in entries]
+
+
+def _number(a):
+    """A real number a as a float, any other number as a complex."""
+    if not isinstance(a, numbers.Real):
+        return complex(a)
+    try:
+        return float(a)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        return math.inf if a > 0 else -math.inf
+
+
+def _total(values):
+    """The sum of values, taken left to right: no Python version's sum() changes it."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _dot(u, v):
+    """u . v, summed left to right."""
+    return _total(a * b for a, b in zip(u, v))
+
+
+def _weight(q, exponent):
+    """q exp(exponent), exponent real or complex: exactly 0 where q is 0, inf where the exponential overflows."""
+    if not q:
+        return 0.0
+    try:
+        return q * (cmath.exp(exponent) if isinstance(exponent, complex) else math.exp(exponent))
+    except OverflowError:
+        return math.inf
+
+
+def _weight_rows(alpha, qcore):
+    """The rows k of W[k][j] = exp(alpha_j^- + alpha_k^+) Q[k][j]."""
+    size = len(qcore)
+    return [[_weight(q, alpha[j] + alpha[size + k]) for j, q in enumerate(row)] for k, row in enumerate(qcore)]
 
 
 def h_value(alpha, e, q):
@@ -87,60 +136,110 @@ def h_value(alpha, e, q):
     alpha may be complex, as the Fourier integrand needs; MarginMismatch
     unless alpha and e are numeric double vectors matching Q.
     """
-    alpha = np.asarray(alpha)
-    e = np.asarray(e)
     qcore = _core(q)
-    if alpha.shape != (2 * qcore.shape[0],) or e.shape != alpha.shape:
-        raise MarginMismatch("alpha and e must be double vectors matching Q")
-    if alpha.dtype.kind not in "biufc" or e.dtype.kind not in "biufc":
-        raise MarginMismatch(f"alpha and e must be arrays of numbers, got {alpha.dtype} and {e.dtype}")
-    return _h(alpha, e, qcore)
+    size = len(qcore)
+    return _h(_vector(alpha, size, "alpha", numbers.Complex), _vector(e, size, "e", numbers.Complex), qcore)
 
 
 def _h(alpha, e, qcore):
     """h_value on checked double vectors and the core that _core has read."""
-    return _weight_matrix(alpha, qcore).sum() - np.dot(alpha, e)
+    return _total(w for row in _weight_rows(alpha, qcore) for w in row) - _dot(alpha, e)
 
 
 def h_derivatives(alpha, e, q):
-    """(gradient, Hessian) of H in alpha.
+    """(gradient, Hessian) of H in alpha, as arrays.
 
     The gradient is sum_kj delta_jk exp(alpha . delta_jk) Q[k, j] - e.
     The Hessian does not involve e; its blocks are the diagonal stub
     intensities and the weight matrix W, and it annihilates the gauge
     direction.
     """
-    alpha = _floats(alpha)
-    e = _floats(e)
+    import numpy as np
+
     qcore = _core(q)
-    if alpha.shape != (2 * qcore.shape[0],) or e.shape != alpha.shape:
-        raise MarginMismatch("alpha and e must be double vectors matching Q")
-    return _derivatives(alpha, e, qcore)
+    size = len(qcore)
+    grad, hess = _derivatives(_vector(alpha, size, "alpha"), _vector(e, size, "e"), qcore)
+    return np.array(grad), np.array(hess)
 
 
 def _derivatives(alpha, e, qcore):
-    """h_derivatives on checked float double vectors and the core that _core has read."""
-    size = qcore.shape[0]
-    w = _weight_matrix(alpha, qcore)
-    col = w.sum(axis=0)
-    row = w.sum(axis=1)
-    hess = np.zeros((2 * size, 2 * size))
-    hess[:size, :size] = np.diag(col)
-    hess[size:, size:] = np.diag(row)
-    hess[:size, size:] = w.T
-    hess[size:, :size] = w
-    return double_vector(col, row) - e, hess
+    """h_derivatives, as lists, on checked float double vectors and the core that _core has read."""
+    size = len(qcore)
+    w = _weight_rows(alpha, qcore)
+    col, row = [0.0] * size, [0.0] * size
+    for k in range(size):
+        for j in range(size):
+            col[j] += w[k][j]
+            row[k] += w[k][j]
+    hess = [[0.0] * (2 * size) for _ in range(2 * size)]
+    for k in range(size):
+        hess[k][k] = col[k]
+        hess[size + k][size + k] = row[k]
+        for j in range(size):
+            hess[j][size + k] = hess[size + k][j] = w[k][j]
+    return [g - x for g, x in zip(col + row, e)], hess
 
 
-@dataclass(frozen=True)
-class CriticalPointResult:
+def _eliminate(a, b):
+    """(det a, the solution s of a s = b) by Gaussian elimination with partial pivoting; s is None when a pivot is 0."""
+    n = len(b)
+    rows = [[*row, v] for row, v in zip(a, b)]
+    det = 1.0
+    for c in range(n):
+        top = max(range(c, n), key=lambda r: abs(rows[r][c]))
+        if top != c:
+            rows[c], rows[top] = rows[top], rows[c]
+            det = -det
+        pivot = rows[c]
+        if pivot[c] == 0:
+            return 0.0, None
+        det *= pivot[c]
+        for row in rows[c + 1 :]:
+            f = row[c] / pivot[c]
+            for i in range(c + 1, n + 1):
+                row[i] -= f * pivot[i]
+    s = [0.0] * n
+    for c in reversed(range(n)):
+        v = rows[c][n]
+        for i in range(c + 1, n):
+            v -= rows[c][i] * s[i]
+        s[c] = v / rows[c][c]
+    return det, s
+
+
+class CriticalPointResult(
+    namedtuple("CriticalPointResult", ["alpha", "gradient_norm", "iterations", "h_at_min", "hessian_projected_det"])
+):
     """Gauge-fixed minimizer of H(.; x) and its local data."""
 
-    alpha: np.ndarray
-    gradient_norm: float
-    iterations: int
-    h_at_min: float
-    hessian_projected_det: float
+    __slots__ = ()
+
+
+def _parts(qcore):
+    """The parts of the 2K degree classes that Q's types join, each as a sorted list of indices.
+
+    In-class j has index j - 1 and out-class k index K + k - 1; Q[k, j] > 0
+    joins them, and a class that Q leaves empty is a part of its own.
+    Smaller parts come first, so that a check on each part names a class
+    that Q leaves empty before a part whose totals it unbalances.
+    """
+    size = len(qcore)
+    links = [[size + k for k in range(size) if qcore[k][j] > 0] for j in range(size)]
+    links += [[j for j in range(size) if qcore[k][j] > 0] for k in range(size)]
+    seen = [False] * (2 * size)
+    parts = []
+    for start in range(2 * size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        part = [start]
+        for i in part:  # breadth first: part grows while it is read
+            for n in links[i]:
+                if not seen[n]:
+                    seen[n] = True
+                    part.append(n)
+        parts.append(sorted(part))
+    return sorted(parts, key=len)
 
 
 def _point(x, q, tol):
@@ -150,32 +249,32 @@ def _point(x, q, tol):
     Q's types join (in-class j and out-class k where Q[k, j] > 0; a class
     that Q leaves empty is a part of its own).  InvalidDistribution unless
     tol is a finite number > 0; MarginMismatch unless x is a double vector
-    matching Q (shape read first), finite, nonnegative, with equal positive
-    totals.  H has a minimum only inside the polytope of tables on Q's
-    support: UnsupportedMargin when x's totals differ on a part or x is 0 on
-    a class of a part of several classes.  Other boundary points pass.
+    matching Q (length read first), finite, nonnegative, with equal
+    positive totals.  H has a minimum only inside the polytope of tables on
+    Q's support: UnsupportedMargin when x's totals differ on a part or x is
+    0 on a class of a part of several classes.  Other boundary points pass.
     """
     tol = finite(tol, InvalidDistribution, above=0)
-    x = _floats(x)
     qcore = _core(q)
-    size = qcore.shape[0]
-    if x.shape != (2 * size,):
-        raise MarginMismatch("x must be a double vector matching Q")
-    totals = [side.sum() for side in split_parts(x)]
-    if not (np.isfinite(x) & (x >= 0)).all() or min(totals) <= 0 or not math.isclose(*totals, rel_tol=0, abs_tol=1e-9):
+    size = len(qcore)
+    x = _vector(x, size, "x")
+    totals = _total(x[:size]), _total(x[size:])
+    if not all(math.isfinite(v) and v >= 0 for v in x) or min(totals) <= 0 or not math.isclose(*totals, rel_tol=0, abs_tol=1e-9):
         raise MarginMismatch("margins must be finite and nonnegative with equal positive stub totals")
-    reach = np.block([[np.eye(size, dtype=bool), qcore.T > 0], [qcore > 0, np.eye(size, dtype=bool)]])
-    for _ in range((2 * size).bit_length()):  # each squaring doubles the joins a row of reach spans
-        reach = reach @ reach
     units = []
-    for part in np.unique(reach, axis=0):
-        minus, plus = (side.sum() for side in split_parts(np.where(part, x, 0.0)))
-        unequal = not math.isclose(minus, plus, rel_tol=0, abs_tol=1e-9 if part.sum() > 1 else 0)
-        if unequal or (part.sum() > 1 and (x[part] == 0).any()):
-            js, ks = ((np.flatnonzero(side) + 1).tolist() for side in split_parts(part))
+    for part in _parts(qcore):
+        minus = _total(x[i] for i in part if i < size)
+        plus = _total(x[i] for i in part if i >= size)
+        unequal = not math.isclose(minus, plus, rel_tol=0, abs_tol=1e-9 if len(part) > 1 else 0)
+        if unequal or (len(part) > 1 and any(x[i] == 0 for i in part)):
+            js = [i + 1 for i in part if i < size]
+            ks = [i - size + 1 for i in part if i >= size]
             why = "totals differ on" if unequal else "is 0 on a class of"
             raise UnsupportedMargin(f"margin {why} the part of in-degrees {js} and out-degrees {ks}")
-        units.append(np.where(part, gauge_direction(size), 0.0) / math.sqrt(part.sum()))
+        unit = [0.0] * (2 * size)
+        for i in part:
+            unit[i] = (1.0 if i < size else -1.0) / math.sqrt(len(part))
+        units.append(unit)
     return x, qcore, units, tol
 
 
@@ -188,61 +287,61 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     weights are per-edge fractions.  Iterates move alpha orthogonally to
     every part's gauge vector, with Armijo backtracking, from alpha=0;
     hessian_projected_det is the product of the Hessian's eigenvalues off
-    those vectors.  MarginMismatch or UnsupportedMargin unless x is such a
-    double vector; InvalidDistribution unless tol is a finite number > 0
-    and max_iter an integer of at least 1.
+    those vectors, and alpha is an array.  MarginMismatch or
+    UnsupportedMargin unless x is such a double vector; InvalidDistribution
+    unless tol is a finite number > 0 and max_iter an integer of at least 1.
     """
+    import numpy as np
+
     max_iter = integral(max_iter, InvalidDistribution, 1)
-    return _solve(*_point(x, q, tol), max_iter)
+    result = _solve(*_point(x, q, tol), max_iter)
+    return result._replace(alpha=np.array(result.alpha))
 
 
 def _solve(x, qcore, units, tol, max_iter):
-    """solve_critical_point on the point, core, gauge vectors and tol that _point has read, and a checked max_iter."""
+    """solve_critical_point, with alpha a list, on the point, core, units and tol _point has read and a checked max_iter."""
     def off(v):
-        return v - sum((v @ u) * u for u in units)
+        # the units are orthonormal, so taking them out one at a time takes out their span
+        for u in units:
+            c = _dot(v, u)
+            v = [a - c * b for a, b in zip(v, u)]
+        return v
 
     # F, the projector onto H's null space (which the units span), makes H + F invertible without
     # changing H on the gauge slice: Newton steps stay in it, and det(H + F) is the projected determinant
-    fix = sum(np.outer(u, u) for u in units)
-    alpha = np.zeros(x.shape[0])
+    fix = [(i, j, a * b) for u in units for i, a in enumerate(u) if a for j, b in enumerate(u) if b]
+    alpha = [0.0] * len(x)
     for iteration in range(max_iter):
         grad, hess = _derivatives(alpha, x, qcore)
-        grad_norm = float(np.linalg.norm(off(grad)))
-        hess += fix
+        slice_grad = off(grad)
+        grad_norm = math.sqrt(_dot(slice_grad, slice_grad))
+        for i, j, f in fix:
+            hess[i][j] += f
+        det, step = _eliminate(hess, [-g for g in grad])
         if grad_norm <= tol:
-            sign, logdet = np.linalg.slogdet(hess)
-            det = float(sign * math.exp(logdet)) if np.isfinite(logdet) else 0.0
-            return CriticalPointResult(
-                alpha=alpha,
-                gradient_norm=grad_norm,
-                iterations=iteration,
-                h_at_min=float(_h(alpha, x, qcore)),
-                hessian_projected_det=det,
-            )
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("projected Hessian is singular at an iterate") from None
-        if grad @ step >= 0:
-            step = -grad
+            return CriticalPointResult(alpha, grad_norm, iteration, _h(alpha, x, qcore), det)
+        if step is None:
+            raise NoConvergence("projected Hessian is singular at an iterate")
+        if _dot(grad, step) >= 0:
+            step = [-g for g in grad]
         # x's totals agree only to 1e-9, so grad may leave the gauge slice; the step may not
         step = off(step)
-        slope = float(grad @ step)
-        value = float(_h(alpha, x, qcore))
+        slope = _dot(grad, step)
+        value = _h(alpha, x, qcore)
         # once the predicted decrease is below float resolution the
         # sufficient-decrease test is meaningless; take the plain Newton
         # step and let the gradient test decide
-        if ARMIJO_C * abs(slope) < 8 * np.finfo(float).eps * max(1.0, abs(value)):
-            alpha = alpha + step
+        if ARMIJO_C * abs(slope) < 8 * sys.float_info.epsilon * max(1.0, abs(value)):
+            alpha = [a + s for a, s in zip(alpha, step)]
             continue
         t = 1.0
         while t > 2.0**-60:
-            if _h(alpha + t * step, x, qcore) <= value + ARMIJO_C * t * slope:
+            if _h([a + t * s for a, s in zip(alpha, step)], x, qcore) <= value + ARMIJO_C * t * slope:
                 break
             t *= 0.5
         else:
             raise NoConvergence("backtracking line search stalled")
-        alpha = alpha + t * step
+        alpha = [a + t * s for a, s in zip(alpha, step)]
     raise NoConvergence(f"no critical point after {max_iter} Newton iterations")
 
 
@@ -253,9 +352,11 @@ def log_exact_I(e, q, cap=exact_kernel.DEFAULT_TABLE_CAP):
     with margins e, so it equals (2 pi)^(2K) times the partition sum Z(e)
     of exact_kernel.log_partition.
     """
-    em, ep = to_margins(e)
-    size = em.shape[0] - 1
-    lp = exact_kernel.log_partition(em, ep, q, cap=cap)
+    e = exact_kernel._entries(e, "e")
+    if len(e) % 2:
+        raise MarginMismatch(f"double vectors have even length, got {len(e)} entries")
+    size = len(e) // 2
+    lp = exact_kernel.log_partition([0, *e[:size]], [0, *e[size:]], q, cap=cap)
     return 2 * size * math.log(TWO_PI) + lp
 
 
@@ -283,9 +384,9 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     e, qcore, units, tol = _point(e, q, tol)
     if len(units) > 1:
         raise SingularHessian(f"Q's support splits into {len(units)} parts that no edge type joins")
-    size = qcore.shape[0]
-    total = float(e[:size].sum())
-    result = _solve(e / total, qcore, units, tol, DEFAULT_MAX_ITER)
+    size = len(qcore)
+    total = _total(e[:size])
+    result = _solve([v / total for v in e], qcore, units, tol, DEFAULT_MAX_ITER)
     det0 = result.hessian_projected_det
     if det0 <= 0:
         raise SingularHessian("projected Hessian is not positive definite")
@@ -310,6 +411,7 @@ def asymptotic_edge_mean(x, q, k, j, tol=DEFAULT_TOL):
     MarginMismatch unless (k, j) is an edge type on degrees 1..K.
     """
     x, qcore, units, tol = _point(x, q, tol)
-    k, j = exact_kernel._edge_type((k, j), qcore.shape[0] + 1)
-    minus, plus = split_parts(_solve(x, qcore, units, tol, DEFAULT_MAX_ITER).alpha)
-    return float(qcore[k - 1, j - 1] * math.exp(minus[j - 1] + plus[k - 1]))
+    size = len(qcore)
+    k, j = exact_kernel._edge_type((k, j), size + 1)
+    alpha = _solve(x, qcore, units, tol, DEFAULT_MAX_ITER).alpha
+    return _weight(qcore[k - 1][j - 1], alpha[j - 1] + alpha[size + k - 1])

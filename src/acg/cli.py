@@ -25,11 +25,15 @@ configs the configuration counter and validate the suites.  At the top
 this module imports the standard library and acg's numpy-free modules
 alone (errors, _params with the parameter reader, and _common with the
 parser's defaults), so `--help` and a rejected flag load no numpy and no
-layer.  exact loads no numpy at all: run reads the parameter file once
-into rows of P and Q, exact hands Q's rows to the exact kernel, which
-works on lists, and every other command builds the numpy distributions
-it needs from the same rows.  Every layer a command needs is imported
-before it forks a replicate worker or starts a thread.
+layer.  exact and the laplace-check and edge-mean actions of asymptotics
+load no numpy at all: run reads the parameter file once into rows of P
+and Q, exact and asymptotics hand Q's rows, and asymptotics its point,
+to layers that work on lists (critical-point loads numpy for the alpha
+array that solve_critical_point returns), and every other command builds
+the numpy distributions it needs from the same rows.  Neither returns
+a dataclass, so neither loads dataclasses, whose import pulls in
+inspect.  Every layer a command needs is imported before it forks a
+replicate worker or starts a thread.
 
 The validation suites are one table, SUITES: a row holds a suite's run
 and its --n and --reps defaults, and each report builds its own TSV and
@@ -124,10 +128,10 @@ def _resolve_seed(flag_value):
 
 def to_jsonable(obj):
     """Recursively convert reports and numpy values to JSON-ready types."""
-    import dataclasses
-
-    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    # a dataclass or numpy value exists only once its module is loaded
+    dataclasses = sys.modules.get("dataclasses")
+    np = sys.modules.get("numpy")
+    if dataclasses is not None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {_key_str(k): to_jsonable(v) for k, v in obj.items()}
@@ -233,11 +237,12 @@ def _cmd_exact(args, k_cut, q, out) -> int:
     echo = _run_echo(args, "margins", "type", "sequence", "types")
     if args.action == "partition":
         em, ep = ([0, *half] for half in args.margins)
+        c, log_z = kernel._partition(em, ep, q, args.cap)  # q holds floats: C and log Z from one program
         result = {
-            "C": float(kernel.partition_C(em, ep, q, cap=args.cap)),
+            "C": c,
             "e_minus": em,
             "e_plus": ep,
-            "log_partition": kernel.log_partition(em, ep, q, cap=args.cap),
+            "log_partition": log_z,
         }
         _emit(out / "exact_partition.json", {**result, "run": echo}, line=_json(result))
     elif args.action in ("mean", "var"):
@@ -285,12 +290,13 @@ def _cmd_exact(args, k_cut, q, out) -> int:
     return 0
 
 
-def _cmd_asymptotics(args, p, q, out) -> int:
+def _cmd_asymptotics(args, k_cut, q, out) -> int:
+    """q is Q as the rows read_params gives, and each point a list: the saddlepoint layer reads lists."""
     from . import asymptotics as asym
 
     echo = _run_echo(args, "type")
     if args.action == "critical-point":
-        x = asym.double_vector(*args.x)
+        x = [*args.x[0], *args.x[1]]
         res = asym.solve_critical_point(x, q, tol=args.tol, max_iter=args.max_iter)
         minus, plus = asym.split_parts(res.alpha)
         result = {
@@ -304,7 +310,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
         }
         _emit(out / "asymptotics_critical_point.json", result)
     elif args.action == "edge-mean":
-        x = asym.double_vector(*args.x)
+        x = [*args.x[0], *args.x[1]]
         k, j = args.type
         value = asym.asymptotic_edge_mean(x, q, k, j, tol=args.tol)
         result = {
@@ -314,7 +320,7 @@ def _cmd_asymptotics(args, p, q, out) -> int:
         }
         _emit(out / "asymptotics_edge_mean.json", result, line=f"{value:.10f}")
     else:
-        e = asym.double_vector(*args.margins)
+        e = [*args.margins[0], *args.margins[1]]
         edge_total = sum(args.margins[0])
         log_lap = asym.log_laplace_I_approx(e, q, tol=args.tol)
         log_ex = None
@@ -504,7 +510,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         k_cut, p_rows, q_rows = read_params(args.params_file)
-        if args.command == "exact":
+        if args.command in ("exact", "asymptotics"):
             pair = k_cut, q_rows
         else:
             from .degree_model import pair_of_rows, require_consistent

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from ._common import DEFAULT_TABLE_CAP, ORACLE_CAP
@@ -113,17 +113,14 @@ def margins_of_sequence(pairs, size: int) -> tuple[list[int], list[int]]:
     return em, ep
 
 
-@dataclass(frozen=True)
-class _Sum:
+class _Sum(namedtuple("_Sum", ["acc", "shift", "den"])):
     """Z(e) = acc[0] * 2**shift / den.
 
     With a marked cell (k, j), acc[1] and acc[2] hold sum e_kj w and
     sum e_kj^2 w over the tables, on the same scale as acc[0].
     """
 
-    acc: tuple
-    shift: int
-    den: int
+    __slots__ = ()
 
     def log(self) -> float:
         return math.log(self.acc[0]) + self.shift * _LN2 - math.log(self.den)
@@ -245,10 +242,7 @@ def _margin_sum(e_minus, e_plus, w, cap, mark=None):
 
 def log_partition(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP) -> float:
     """log of the partition sum over tables, in float arithmetic; -inf when no table has weight."""
-    w = [[float(x) for x in row] for row in _weights(q)]
-    em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
-    z = _partition_sum(em, ep, w)
-    return -math.inf if z is None else z.log()
+    return _partition(e_minus, e_plus, [[float(x) for x in row] for row in _weights(q)], cap)[1]
 
 
 def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
@@ -258,22 +252,32 @@ def partition_C(e_minus, e_plus, q, cap: int = DEFAULT_TABLE_CAP):
     through its binary exponent, so C is finite wherever it fits a float
     and math.inf beyond that range.
     """
-    w = _weights(q)
+    return _partition(e_minus, e_plus, _weights(q), cap)[0]
+
+
+def _partition(e_minus, e_plus, w, cap) -> tuple:
+    """(C, log Z) of checked margins under the weights w, both from one partition sum.
+
+    C is partition_C's constant.  log Z is log_partition's, -inf when no
+    table has weight; for Fraction w it is None, as an exact Z may lie
+    below the float range.
+    """
     em, ep, _ = _check_margins(e_minus, e_plus, len(w), cap)
     z = _partition_sum(em, ep, w)
     if z is None:
-        return _zero(w)
+        return _zero(w), -math.inf
     scale = math.factorial(sum(em))
     for v in itertools.chain(em, ep):
         scale *= math.factorial(v)
     if isinstance(w[0][0], Fraction):
-        return scale * z.value()
+        return scale * z.value(), None
     num = scale // z.den  # den = prod e-! divides scale
     drop = max(num.bit_length() - 64, 0)
     try:
-        return math.ldexp(z.acc[0] * float(num >> drop), z.shift + drop)
+        c = math.ldexp(z.acc[0] * float(num >> drop), z.shift + drop)
     except OverflowError:
-        return math.inf
+        c = math.inf
+    return c, z.log()
 
 
 def _pad_table(table, size: int) -> list[list[int]]:
@@ -392,14 +396,14 @@ def joint_first_M_prob(e_minus, e_plus, q, types, cap: int = DEFAULT_TABLE_CAP):
     return prob
 
 
-@dataclass
-class OracleDistribution:
-    """Brute-force wiring distribution from stub-pairing enumeration."""
+class OracleDistribution(namedtuple("OracleDistribution", ["tables", "wiring_counts", "total_weight", "n_edges"])):
+    """Brute-force wiring distribution from stub-pairing enumeration.
 
-    tables: dict  # table tuple -> probability
-    wiring_counts: dict  # table tuple -> number of ordered wirings
-    total_weight: object  # partition constant C
-    n_edges: int
+    tables maps each table tuple to its probability and wiring_counts to
+    its number of ordered wirings; total_weight is the partition constant C.
+    """
+
+    __slots__ = ()
 
 
 def enumerate_wirings_oracle(e_minus, e_plus, q, cap: int = ORACLE_CAP) -> OracleDistribution:

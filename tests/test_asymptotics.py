@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,25 @@ def test_h_value_closed_form_k1():
     e = np.array([1.0, 1.0])
     assert asym.h_value(np.array([1.0, 1.0]), e, Q1) == pytest.approx(math.e**2 - 2, rel=1e-14)
     assert asym.h_value(np.zeros(2), e, Q1) == pytest.approx(1.0)
+
+
+def test_h_value_reads_an_overflowing_exponential_as_inf(bal2):
+    # exp(800) leaves the float range: H is inf, with no warning and no OverflowError
+    _, q = bal2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert asym.h_value([800.0, 0.0, 0.0, 0.0], [0.4, 0.6, 0.3, 0.7], q) == math.inf
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_a_huge_point_stops_without_a_warning(bal2, scale):
+    # --tol bounds the absolute gradient norm, which no step brings below it here; numpy's
+    # overflow warnings once came out before the NoConvergence
+    _, q = bal2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence, match="line search stalled"):
+            asym.solve_critical_point([scale] * 4, q)
 
 
 def test_h_invariant_along_gauge_direction(bal2):
@@ -429,3 +449,17 @@ def test_exact_mean_fraction_approaches_asymptotic():
     assert errors[-1] < 0.02
     # halving rate consistent with a 1/m error term
     assert errors[1] / errors[3] == pytest.approx(4.0, rel=0.5)
+
+
+def test_saddlepoint_values_are_pinned_to_the_bit(bal2):
+    # every sum runs left to right, so no Python version's sum() moves these bits; the
+    # first is laplace-check's log_laplace on the exact_k3 benchmark fixture
+    q = [
+        [0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.125, 0.0625, 0.0625],
+        [0.0, 0.0625, 0.25, 0.0625],
+        [0.0, 0.0625, 0.0625, 0.25],
+    ]
+    assert asym.log_laplace_I_approx([12, 18, 30, 18, 18, 24], q).hex() == "-0x1.7929223d9f06ep+7"
+    _, q = bal2
+    assert asym.asymptotic_edge_mean([0.4, 0.6, 0.3, 0.7], q, 2, 2).hex() == "0x1.ae147ae147ae0p-2"

@@ -364,6 +364,18 @@ def test_critical_point_at_a_zero_on_a_joined_class_is_rejected(bal2_file, tmp_p
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
+@pytest.mark.parametrize("x", ["1e200,1e200:1e200,1e200", "1e300,1e300:1e300,1e300"])
+def test_a_huge_point_fails_with_one_error_line(bal2_file, tmp_path, x):
+    # the exponentials overflow; numpy once wrote 11 RuntimeWarning lines before the error
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out_dir = tmp_path / "out"
+    argv = ["asymptotics", "critical-point", "--params", bal2_file, "--x", x, "--out-dir", str(out_dir)]
+    proc = subprocess.run([sys.executable, "-m", "acg.cli", *argv], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: backtracking line search stalled\n"
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 def test_exact_var_of_a_heavy_cell_matches_fractions(tmp_path, capsys):
     # the variance 0.095 is small next to E[e (e - 1)] ~ 3300, within the default cap
     q = [[0, 0, 0], [0, 0.1, 0.1], [0, 0.1, 0.7]]
@@ -645,6 +657,17 @@ IMPORT_FOOTPRINTS = {
         )
         for words, argv in SMALL_RUNS.items()
         if words[0] == "exact"
+    },
+    # the saddlepoint layer reads Q's rows and the point as lists, and no result of an exact or
+    # saddlepoint call is a dataclass, whose module loads inspect
+    **{
+        f"{words[0]}-{words[1]}-without-dataclasses": (
+            "",
+            _cli(*words, "--params", "bal2.json", *argv, "--out-dir", "out"),
+            ["dataclasses", "inspect"] + (["numpy", "acg.degree_model"] if words[0] == "asymptotics" else []),
+        )
+        for words, argv in SMALL_RUNS.items()
+        if words[0] == "exact" or words[1:] in (("edge-mean",), ("laplace-check",))
     },
     "generate": (
         "",

@@ -42,7 +42,7 @@ GOLDEN = {
     ),
     "asymptotics-critical-point": (
         ["asymptotics", "critical-point", "--x", "0.4,0.6:0.3,0.7"],
-        "43011f717df1e51dfba06d9478625c997be11f4990bffdea7f92c1fe302150fc",
+        "3e3a1a3878c8d40406a6cc6b0ef5d65a8612cf753b58ca6a2d2f57e07864833c",
     ),
     "asymptotics-edge-mean": (
         ["asymptotics", "edge-mean", "--x", "0.4,0.6:0.3,0.7", "--type", "2,2"],
