@@ -20,11 +20,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "CriticalPointResult": "asymptotics",
     "asymptotic_edge_mean": "asymptotics",
-    "double_vector": "asymptotics",
     "h_derivatives": "asymptotics",
     "h_value": "asymptotics",
     "solve_critical_point": "asymptotics",
-    "split_parts": "asymptotics",
     "Attachment": "config_probability",
     "ConfigurationTree": "config_probability",
     "config_from_dict": "config_probability",

@@ -13,13 +13,12 @@ log_laplace_I_approx, estimates the Fourier integral whose exact value,
 log_exact_I, is (2 pi)^(2K) times the table partition sum; both stay in
 the log domain, as the integral leaves the float range quickly in E.
 
-The module imports no numpy.  Double vectors are read into lists of
-floats and the solver works on lists, with Gaussian elimination for its
-Newton steps and determinants.  Every sum runs left to right, so no
-Python version's sum() changes a result, and an exponential that
-overflows reads as inf.  Only the functions that return arrays
-(double_vector, split_parts, to_margins, gauge_direction, h_derivatives,
-and solve_critical_point for its alpha) import numpy, when called.
+The module imports no numpy.  A double vector is any sequence of 2K
+numbers, in-classes first; it is read into a list of floats, and the
+solver works on lists, with Gaussian elimination for its Newton steps
+and determinants, and returns lists.  Every sum runs left to right, so
+no Python version's sum() changes a result, and an exponential that
+overflows reads as inf.
 """
 
 import cmath
@@ -34,41 +33,6 @@ from .errors import InvalidDistribution, MarginMismatch, NoConvergence, Singular
 
 ARMIJO_C = 1e-4
 TWO_PI = 2.0 * math.pi
-
-
-def double_vector(minus, plus):
-    """Stack a minus part (indexed by j=1..K) and a plus part (k=1..K)."""
-    import numpy as np
-
-    minus = np.atleast_1d(np.asarray(minus))
-    plus = np.atleast_1d(np.asarray(plus))
-    if minus.shape != plus.shape or minus.ndim != 1:
-        raise MarginMismatch("minus and plus parts must be 1-d and equal length")
-    return np.concatenate([minus, plus])
-
-
-def split_parts(v):
-    """Inverse of double_vector: return (minus, plus) views."""
-    import numpy as np
-
-    v = np.asarray(v)
-    if v.ndim != 1 or v.shape[0] % 2:
-        raise MarginMismatch(f"double vectors have even length, got shape {v.shape}")
-    half = v.shape[0] // 2
-    return v[:half], v[half:]
-
-
-def to_margins(v):
-    """Double vector -> margin arrays with the degree-0 slot prepended."""
-    import numpy as np
-
-    minus, plus = split_parts(v)
-    return np.concatenate([[0], minus]), np.concatenate([[0], plus])
-
-
-def gauge_direction(size):
-    """The direction 1~ = 1^- - 1^+ along which H is constant."""
-    return double_vector([1.0] * size, [-1.0] * size)
 
 
 def _core(q):
@@ -147,23 +111,20 @@ def _h(alpha, e, qcore):
 
 
 def h_derivatives(alpha, e, q):
-    """(gradient, Hessian) of H in alpha, as arrays.
+    """(gradient, Hessian) of H in alpha, as a list and a list of rows.
 
     The gradient is sum_kj delta_jk exp(alpha . delta_jk) Q[k, j] - e.
     The Hessian does not involve e; its blocks are the diagonal stub
     intensities and the weight matrix W, and it annihilates the gauge
     direction.
     """
-    import numpy as np
-
     qcore = _core(q)
     size = len(qcore)
-    grad, hess = _derivatives(_vector(alpha, size, "alpha"), _vector(e, size, "e"), qcore)
-    return np.array(grad), np.array(hess)
+    return _derivatives(_vector(alpha, size, "alpha"), _vector(e, size, "e"), qcore)
 
 
 def _derivatives(alpha, e, qcore):
-    """h_derivatives, as lists, on checked float double vectors and the core that _core has read."""
+    """h_derivatives on checked float double vectors and the core that _core has read."""
     size = len(qcore)
     w = _weight_rows(alpha, qcore)
     col, row = [0.0] * size, [0.0] * size
@@ -249,23 +210,26 @@ def _point(x, q, tol):
     Q's types join (in-class j and out-class k where Q[k, j] > 0; a class
     that Q leaves empty is a part of its own).  InvalidDistribution unless
     tol is a finite number > 0; MarginMismatch unless x is a double vector
-    matching Q (length read first), finite, nonnegative, with equal
-    positive totals.  H has a minimum only inside the polytope of tables on
-    Q's support: UnsupportedMargin when x's totals differ on a part or x is
-    0 on a class of a part of several classes.  Other boundary points pass.
+    matching Q (length read first), finite, nonnegative, with positive
+    totals equal to within 1e-9 of their size, so the check reads the same
+    at every scale.  H has a minimum only inside the polytope of tables on
+    Q's support: UnsupportedMargin when x's totals differ on a part by more
+    than that or x is 0 on a class of a part of several classes.  Other
+    boundary points pass.
     """
     tol = finite(tol, InvalidDistribution, above=0)
     qcore = _core(q)
     size = len(qcore)
     x = _vector(x, size, "x")
     totals = _total(x[:size]), _total(x[size:])
-    if not all(math.isfinite(v) and v >= 0 for v in x) or min(totals) <= 0 or not math.isclose(*totals, rel_tol=0, abs_tol=1e-9):
+    slack = 1e-9 * max(totals)
+    if not all(math.isfinite(v) and v >= 0 for v in x) or min(totals) <= 0 or not math.isclose(*totals, rel_tol=0, abs_tol=slack):
         raise MarginMismatch("margins must be finite and nonnegative with equal positive stub totals")
     units = []
     for part in _parts(qcore):
         minus = _total(x[i] for i in part if i < size)
         plus = _total(x[i] for i in part if i >= size)
-        unequal = not math.isclose(minus, plus, rel_tol=0, abs_tol=1e-9 if len(part) > 1 else 0)
+        unequal = not math.isclose(minus, plus, rel_tol=0, abs_tol=slack if len(part) > 1 else 0)
         if unequal or (len(part) > 1 and any(x[i] == 0 for i in part)):
             js = [i + 1 for i in part if i < size]
             ks = [i - size + 1 for i in part if i >= size]
@@ -285,21 +249,21 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     part of the degree classes that Q's edge types join, and no zero on a
     class of a part of several; at total 1 the critical point's tilted
     weights are per-edge fractions.  Iterates move alpha orthogonally to
-    every part's gauge vector, with Armijo backtracking, from alpha=0;
-    hessian_projected_det is the product of the Hessian's eigenvalues off
-    those vectors, and alpha is an array.  MarginMismatch or
-    UnsupportedMargin unless x is such a double vector; InvalidDistribution
-    unless tol is a finite number > 0 and max_iter an integer of at least 1.
+    every part's gauge vector, with Armijo backtracking, from alpha=0, and
+    stop once the gradient's norm off those vectors is at most tol times
+    x's in-total: the critical point at c x is the one at x shifted by
+    log(c)/2 in every coordinate, and the test reads the same at every c.
+    alpha is a list; hessian_projected_det is the product of the Hessian's
+    eigenvalues off those vectors.  MarginMismatch or UnsupportedMargin
+    unless x is such a double vector; InvalidDistribution unless tol is a
+    finite number > 0 and max_iter an integer of at least 1.
     """
-    import numpy as np
-
     max_iter = integral(max_iter, InvalidDistribution, 1)
-    result = _solve(*_point(x, q, tol), max_iter)
-    return result._replace(alpha=np.array(result.alpha))
+    return _solve(*_point(x, q, tol), max_iter)
 
 
 def _solve(x, qcore, units, tol, max_iter):
-    """solve_critical_point, with alpha a list, on the point, core, units and tol _point has read and a checked max_iter."""
+    """solve_critical_point on the point, core, units and tol _point has read and a checked max_iter."""
     def off(v):
         # the units are orthonormal, so taking them out one at a time takes out their span
         for u in units:
@@ -311,6 +275,7 @@ def _solve(x, qcore, units, tol, max_iter):
     # changing H on the gauge slice: Newton steps stay in it, and det(H + F) is the projected determinant
     fix = [(i, j, a * b) for u in units for i, a in enumerate(u) if a for j, b in enumerate(u) if b]
     alpha = [0.0] * len(x)
+    tol *= _total(x[: len(x) // 2])
     for iteration in range(max_iter):
         grad, hess = _derivatives(alpha, x, qcore)
         slice_grad = off(grad)
@@ -324,7 +289,7 @@ def _solve(x, qcore, units, tol, max_iter):
             raise NoConvergence("projected Hessian is singular at an iterate")
         if _dot(grad, step) >= 0:
             step = [-g for g in grad]
-        # x's totals agree only to 1e-9, so grad may leave the gauge slice; the step may not
+        # x's totals agree only to 1e-9 of their size, so grad may leave the gauge slice; the step may not
         step = off(step)
         slope = _dot(grad, step)
         value = _h(alpha, x, qcore)

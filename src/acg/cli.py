@@ -25,15 +25,13 @@ configs the configuration counter and validate the suites.  At the top
 this module imports the standard library and acg's numpy-free modules
 alone (errors, _params with the parameter reader, and _common with the
 parser's defaults), so `--help` and a rejected flag load no numpy and no
-layer.  exact and the laplace-check and edge-mean actions of asymptotics
-load no numpy at all: run reads the parameter file once into rows of P
-and Q, exact and asymptotics hand Q's rows, and asymptotics its point,
-to layers that work on lists (critical-point loads numpy for the alpha
-array that solve_critical_point returns), and every other command builds
-the numpy distributions it needs from the same rows.  Neither returns
-a dataclass, so neither loads dataclasses, whose import pulls in
-inspect.  Every layer a command needs is imported before it forks a
-replicate worker or starts a thread.
+layer.  exact and asymptotics load no numpy at all: run reads the
+parameter file once into rows of P and Q, exact and asymptotics hand
+Q's rows, and asymptotics its point, to layers that work on lists, and
+every other command builds the numpy distributions it needs from the
+same rows.  Neither returns a dataclass, so neither loads dataclasses,
+whose import pulls in inspect.  Every layer a command needs is imported
+before it forks a replicate worker or starts a thread.
 
 The validation suites are one table, SUITES: a row holds a suite's run
 and its --n and --reps defaults, and each report builds its own TSV and
@@ -298,10 +296,10 @@ def _cmd_asymptotics(args, k_cut, q, out) -> int:
     if args.action == "critical-point":
         x = [*args.x[0], *args.x[1]]
         res = asym.solve_critical_point(x, q, tol=args.tol, max_iter=args.max_iter)
-        minus, plus = asym.split_parts(res.alpha)
+        half = len(args.x[0])
         result = {
-            "alpha_minus": minus.tolist(),
-            "alpha_plus": plus.tolist(),
+            "alpha_minus": res.alpha[:half],
+            "alpha_plus": res.alpha[half:],
             "gradient_norm": res.gradient_norm,
             "h_at_min": res.h_at_min,
             "hessian_projected_det": res.hessian_projected_det,

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 
 from acg import exact_kernel as kernel
-from acg.asymptotics import double_vector, h_value
+from acg.asymptotics import h_value
 from acg.config_probability import Attachment, ConfigurationTree, tree_config_prob
 from acg.degree_model import EdgeTypeDist, NodeTypeDist
 from acg.errors import AcgError, MarginMismatch, ZeroPartition
@@ -371,6 +371,24 @@ def partition_Z(e_minus, e_plus, q, cap: int = kernel.DEFAULT_TABLE_CAP):
     for v in itertools.chain(e_minus, e_plus):
         scale *= math.factorial(int(v))
     return kernel.partition_C(e_minus, e_plus, q, cap=cap) / scale
+
+
+def double_vector(minus, plus):
+    """Stack a minus part (indexed by j=1..K) and a plus part (k=1..K) into one array."""
+    minus = np.atleast_1d(np.asarray(minus))
+    plus = np.atleast_1d(np.asarray(plus))
+    if minus.shape != plus.shape or minus.ndim != 1:
+        raise MarginMismatch("minus and plus parts must be 1-d and equal length")
+    return np.concatenate([minus, plus])
+
+
+def split_parts(v):
+    """Inverse of double_vector: return (minus, plus) views."""
+    v = np.asarray(v)
+    if v.ndim != 1 or v.shape[0] % 2:
+        raise MarginMismatch(f"double vectors have even length, got shape {v.shape}")
+    half = v.shape[0] // 2
+    return v[:half], v[half:]
 
 
 def from_margins(e_minus, e_plus):

@@ -28,6 +28,7 @@ from acg.sampler import DEFAULT_DELTA, clip_sequence, draw_node_sequence, genera
 from helpers import (
     ORACLE_SEQUENCES,
     coordinate_descent_alpha,
+    double_vector,
     edge_type_prob,
     first_m_prob,
     from_margins,
@@ -63,7 +64,7 @@ def criterion(num, desc):
 
 
 def margins_point(q):
-    return asym.double_vector(q.in_marginal[1:], q.out_marginal[1:])
+    return double_vector(q.in_marginal[1:], q.out_marginal[1:])
 
 
 def test_criterion_01_wiring_oracle_agreement(bal2, disas):
@@ -166,7 +167,7 @@ def test_criterion_04_critical_point_solver():
             a = rng.normal(scale=0.7, size=2 * size)
             w = q.matrix[1:, 1:] * np.exp(a[:size][None, :] + a[size:][:, None])
             w /= w.sum()
-            x = asym.double_vector(w.sum(axis=0), w.sum(axis=1))
+            x = double_vector(w.sum(axis=0), w.sum(axis=1))
             res = asym.solve_critical_point(x, q)
             assert res.iterations <= 50
             assert res.gradient_norm <= 1e-10

@@ -9,34 +9,38 @@ from acg import exact_kernel as kernel
 from acg.errors import MarginMismatch, NoConvergence, SingularHessian, UnsupportedMargin
 
 from conftest import SKEW_Q
-from helpers import coordinate_descent_alpha, fourier_integrand, from_margins, random_consistent_pair
+from helpers import (
+    coordinate_descent_alpha,
+    double_vector,
+    fourier_integrand,
+    from_margins,
+    random_consistent_pair,
+    split_parts,
+)
 
 Q1 = np.array([[0.0, 0.0], [0.0, 1.0]])  # K = 1, all mass on (1, 1)
 
 
 def test_double_vector_roundtrip():
-    v = asym.double_vector([1.0, 2.0], [3.0, 4.0])
+    v = double_vector([1.0, 2.0], [3.0, 4.0])
     assert v.tolist() == [1, 2, 3, 4]
-    minus, plus = asym.split_parts(v)
+    minus, plus = split_parts(v)
     assert minus.tolist() == [1, 2]
     assert plus.tolist() == [3, 4]
     with pytest.raises(ValueError):
-        asym.split_parts(np.zeros(3))
+        split_parts(np.zeros(3))
 
 
 def test_from_margins_strips_degree_zero_slot():
     e = from_margins(np.array([0, 1, 2]), np.array([0, 1, 2]))
     assert e.tolist() == [1, 2, 1, 2]
-    em, ep = asym.to_margins(e)
-    assert em.tolist() == [0, 1, 2]
-    assert ep.tolist() == [0, 1, 2]
     with pytest.raises(MarginMismatch):
         from_margins(np.array([1, 1, 2]), np.array([0, 2, 2]))
 
 
 def test_h_value_is_one_at_origin(bal2):
     _, q = bal2
-    e = asym.double_vector([1 / 3, 2 / 3], [1 / 3, 2 / 3])
+    e = double_vector([1 / 3, 2 / 3], [1 / 3, 2 / 3])
     assert asym.h_value(np.zeros(4), e, q) == pytest.approx(1 - 0.0, abs=1e-15)
 
 
@@ -57,8 +61,8 @@ def test_h_value_reads_an_overflowing_exponential_as_inf(bal2):
 
 @pytest.mark.parametrize("scale", [1e200, 1e300])
 def test_a_huge_point_stops_without_a_warning(bal2, scale):
-    # --tol bounds the absolute gradient norm, which no step brings below it here; numpy's
-    # overflow warnings once came out before the NoConvergence
+    # the first Newton step is of the order of the point, so H overflows at every step the
+    # line search tries; numpy's overflow warnings once came out before the NoConvergence
     _, q = bal2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -69,18 +73,18 @@ def test_a_huge_point_stops_without_a_warning(bal2, scale):
 def test_h_invariant_along_gauge_direction(bal2):
     _, q = bal2
     rng = np.random.default_rng(0)
-    e = asym.double_vector([1 / 3, 2 / 3], [1 / 3, 2 / 3])
+    e = double_vector([1 / 3, 2 / 3], [1 / 3, 2 / 3])
     for _ in range(5):
         alpha = rng.normal(size=4)
         c = rng.normal()
-        shifted = alpha + c * asym.gauge_direction(2)
+        shifted = alpha + c * double_vector([1.0, 1.0], [-1.0, -1.0])
         assert asym.h_value(shifted, e, q) == pytest.approx(asym.h_value(alpha, e, q), rel=1e-13)
 
 
 def test_gradient_matches_finite_differences(bal2):
     _, q = bal2
     rng = np.random.default_rng(1)
-    e = asym.double_vector([0.4, 0.6], [0.3, 0.7])
+    e = double_vector([0.4, 0.6], [0.3, 0.7])
     h = 1e-6
     for _ in range(5):
         alpha = rng.normal(scale=0.5, size=4)
@@ -94,24 +98,21 @@ def test_gradient_matches_finite_differences(bal2):
 
 def test_hessian_matches_finite_differences_and_kills_gauge(bal2):
     _, q = bal2
-    e = asym.double_vector([0.4, 0.6], [0.3, 0.7])
+    e = double_vector([0.4, 0.6], [0.3, 0.7])
     alpha = np.array([0.2, -0.1, 0.05, 0.3])
-    _, hess = asym.h_derivatives(alpha, e, q)
-    assert np.abs(hess @ asym.gauge_direction(2)).max() < 1e-14
+    hess = np.array(asym.h_derivatives(alpha, e, q)[1])
+    assert np.abs(hess @ double_vector([1.0, 1.0], [-1.0, -1.0])).max() < 1e-14
     h = 1e-5
     for i in range(4):
         step = np.zeros(4)
         step[i] = h
-        fd = (
-            asym.h_derivatives(alpha + step, e, q)[0]
-            - asym.h_derivatives(alpha - step, e, q)[0]
-        ) / (2 * h)
+        fd = np.subtract(asym.h_derivatives(alpha + step, e, q)[0], asym.h_derivatives(alpha - step, e, q)[0]) / (2 * h)
         assert np.abs(hess[:, i] - fd).max() < 1e-7
 
 
 def test_critical_point_at_margins_is_zero(bal2, disas):
     for _, q in (bal2, disas):
-        x = asym.double_vector(q.in_marginal[1:], q.out_marginal[1:])
+        x = double_vector(q.in_marginal[1:], q.out_marginal[1:])
         res = asym.solve_critical_point(x, q)
         assert np.abs(res.alpha).max() < 1e-12
         assert res.h_at_min == pytest.approx(1.0, abs=1e-12)
@@ -121,7 +122,7 @@ def test_critical_point_at_margins_is_zero(bal2, disas):
 def test_critical_point_independent_closed_form(bal2):
     # product Q: alpha splits into log ratios of the margins
     _, q = bal2
-    x = asym.double_vector([2 / 3, 1 / 3], [2 / 3, 1 / 3])
+    x = double_vector([2 / 3, 1 / 3], [2 / 3, 1 / 3])
     res = asym.solve_critical_point(x, q)
     expect = np.array([math.log(2), -math.log(2), math.log(2), -math.log(2)])
     assert np.abs(res.alpha - expect).max() < 1e-9
@@ -135,7 +136,7 @@ def test_critical_point_matches_coordinate_descent():
         xp = rng.uniform(0.2, 1.0, 2)
         xm /= xm.sum()
         xp /= xp.sum()
-        x = asym.double_vector(xm, xp)
+        x = double_vector(xm, xp)
         res = asym.solve_critical_point(x, SKEW_Q)
         cd = coordinate_descent_alpha(x, np.asarray(SKEW_Q))
         assert np.abs(res.alpha - cd).max() < 1e-8
@@ -145,29 +146,44 @@ def test_critical_point_matches_coordinate_descent():
 def test_critical_value_identity(bal2):
     # at the minimum the weight matrix resums to the stub total
     _, q = bal2
-    x = asym.double_vector([0.5, 0.5], [0.25, 0.75])
+    x = double_vector([0.5, 0.5], [0.25, 0.75])
     res = asym.solve_critical_point(x, q)
     assert res.h_at_min == pytest.approx(1.0 - float(res.alpha @ x), abs=1e-12)
 
 
 def test_critical_point_scaling_shift():
-    x = asym.double_vector([0.3, 0.7], [0.6, 0.4])
+    # tol bounds the gradient norm relative to x's in-total, so one tol finds the shifted
+    # point at every scale; an absolute bound once stopped early at 1e-9 and never at 1e5
+    x = double_vector([0.3, 0.7], [0.6, 0.4])
     base = asym.solve_critical_point(x, SKEW_Q)
-    scaled = asym.solve_critical_point(3.0 * x, SKEW_Q)
-    shift = scaled.alpha - base.alpha
-    assert np.abs(shift - math.log(3) / 2).max() < 1e-8
+    for scale in (3.0, 1e-9, 1e5):
+        scaled = asym.solve_critical_point(scale * x, SKEW_Q)
+        shift = np.subtract(scaled.alpha, base.alpha)
+        assert np.abs(shift - math.log(scale) / 2).max() < 1e-8, scale
+
+
+def test_a_point_whose_totals_round_apart_at_large_scale_is_accepted():
+    # at 1e7 the halves' float sums differ by 1.9e-9 from rounding alone; an absolute 1e-9
+    # once rejected the point as unbalanced
+    x = double_vector([0.7680373314160295, 0.23196266858397055], [0.6588442315322043, 0.3411557684677956])
+    base = asym.solve_critical_point(x, SKEW_Q)
+    scaled = asym.solve_critical_point(1e7 * x, SKEW_Q)
+    assert np.abs(np.subtract(scaled.alpha, base.alpha) - math.log(1e7) / 2).max() < 1e-8
 
 
 def test_solver_rejects_unbalanced_margins(bal2):
+    # the totals must agree to 1e-9 of their size: an absolute 1e-9 once let the point at
+    # 1e-12 times these through, and the solver returned a "critical point" for it
     _, q = bal2
-    with pytest.raises(MarginMismatch):
-        asym.solve_critical_point(asym.double_vector([0.5, 0.5], [0.3, 0.3]), q)
+    for scale in (1.0, 1e-12):
+        with pytest.raises(MarginMismatch):
+            asym.solve_critical_point(scale * double_vector([0.5, 0.5], [0.3, 0.3]), q)
 
 
 def test_solver_rejects_mass_off_support():
     # no edges into in-degree-1 targets, yet x asks for them
     q = np.array([[0, 0, 0], [0, 0, 0.5], [0, 0, 0.5]])
-    x = asym.double_vector([0.5, 0.5], [0.5, 0.5])
+    x = double_vector([0.5, 0.5], [0.5, 0.5])
     with pytest.raises(UnsupportedMargin):
         asym.solve_critical_point(x, q)
 
@@ -175,7 +191,7 @@ def test_solver_rejects_mass_off_support():
 def test_solver_reports_infeasible_margins(disas):
     # the margin polytope of the off-diagonal support excludes this x
     _, qd = disas
-    x = asym.double_vector([2 / 3, 1 / 3], [2 / 3, 1 / 3])
+    x = double_vector([2 / 3, 1 / 3], [2 / 3, 1 / 3])
     with pytest.raises(NoConvergence):
         asym.solve_critical_point(x, qd)
 
@@ -192,9 +208,9 @@ def test_critical_point_is_gauge_fixed_with_the_projected_determinant(size):
     for _ in range(3):
         tilt = rng.normal(0.0, 0.5, 2 * size)
         w = core * np.exp(np.add.outer(tilt[size:], tilt[:size]))
-        x = asym.double_vector(w.sum(axis=0), w.sum(axis=1)) / w.sum()
+        x = double_vector(w.sum(axis=0), w.sum(axis=1)) / w.sum()
         res = asym.solve_critical_point(x, q)
-        assert abs(asym.gauge_direction(size) @ res.alpha) <= 1e-12
+        assert abs(double_vector(np.ones(size), -np.ones(size)) @ res.alpha) <= 1e-12
         eigenvalues = np.linalg.eigvalsh(asym.h_derivatives(res.alpha, x, q)[1])
         assert res.hessian_projected_det == pytest.approx(np.prod(eigenvalues[1:]), rel=1e-12)
 
@@ -224,7 +240,7 @@ def test_critical_point_on_a_split_support_is_gauge_fixed_on_every_part(name):
     for _ in range(3):
         tilt = rng.normal(0.0, 0.5, 2 * size)
         w = core * np.exp(np.add.outer(tilt[size:], tilt[:size]))
-        x = asym.double_vector(w.sum(axis=0), w.sum(axis=1)) / w.sum()
+        x = double_vector(w.sum(axis=0), w.sum(axis=1)) / w.sum()
         res = asym.solve_critical_point(x, q)
         for js, ks in parts:
             u = np.zeros(2 * size)
@@ -236,26 +252,27 @@ def test_critical_point_on_a_split_support_is_gauge_fixed_on_every_part(name):
 
 
 def test_split_supports_reach_their_critical_points():
-    tilted = asym.double_vector([0.3, 0.7], [0.7, 0.3])
+    tilted = double_vector([0.3, 0.7], [0.7, 0.3])
     assert asym.asymptotic_edge_mean(tilted, ANTI_Q, 1, 2) == pytest.approx(0.7, abs=1e-10)
     assert asym.solve_critical_point(tilted, ANTI_Q).hessian_projected_det == pytest.approx(0.84, abs=1e-8)
     at_margins = asym.solve_critical_point(np.full(4, 0.5), ANTI_Q)
     assert at_margins.iterations == 0
     assert at_margins.hessian_projected_det == pytest.approx(1.0, abs=1e-12)
-    assortative = asym.double_vector([0.3, 0.7], [0.3, 0.7])
+    assortative = double_vector([0.3, 0.7], [0.3, 0.7])
     assert asym.asymptotic_edge_mean(assortative, DIAG_Q, 1, 1) == pytest.approx(0.3, abs=1e-10)
 
 
 def test_solver_rejects_unequal_totals_on_a_part():
     one_class_each = r"margin totals differ on the part of in-degrees \[\d\] and out-degrees \[\d\]"
     with pytest.raises(UnsupportedMargin, match=one_class_each):
-        asym.solve_critical_point(asym.double_vector([0.3, 0.7], [0.3, 0.7]), ANTI_Q)
+        asym.solve_critical_point(double_vector([0.3, 0.7], [0.3, 0.7]), ANTI_Q)
     with pytest.raises(UnsupportedMargin, match=one_class_each):
-        asym.asymptotic_edge_mean(asym.double_vector([0.3, 0.7], [0.7, 0.3]), DIAG_Q, 1, 1)
+        asym.asymptotic_edge_mean(double_vector([0.3, 0.7], [0.7, 0.3]), DIAG_Q, 1, 1)
     # the global totals agree; each part's do not
-    x = asym.double_vector([0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.3])
-    with pytest.raises(UnsupportedMargin, match=r"in-degrees \[(1, 2|3, 4)\] and out-degrees \[(1, 2|3, 4)\]"):
-        asym.solve_critical_point(x, BLOCK_Q)
+    x = double_vector([0.1, 0.2, 0.3, 0.4], [0.2, 0.2, 0.3, 0.3])
+    for scale in (1.0, 1e-12):
+        with pytest.raises(UnsupportedMargin, match=r"in-degrees \[(1, 2|3, 4)\] and out-degrees \[(1, 2|3, 4)\]"):
+            asym.solve_critical_point(scale * x, BLOCK_Q)
 
 
 @pytest.mark.parametrize(
@@ -292,7 +309,7 @@ def test_solver_rejects_non_finite_margins(bal2):
 def test_solver_stops_at_max_iter(bal2):
     _, q = bal2
     with pytest.raises(NoConvergence, match="after 1 Newton iterations"):
-        asym.solve_critical_point(asym.double_vector([0.4, 0.6], [0.3, 0.7]), q, max_iter=1)
+        asym.solve_critical_point(double_vector([0.4, 0.6], [0.3, 0.7]), q, max_iter=1)
 
 
 def test_det0_hessian_k1_value():
@@ -361,7 +378,7 @@ def test_laplace_ratio_trend_k3():
     )
     ratios = []
     for m in (1, 2, 3):
-        e = asym.double_vector(m * np.array([12.0, 18.0, 30.0]), m * np.array([18.0, 18.0, 24.0]))
+        e = double_vector(m * np.array([12.0, 18.0, 30.0]), m * np.array([18.0, 18.0, 24.0]))
         log_exact = asym.log_exact_I(e, q, cap=60 * m)
         ratios.append(math.exp(log_exact - asym.log_laplace_I_approx(e, q)))
     diffs = np.abs(np.diff(ratios))
@@ -382,7 +399,7 @@ def test_laplace_ratio_tends_to_one_k3():
     )
     scaled = []
     for m in (6, 12, 18):
-        e = asym.double_vector(m * np.array([2.0, 3.0, 5.0]), m * np.array([3.0, 3.0, 4.0]))
+        e = double_vector(m * np.array([2.0, 3.0, 5.0]), m * np.array([3.0, 3.0, 4.0]))
         ratio = math.exp(asym.log_exact_I(e, q, cap=10 * m) - asym.log_laplace_I_approx(e, q))
         assert 0.97 < ratio < 1.0
         scaled.append(10 * m * (1 - ratio))
@@ -396,7 +413,7 @@ def test_laplace_refuses_an_empty_degree_class():
     # reports the determinant over the rest, which leaves out their directions
     q = np.zeros((4, 4))
     q[np.ix_([1, 3], [1, 3])] = 0.25
-    e = asym.double_vector([10.0, 0.0, 10.0], [10.0, 0.0, 10.0])
+    e = double_vector([10.0, 0.0, 10.0], [10.0, 0.0, 10.0])
     assert asym.solve_critical_point(e / 20, q).hessian_projected_det == pytest.approx(0.25)
     with pytest.raises(SingularHessian):
         asym.log_laplace_I_approx(e, q)
@@ -411,7 +428,7 @@ def test_log_laplace_finite_at_large_margins(bal2):
 
 def test_asymptotic_edge_mean_at_margins_is_q(bal2, disas):
     for _, q in (bal2, disas):
-        x = asym.double_vector(q.in_marginal[1:], q.out_marginal[1:])
+        x = double_vector(q.in_marginal[1:], q.out_marginal[1:])
         for k in (1, 2):
             for j in (1, 2):
                 got = asym.asymptotic_edge_mean(x, q, k, j)
@@ -419,14 +436,14 @@ def test_asymptotic_edge_mean_at_margins_is_q(bal2, disas):
 
 
 def test_asymptotic_edge_means_sum_to_one():
-    x = asym.double_vector([0.45, 0.55], [0.3, 0.7])
+    x = double_vector([0.45, 0.55], [0.3, 0.7])
     total = sum(asym.asymptotic_edge_mean(x, SKEW_Q, k, j) for k in (1, 2) for j in (1, 2))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_asymptotic_edge_mean_validates_type(bal2):
     _, q = bal2
-    x = asym.double_vector([0.5, 0.5], [0.5, 0.5])
+    x = double_vector([0.5, 0.5], [0.5, 0.5])
     with pytest.raises(ValueError):
         asym.asymptotic_edge_mean(x, q, 0, 1)
     with pytest.raises(ValueError):
@@ -437,7 +454,7 @@ def test_exact_mean_fraction_approaches_asymptotic():
     # full-support non-product law: the finite-size fraction drifts
     # toward the saddlepoint value at rate 1/m
     q = np.asarray(SKEW_Q)
-    x = asym.double_vector([1 / 3, 2 / 3], [1 / 3, 2 / 3])
+    x = double_vector([1 / 3, 2 / 3], [1 / 3, 2 / 3])
     limit = asym.asymptotic_edge_mean(x, q, 2, 2)
     errors = []
     for m in (2, 5, 10, 20):

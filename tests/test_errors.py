@@ -83,8 +83,6 @@ _Q_NAN = [[0, 0, 0], [0, 0.25, 0.25], [0, 0.25, float("nan")]]
 
 # (call, whether it raised a ValueError before)
 CASES = {
-    "double_vector-ragged": (lambda: acg.double_vector([1.0, 2.0], [1.0]), True),
-    "split_parts-odd": (lambda: acg.split_parts([1.0, 2.0, 3.0]), True),
     "h_value-shape": (lambda: acg.h_value(np.zeros(3), np.zeros(3), _q()), True),
     "h_derivatives-shape": (lambda: acg.h_derivatives(np.zeros(3), np.zeros(3), _q()), True),
     "solve_critical_point-shape": (lambda: acg.solve_critical_point(np.full(3, 0.5), _q()), True),
