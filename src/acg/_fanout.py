@@ -14,9 +14,7 @@ Workers are forked, not spawned: a forked worker starts at once with this
 process's imports, loaded kernel and fn, none of them pickled, so fn may be
 a closure; only results and exceptions come back pickled.  A spawned worker
 would import numpy and acg again, about 0.3 s on a 2-core Xeon, longer than
-most suites' replicates take.  Every thread acg starts (the sampler's, for
-one large graph) is joined before the call that started it returns, so none
-is alive at a fork to be caught mid-lock.
+most suites' replicates take.
 """
 
 import os

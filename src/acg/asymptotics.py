@@ -204,15 +204,15 @@ def _parts(qcore):
 
 
 def _point(x, q, tol):
-    """(x as floats, Q's core, H's unit gauge vectors, tol), each read and checked once.
+    """(x's in-total c, x / c as floats, Q's core, H's unit gauge vectors, tol), each read and checked once.
 
     A gauge vector is 1 on the in- and -1 on the out-classes of a part that
     Q's types join (in-class j and out-class k where Q[k, j] > 0; a class
     that Q leaves empty is a part of its own).  InvalidDistribution unless
     tol is a finite number > 0; MarginMismatch unless x is a double vector
     matching Q (length read first), finite, nonnegative, with positive
-    totals equal to within 1e-9 of their size, so the check reads the same
-    at every scale.  H has a minimum only inside the polytope of tables on
+    totals that the float range holds, equal to within 1e-9 of their size,
+    so the check reads the same at every scale.  H has a minimum only inside the polytope of tables on
     Q's support: UnsupportedMargin when x's totals differ on a part by more
     than that or x is 0 on a class of a part of several classes.  Other
     boundary points pass.
@@ -223,7 +223,7 @@ def _point(x, q, tol):
     x = _vector(x, size, "x")
     totals = _total(x[:size]), _total(x[size:])
     slack = 1e-9 * max(totals)
-    if not all(math.isfinite(v) and v >= 0 for v in x) or min(totals) <= 0 or not math.isclose(*totals, rel_tol=0, abs_tol=slack):
+    if not all(math.isfinite(v) and v >= 0 for v in x) or not all(0 < t < math.inf for t in totals) or not math.isclose(*totals, rel_tol=0, abs_tol=slack):
         raise MarginMismatch("margins must be finite and nonnegative with equal positive stub totals")
     units = []
     for part in _parts(qcore):
@@ -239,7 +239,7 @@ def _point(x, q, tol):
         for i in part:
             unit[i] = (1.0 if i < size else -1.0) / math.sqrt(len(part))
         units.append(unit)
-    return x, qcore, units, tol
+    return totals[0], [v / totals[0] for v in x], qcore, units, tol
 
 
 def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
@@ -248,37 +248,52 @@ def solve_critical_point(x, q, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     x is a double vector of stub margins with equal positive totals on each
     part of the degree classes that Q's edge types join, and no zero on a
     class of a part of several; at total 1 the critical point's tilted
-    weights are per-edge fractions.  Iterates move alpha orthogonally to
-    every part's gauge vector, with Armijo backtracking, from alpha=0, and
-    stop once the gradient's norm off those vectors is at most tol times
-    x's in-total: the critical point at c x is the one at x shifted by
-    log(c)/2 in every coordinate, and the test reads the same at every c.
-    alpha is a list; hessian_projected_det is the product of the Hessian's
-    eigenvalues off those vectors.  MarginMismatch or UnsupportedMargin
-    unless x is such a double vector; InvalidDistribution unless tol is a
-    finite number > 0 and max_iter an integer of at least 1.
+    weights are per-edge fractions.  Newton runs at x / c, c being x's
+    in-total (_solve), and the result is mapped back by H's scale law,
+    H(alpha + log(c)/2; c x) = c H(alpha; x) - c log c: alpha gains
+    log(c)/2 in every coordinate, projected off the gauge vectors, and
+    gradient_norm and each of the Hessian's eigenvalues off those vectors
+    are c times theirs.  So tol bounds the gradient relative to x's
+    in-total, and a point at either end of the float range has its answer;
+    its hessian_projected_det, the product of those eigenvalues, may
+    overflow to inf or underflow to 0.  alpha is a list.
+    MarginMismatch or UnsupportedMargin unless x is such a double vector;
+    InvalidDistribution unless tol is a finite number > 0 and max_iter an
+    integer of at least 1.
     """
     max_iter = integral(max_iter, InvalidDistribution, 1)
-    return _solve(*_point(x, q, tol), max_iter)
+    c, x, qcore, units, tol = _point(x, q, tol)
+    res = _solve(x, qcore, units, tol, max_iter)
+    det = res.hessian_projected_det
+    for _ in range(len(x) - len(units)):  # a float product overflows to inf and underflows to 0
+        det *= c
+    shift = _off([0.5 * math.log(c)] * len(x), units)
+    alpha = [a + s for a, s in zip(res.alpha, shift)]
+    return CriticalPointResult(alpha, c * res.gradient_norm, res.iterations, c * (res.h_at_min - math.log(c)), det)
+
+
+def _off(v, units):
+    """v less its components along the units, which are orthonormal, so taking them out one at a time takes out their span."""
+    for u in units:
+        c = _dot(v, u)
+        v = [a - c * b for a, b in zip(v, u)]
+    return v
 
 
 def _solve(x, qcore, units, tol, max_iter):
-    """solve_critical_point on the point, core, units and tol _point has read and a checked max_iter."""
-    def off(v):
-        # the units are orthonormal, so taking them out one at a time takes out their span
-        for u in units:
-            c = _dot(v, u)
-            v = [a - c * b for a, b in zip(v, u)]
-        return v
+    """Newton's method for the critical point of H(.; x), on what _point has read and a checked max_iter.
 
+    Iterates move alpha from 0 orthogonally to every gauge vector, with
+    Armijo backtracking, and stop once the gradient's norm off those
+    vectors is at most tol, an absolute test as x has unit in-total.
+    """
     # F, the projector onto H's null space (which the units span), makes H + F invertible without
     # changing H on the gauge slice: Newton steps stay in it, and det(H + F) is the projected determinant
     fix = [(i, j, a * b) for u in units for i, a in enumerate(u) if a for j, b in enumerate(u) if b]
     alpha = [0.0] * len(x)
-    tol *= _total(x[: len(x) // 2])
     for iteration in range(max_iter):
         grad, hess = _derivatives(alpha, x, qcore)
-        slice_grad = off(grad)
+        slice_grad = _off(grad, units)
         grad_norm = math.sqrt(_dot(slice_grad, slice_grad))
         for i, j, f in fix:
             hess[i][j] += f
@@ -290,7 +305,7 @@ def _solve(x, qcore, units, tol, max_iter):
         if _dot(grad, step) >= 0:
             step = [-g for g in grad]
         # x's totals agree only to 1e-9 of their size, so grad may leave the gauge slice; the step may not
-        step = off(step)
+        step = _off(step, units)
         slope = _dot(grad, step)
         value = _h(alpha, x, qcore)
         # once the predicted decrease is below float resolution the
@@ -346,12 +361,11 @@ def log_laplace_I_approx(e, q, tol=DEFAULT_TOL):
     leaves empty is a part of its own) or when det0 <= 0.  Kept in the log
     domain: E log E leaves the float range quickly.
     """
-    e, qcore, units, tol = _point(e, q, tol)
+    total, x, qcore, units, tol = _point(e, q, tol)
     if len(units) > 1:
         raise SingularHessian(f"Q's support splits into {len(units)} parts that no edge type joins")
     size = len(qcore)
-    total = _total(e[:size])
-    result = _solve([v / total for v in e], qcore, units, tol, DEFAULT_MAX_ITER)
+    result = _solve(x, qcore, units, tol, DEFAULT_MAX_ITER)
     det0 = result.hessian_projected_det
     if det0 <= 0:
         raise SingularHessian("projected Hessian is not positive definite")
@@ -372,11 +386,13 @@ def asymptotic_edge_mean(x, q, k, j, tol=DEFAULT_TOL):
     critical point of H(.; x), whose weights by the critical-point
     equation have margins x; so they are per-edge fractions when each part
     of x sums to 1.  When x matches Q's own margins the critical point is
-    0 and this is Q[k, j] itself.  Errors as solve_critical_point, and
-    MarginMismatch unless (k, j) is an edge type on degrees 1..K.
+    0 and this is Q[k, j] itself.  The weight is found at x / c, c being
+    x's in-total, and scaled by c, as in solve_critical_point.  Errors as
+    solve_critical_point, and MarginMismatch unless (k, j) is an edge type
+    on degrees 1..K.
     """
-    x, qcore, units, tol = _point(x, q, tol)
+    c, x, qcore, units, tol = _point(x, q, tol)
     size = len(qcore)
     k, j = exact_kernel._edge_type((k, j), size + 1)
     alpha = _solve(x, qcore, units, tol, DEFAULT_MAX_ITER).alpha
-    return _weight(qcore[k - 1][j - 1], alpha[j - 1] + alpha[size + k - 1])
+    return c * _weight(qcore[k - 1][j - 1], alpha[j - 1] + alpha[size + k - 1])

@@ -31,7 +31,7 @@ Q's rows, and asymptotics its point, to layers that work on lists, and
 every other command builds the numpy distributions it needs from the
 same rows.  Neither returns a dataclass, so neither loads dataclasses,
 whose import pulls in inspect.  Every layer a command needs is imported
-before it forks a replicate worker or starts a thread.
+before it forks a replicate worker.
 
 The validation suites are one table, SUITES: a row holds a suite's run
 and its --n and --reps defaults, and each report builds its own TSV and

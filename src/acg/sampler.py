@@ -27,16 +27,6 @@ serve as the kernel's test oracle.  The same kernel formats the rows of
 nodes.csv and edges.tsv (_columns); without it one "%d" format per row
 writes the same bytes.
 
-A graph of more than one write chunk (_WRITE_ROWS edges) runs on two
-threads when the kernel loaded, whose calls release the GIL, and more than
-one CPU is usable (_fanout._usable_cpus): sequential_wiring runs its two
-stub matchings at once, and write_sample writes nodes.csv on one thread
-while this one classifies the graph, then formats the chunks of edges.tsv
-on both, at most two chunks ahead of the one this thread writes.  Each
-chunk is formatted on its own and written in order, so the files and the
-random streams are those of the serial run, which smaller graphs, one CPU
-or the Python loops get.  Both threads are joined before the call returns.
-
 Randomness comes from numpy Generators made by default_rng(seed).  Callers
 that draw many graphs from one base seed give each its own stream by passing
 a list: [seed, index] for the index-th graph of `acg generate --samples`,
@@ -46,7 +36,6 @@ a list: [seed, index] for the index-th graph of `acg generate --samples`,
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 from dataclasses import dataclass, field
@@ -371,40 +360,6 @@ def _owners(degrees: np.ndarray, types: np.ndarray, us: np.ndarray, col: int) ->
     return owners
 
 
-@contextlib.contextmanager
-def _threads(edges: int):
-    """Two worker threads for the halves of a graph of more than one write chunk, else None.
-
-    Threads start only when the kernel loaded, whose calls release the GIL,
-    and more than one CPU is usable; both are joined when the block ends,
-    and concurrent.futures is imported only when they start.
-    """
-    from . import _fanout  # here, not at the top: _fanout imports this module
-
-    if edges <= _WRITE_ROWS or _kernel() is None or _fanout._usable_cpus() < 2:
-        yield None
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(2) as pool:
-        yield pool
-
-
-class _Done:
-    """A call already made: what _submit returns without a pool."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def result(self):
-        return self.value
-
-
-def _submit(pool, fn, *args):
-    """fn(*args) on a pool thread, or at once without a pool; either way its result() is fn's."""
-    return _Done(fn(*args)) if pool is None else pool.submit(fn, *args)
-
-
 def sequential_wiring(
     x: NodeTypeSequence,
     q: EdgeTypeDist,
@@ -434,14 +389,11 @@ def sequential_wiring(
             restarts += 1
             if restarts > max_restarts:
                 raise DeadEnd(f"wiring stalled in {restarts} attempts") from None
-    with _threads(len(kt)) as pool:
-        src = _submit(pool, _owners, x.out_degrees, kt, us, 3)
-        dst = _owners(x.in_degrees, jt, us, 2)
     return MultiGraph(
         in_degrees=np.array(x.in_degrees),
         out_degrees=np.array(x.out_degrees),
-        edge_src=src.result(),
-        edge_dst=dst,
+        edge_src=_owners(x.out_degrees, kt, us, 3),
+        edge_dst=_owners(x.in_degrees, jt, us, 2),
         edge_out_type=kt,
         edge_in_type=jt,
         meta={"wiring_restarts": restarts, "uniform_fallback": used_fallback},
@@ -592,11 +544,9 @@ def write_sample(g: MultiGraph, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     edges = [g.edge_src, g.edge_dst, g.edge_out_type, g.edge_in_type, g.self_loop_mask]
-    with _threads(g.n_edges) as pool:
-        nodes = _submit(pool, _atomic_write, out / "nodes.csv", _columns(*_NODES_CSV, [g.in_degrees, g.out_degrees]))
-        cls = classify_graph(g)
-        nodes.result()
-        _atomic_write(out / "edges.tsv", _columns(*_EDGES_TSV, edges, pool))
+    _atomic_write(out / "nodes.csv", _columns(*_NODES_CSV, [g.in_degrees, g.out_degrees]))
+    cls = classify_graph(g)
+    _atomic_write(out / "edges.tsv", _columns(*_EDGES_TSV, edges))
     meta = dict(g.meta)
     meta.update(
         {
@@ -648,24 +598,18 @@ def read_sample(sample_dir) -> MultiGraph:
     return MultiGraph(in_degrees, out_degrees, src, dst, k, j, meta=meta)
 
 
-def _columns(sep: str, header, cols, pool=None):
+def _columns(sep: str, header, cols):
     """Yield the header line, then the rows (row index and integer columns) as ASCII bytes in chunks of lines.
 
     The bytes are those of "%d" per field, joined by sep and ended by "\n":
     no sign and no leading zero.  Each chunk of _WRITE_ROWS rows is
-    formatted on its own (_chunk); with a pool, on its threads, at most two
-    chunks ahead of the one yielded, and yielded in order.  A negative entry
-    raises MalformedSample.
+    formatted on its own (_chunk) as the writer asks for it, so one chunk's
+    text is held at a time.  A negative entry raises MalformedSample.
     """
     yield (sep.join(header) + "\n").encode("ascii")
     lib = _kernel()
-    ahead = []
     for start in range(0, len(cols[0]), _WRITE_ROWS):
-        ahead.append(_submit(pool, _chunk, lib, sep, cols, start))
-        if len(ahead) > (0 if pool is None else 2):
-            yield ahead.pop(0).result()
-    for chunk in ahead:
-        yield chunk.result()
+        yield _chunk(lib, sep, cols, start)
 
 
 def _chunk(lib, sep: str, cols, start: int):

@@ -34,8 +34,9 @@ class LLNReport:
     """Per-size deviation summary of empirical type frequencies.
 
     slope is the least-squares slope of log max_deviation on log size, and
-    slope_ok whether it lies in slope_window.  A slope needs two sizes: with
-    one, slope is NaN, an undefined statistic rather than a failed fit, and
+    slope_ok whether it lies in slope_window.  A slope needs two sizes and a
+    positive deviation at each, as a deviation of 0 has no log: otherwise
+    slope is NaN, an undefined statistic rather than a failed fit, and
     slope_ok is False.
     """
 
@@ -113,11 +114,10 @@ class SelfLoopReport:
 
 
 def _fit_slope(sizes, deviations) -> float:
-    xs = np.log(np.asarray(sizes, dtype=float))
-    ys = np.log(np.maximum(np.asarray(deviations, dtype=float), 1e-300))
-    if len(xs) < 2:
+    """Least-squares slope of log deviation on log size; NaN for one size or a zero deviation, which has no log."""
+    if len(sizes) < 2 or min(deviations) <= 0:
         return float("nan")
-    return float(np.polyfit(xs, ys, 1)[0])
+    return float(np.polyfit(np.log(sizes), np.log(deviations), 1)[0])
 
 
 def _sizes(sizes) -> list:

@@ -61,13 +61,15 @@ def test_h_value_reads_an_overflowing_exponential_as_inf(bal2):
 
 @pytest.mark.parametrize("scale", [1e200, 1e300])
 def test_a_huge_point_stops_without_a_warning(bal2, scale):
-    # the first Newton step is of the order of the point, so H overflows at every step the
-    # line search tries; numpy's overflow warnings once came out before the NoConvergence
+    # Newton from alpha = 0 at the point itself took a first step of the order of the point, so H
+    # overflowed at every step the line search tried and it stalled; at x / c the point is 0.5 each
     _, q = bal2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NoConvergence, match="line search stalled"):
-            asym.solve_critical_point([scale] * 4, q)
+        res = asym.solve_critical_point([scale] * 4, q)
+    base = asym.solve_critical_point([0.5] * 4, q)
+    assert np.abs(np.subtract(res.alpha, base.alpha) - math.log(2 * scale) / 2).max() < 1e-9
+    assert res.hessian_projected_det == math.inf  # 0.25 (2 scale)^3 leaves the float range
 
 
 def test_h_invariant_along_gauge_direction(bal2):
@@ -160,6 +162,38 @@ def test_critical_point_scaling_shift():
         scaled = asym.solve_critical_point(scale * x, SKEW_Q)
         shift = np.subtract(scaled.alpha, base.alpha)
         assert np.abs(shift - math.log(scale) / 2).max() < 1e-8, scale
+
+
+# Q with no out-degree-1 edges: out-class 1 is a part of its own, and the other part has two
+# in-classes and one out-class, so log(c)/2 in every coordinate is not orthogonal to its gauge vector
+EMPTY_OUT_CLASS_Q = [[0, 0, 0], [0, 0, 0], [0, 0.5, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "q, x, gauges",
+    [
+        (SKEW_Q, [0.3, 0.7, 0.6, 0.4], [[1, 1, -1, -1]]),
+        (EMPTY_OUT_CLASS_Q, [0.4, 0.6, 0.0, 1.0], [[0, 0, 1, 0], [1, 1, 0, -1]]),
+    ],
+    ids=["one-part", "empty-out-class"],
+)
+@pytest.mark.parametrize("scale", [3.0, 1e5, 1e-9, 1e300, 1e-300])
+def test_a_scaled_point_maps_back_to_a_critical_point(q, x, gauges, scale):
+    # Newton runs at unit total; the mapped answer is checked against H at the scaled point itself
+    point = [scale * v for v in x]
+    res = asym.solve_critical_point(point, q)
+    base = asym.solve_critical_point(x, q)
+    assert res.iterations == base.iterations
+    assert np.abs(np.array(gauges) @ res.alpha).max() < 1e-12
+    if 1e-10 < scale < 1e10:
+        grad, hess = asym.h_derivatives(res.alpha, point, q)
+        assert np.linalg.norm(grad) <= 1e-9 * scale
+        assert res.h_at_min == pytest.approx(asym.h_value(res.alpha, point, q), rel=1e-12)
+        off_gauge = np.sort(np.linalg.eigvalsh(np.array(hess)))[len(gauges):]
+        assert res.hessian_projected_det == pytest.approx(np.prod(off_gauge), rel=1e-9)
+    else:
+        assert res.h_at_min == pytest.approx(scale * (base.h_at_min - math.log(scale)), rel=1e-12)
+        assert res.hessian_projected_det in (0.0, math.inf)
 
 
 def test_a_point_whose_totals_round_apart_at_large_scale_is_accepted():

@@ -364,28 +364,23 @@ def test_critical_point_at_a_zero_on_a_joined_class_is_rejected(bal2_file, tmp_p
     assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
-@pytest.mark.parametrize("x", ["1e200,1e200:1e200,1e200", "1e300,1e300:1e300,1e300"])
-def test_a_huge_point_fails_with_one_error_line(bal2_file, tmp_path, x):
-    # the exponentials overflow; numpy once wrote 11 RuntimeWarning lines before the error
+@pytest.mark.parametrize("scale", ["1e200", "1e300", "1e-300"])
+def test_a_point_at_an_end_of_the_float_range_is_answered(bal2_file, tmp_path, scale):
+    # Newton from alpha = 0 at the point itself once stopped with "backtracking line search stalled"
+    # (huge: H overflowed at every trial step) or "projected Hessian is singular at an iterate"
+    # (tiny: the weights underflowed); at x / c each point is the 0.5 point
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
-    out_dir = tmp_path / "out"
-    argv = ["asymptotics", "critical-point", "--params", bal2_file, "--x", x, "--out-dir", str(out_dir)]
-    proc = subprocess.run([sys.executable, "-m", "acg.cli", *argv], env=env, capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr == "error: backtracking line search stalled\n"
-    assert not out_dir.exists() or not any(out_dir.iterdir())
-
-
-def test_a_tiny_point_fails_with_one_error_line(bal2_file, tmp_path, capsys):
-    # the weights underflow; an absolute --tol once passed at alpha ~ -12, far from the shifted
-    # point near -345, and wrote it as the critical point
-    out_dir = tmp_path / "out"
-    argv = ["asymptotics", "critical-point", "--params", bal2_file, "--x", "1e-300,1e-300:1e-300,1e-300"]
-    assert cli.run([*argv, "--out-dir", str(out_dir)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert not out_dir.exists() or not any(out_dir.iterdir())
+    results = []
+    for name, x in (("half", "0.5,0.5:0.5,0.5"), ("scaled", ":".join([f"{scale},{scale}"] * 2))):
+        out_dir = tmp_path / name
+        argv = ["asymptotics", "critical-point", "--params", bal2_file, "--x", x, "--out-dir", str(out_dir)]
+        proc = subprocess.run([sys.executable, "-m", "acg.cli", *argv], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert [p.name for p in out_dir.iterdir()] == ["asymptotics_critical_point.json"]
+        result = read_json(out_dir / "asymptotics_critical_point.json")
+        results.append(result["alpha_minus"] + result["alpha_plus"])
+    shift = math.log(2 * float(scale)) / 2
+    assert max(abs(a - b - shift) for a, b in zip(results[1], results[0])) < 1e-9
 
 
 def test_exact_var_of_a_heavy_cell_matches_fractions(tmp_path, capsys):
@@ -909,6 +904,21 @@ def test_validate_rejects_a_repeated_size_before_writing(bal2_file, tmp_path, ca
     assert code == 1
     assert (out, err) == ("", "error: an LLN suite takes each size once, got 500 more than once\n")
     assert nothing_written(out_dir)
+
+
+def test_validate_lln_with_a_zero_deviation_writes_no_slope(tmp_path, capsys):
+    # one node of assort_k2 deviates by 1 and two nodes by 0; the log of a 1e-300 floor once gave slope -996.578
+    out, _ = run_ok(
+        [
+            "validate", "--params", str(ASSORT_K2), "--suite", "node-lln", "--sizes", "1,2", "--reps", "1",
+            "--seed", "1", "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    assert out.startswith("node-lln: slope=nan -> ")
+    report = read_json(tmp_path / "validate_node_lln.json")["report"]
+    assert report["max_deviations"] == [1.0, 0.0]
+    assert (report["slope"], report["slope_ok"]) == ("nan", False)
 
 
 def test_validate_writes_nothing_when_its_third_suite_fails(bal2_file, tmp_path, capsys):

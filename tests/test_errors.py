@@ -176,6 +176,9 @@ CASES = {
     # x = 0, where H has no minimum: a "critical point" once came back after 24 iterations
     "solve_critical_point-zero-margins": (lambda: acg.solve_critical_point(np.zeros(4), _q()), False),
     "asymptotic_edge_mean-zero-margins": (lambda: acg.asymptotic_edge_mean(np.zeros(4), _q(), 2, 2), False),
+    # finite entries whose in-total overflows: the solver once stopped at alpha = 0, as tol times the total was inf
+    "solve_critical_point-overflowing-total": (lambda: acg.solve_critical_point(np.full(4, 1e308), _q()), False),
+    "asymptotic_edge_mean-overflowing-total": (lambda: acg.asymptotic_edge_mean(np.full(4, 1e308), _q(), 2, 2), False),
     # no stubs of in-degree 1: the solver chased alpha toward -inf and gave exact/Laplace = 4.9e-5
     "log_laplace_I_approx-empty-class": (lambda: asymptotics.log_laplace_I_approx(np.array([0.0, 12, 4, 8]), _q()), False),
     "log_laplace_I_approx-shape": (lambda: asymptotics.log_laplace_I_approx(np.array([0.0, 1, 1, 0, 1, 1]), _q()), True),

@@ -398,17 +398,13 @@ def test_a_large_sample_is_the_same_bytes_on_one_and_two_cpus(wiring_path, bal2,
         write_sample(g, tmp_path / f"{cpus}cpu")
         assert threading.active_count() == alive
         files.append([(tmp_path / f"{cpus}cpu" / f).read_bytes() for f in ("nodes.csv", "edges.tsv", "meta.json")])
-        # the workers run only private helpers; classify_graph, which a tracer wraps, stays on this thread
-        assert seen["classify_graph"] == {threading.get_ident()}
-        helpers = ["_owners", "_chunk", "_atomic_write"]
-        threaded = [name for name in helpers if seen[name] != {threading.get_ident()}]
-        assert threaded == (helpers if cpus == 2 and wiring_path == "native" else [])
+        # one graph is wired and written on the calling thread, whatever the CPU count
+        assert seen == dict.fromkeys(["_owners", "_chunk", "_atomic_write", "classify_graph"], {threading.get_ident()})
     assert files[0] == files[1]
     assert tuple(hashlib.sha256(data).hexdigest() for data in files[0][:2]) == GOLDEN_FILES_100K
 
 
 def test_a_graph_of_one_write_chunk_starts_no_thread(bal2, tmp_path, monkeypatch):
-    monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
     seen = _threads_running(monkeypatch, "_owners", "_chunk", "_atomic_write")
     g = generate_graph(*bal2, 40_000, seed=7)
     assert g.n_edges <= sampler._WRITE_ROWS
@@ -417,15 +413,19 @@ def test_a_graph_of_one_write_chunk_starts_no_thread(bal2, tmp_path, monkeypatch
     assert all(idents == {threading.get_ident()} for idents in seen.values())
 
 
-def test_generate_below_the_gate_never_imports_concurrent_futures(bal2_file, tmp_path):
+def test_generate_above_one_write_chunk_never_imports_concurrent_futures(bal2_file, tmp_path):
+    # 100,000 bal2 nodes give 150,156 edges, three chunks of edges.tsv; two CPUs once started two threads
     code = (
-        "import sys, acg.cli; "
-        f"acg.cli.run(['generate', '--params', {bal2_file!r}, '--n', '500', '--seed', '1', '--out-dir', {str(tmp_path)!r}]); "
-        "print('concurrent.futures' in sys.modules)"
+        "import sys, threading, acg._fanout, acg.cli; "
+        "acg._fanout._usable_cpus = lambda: 2; "
+        "alive = threading.active_count(); "
+        f"acg.cli.run(['generate', '--params', {bal2_file!r}, '--n', '100000', '--seed', '7', '--out-dir', {str(tmp_path)!r}]); "
+        "print('concurrent.futures' in sys.modules, threading.active_count() == alive)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False True"
+    assert (tmp_path / "meta.json").read_text().count('"n_edges": 150156') == 1
 
 
 @pytest.mark.parametrize(
@@ -434,8 +434,7 @@ def test_generate_below_the_gate_never_imports_concurrent_futures(bal2_file, tmp
      ("edge_out_type", 70_000, ["nodes.csv"])],
     ids=["nodes", "last-edge-chunk", "first-edge-chunk", "edge-type"],
 )
-def test_a_negative_entry_in_a_large_sample_leaves_no_partial_file(column, at, left, bal2, tmp_path, monkeypatch):
-    monkeypatch.setattr(_fanout, "_usable_cpus", lambda: 2)
+def test_a_negative_entry_in_a_large_sample_leaves_no_partial_file(column, at, left, bal2, tmp_path):
     g = generate_graph(*bal2, 100_000, seed=7)
     getattr(g, column)[at] = -1
     alive = threading.active_count()
