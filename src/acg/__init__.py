@@ -34,7 +34,6 @@ _EXPORTS = {
     "ConsistencyReport": "degree_model",
     "EdgeTypeDist": "degree_model",
     "NodeTypeDist": "degree_model",
-    "conditional_dists": "degree_model",
     "independent_edge_dist": "degree_model",
     "load_params": "degree_model",
     "self_loop_rate": "degree_model",

@@ -12,7 +12,8 @@ Every sum over P or Q is taken here, as its correctly rounded value
 (math.fsum), which no summation order and no Python version changes: a
 matrix's normalisation, P's marginals and mean degree (marginals), Q's
 margins (sums) and the size-biased margins P implies (size_biased).
-degree_model stores these lists as arrays and sums nothing itself.
+degree_model stores these lists as arrays.  Its one numpy sum is on purpose:
+NodeTypeDist.cells takes the cumsum of P, the cdf that Generator.choice forms.
 """
 
 from __future__ import annotations

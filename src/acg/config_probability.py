@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fanout import fan_out
-from .degree_model import EdgeTypeDist, NodeTypeDist, conditional_dists
+from .degree_model import EdgeTypeDist, NodeTypeDist
 from .errors import InvalidConfiguration, InvalidDistribution, NotATree, integral
 from .sampler import DEFAULT_DELTA, generate_graph
 
@@ -166,22 +166,27 @@ def tree_config_prob(h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> 
     Each attachment contributes one conditional node-type factor and one
     conditional edge factor: an in-edge at node m with parent m' gives
     P[j_m | k_m] Q[k_m | j_m'], an out-edge gives P[k_m | j_m] Q[j_m | k_m'].
+    Each factor is a cell of P or Q over its conditioning class's margin (_share).
     """
     if not h.is_tree:
         raise NotATree("configuration closes a cycle; no limiting tree probability")
     types = _types_in_range(h.node_types(), p.K)
     if None in types:
         raise InvalidConfiguration("tree probabilities need every node type specified")
-    cond = conditional_dists(p, q)
     value = 1.0
     for att in h.attachments:
         j_m, k_m = types[att.node]
         j_p, k_p = types[att.parent]
         if att.orientation == "in":
-            value *= cond.in_given_out[k_m, j_m] * cond.edge_out_given_in[j_p, k_m]
+            value *= _share(p.matrix[j_m, k_m], p.out_marginal[k_m]) * _share(q.matrix[k_m, j_p], q.in_marginal[j_p])
         else:
-            value *= cond.out_given_in[j_m, k_m] * cond.edge_in_given_out[k_p, j_m]
+            value *= _share(p.matrix[j_m, k_m], p.in_marginal[j_m]) * _share(q.matrix[k_p, j_m], q.out_marginal[k_p])
     return value
+
+
+def _share(x: float, total: float) -> float:
+    """x / total, the conditional chance of a cell within a class of mass total; 0.0 when the class has no mass."""
+    return x / total if total > 0 else 0.0
 
 
 def _csr(ends, n_nodes):

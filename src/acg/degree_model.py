@@ -126,28 +126,20 @@ class EdgeTypeDist:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Residuals of the stub-balance conditions linking P and Q."""
+    """max_violation, the largest |Q+_k - k P+_k / z| or |Q-_j - j P-_j / z|, and whether it is at most CONSISTENCY_TOL."""
 
     is_consistent: bool
     max_violation: float
-    out_residuals: np.ndarray  # Q+_k - k P+_k / z
-    in_residuals: np.ndarray  # Q-_j - j P-_j / z
 
 
 def validate_pair(p: NodeTypeDist, q: EdgeTypeDist) -> ConsistencyReport:
-    """Check the consistency conditions between a node- and edge-type distribution."""
+    """Check Q's margins against the size-biased margins of P (_params.size_biased)."""
     if p.K != q.K:
         raise InvalidDistribution(f"degree cutoffs differ: node K={p.K}, edge K={q.K}")
     implied_out, implied_in = size_biased(p.in_marginal.tolist(), p.out_marginal.tolist(), p.mean_degree)
-    out_res = q.out_marginal - implied_out
-    in_res = q.in_marginal - implied_in
-    worst = float(max(np.abs(out_res).max(), np.abs(in_res).max()))
-    return ConsistencyReport(
-        is_consistent=worst <= CONSISTENCY_TOL,
-        max_violation=worst,
-        out_residuals=out_res,
-        in_residuals=in_res,
-    )
+    margins = q.out_marginal.tolist() + q.in_marginal.tolist()
+    worst = max(abs(a - b) for a, b in zip(margins, implied_out + implied_in))
+    return ConsistencyReport(is_consistent=worst <= CONSISTENCY_TOL, max_violation=worst)
 
 
 def require_consistent(p: NodeTypeDist, q: EdgeTypeDist) -> None:
@@ -161,36 +153,6 @@ def require_consistent(p: NodeTypeDist, q: EdgeTypeDist) -> None:
 def independent_edge_dist(p: NodeTypeDist) -> EdgeTypeDist:
     """The product edge-type distribution Q[k, j] = (k P+_k / z)(j P-_j / z), by _params.independent_rows."""
     return EdgeTypeDist._of_rows(independent_rows(p.matrix.tolist()))
-
-
-@dataclass(frozen=True)
-class Conditionals:
-    """Row-stochastic conditionals; the first index is always the conditioning degree.
-
-    Rows whose conditioning marginal has zero mass are all-zero.
-    """
-
-    out_given_in: np.ndarray  # [j, k] = P[j, k] / P-_j
-    in_given_out: np.ndarray  # [k, j] = P[j, k] / P+_k
-    edge_in_given_out: np.ndarray  # [k, j] = Q[k, j] / Q+_k
-    edge_out_given_in: np.ndarray  # [j, k] = Q[k, j] / Q-_j
-
-
-def _safe_rows(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(num)
-    mask = denom > 0
-    out[mask] = num[mask] / denom[mask, None]
-    out.setflags(write=False)
-    return out
-
-
-def conditional_dists(p: NodeTypeDist, q: EdgeTypeDist) -> Conditionals:
-    return Conditionals(
-        out_given_in=_safe_rows(p.matrix, p.in_marginal),
-        in_given_out=_safe_rows(p.matrix.T, p.out_marginal),
-        edge_in_given_out=_safe_rows(q.matrix, q.out_marginal),
-        edge_out_given_in=_safe_rows(q.matrix.T, q.in_marginal),
-    )
 
 
 def self_loop_rate(p: NodeTypeDist, q: EdgeTypeDist) -> float:

@@ -171,6 +171,7 @@ def node_lln(
     """
     sizes = _sizes(sizes)
     reps, seed = integral(reps, InvalidDistribution, 1), integral(seed, InvalidDistribution, 0)
+    width = p.K + 1
     diffs, rates = [], []
     for size in sizes:
         rng = np.random.default_rng([seed, size])
@@ -179,9 +180,8 @@ def node_lln(
         for _ in range(reps):
             x, _, redraws = accept_sequence(p, size, delta, rng)
             attempts += redraws + 1
-            freq = np.zeros_like(p.matrix)
-            np.add.at(freq, (x.in_degrees, x.out_degrees), 1.0 / size)
-            at_size.append(np.abs(freq - p.matrix))
+            counts = np.bincount(x.in_degrees * width + x.out_degrees, minlength=width * width)
+            at_size.append(np.abs(counts.reshape(width, width) / size - p.matrix))
         diffs.append(at_size)
         rates.append(reps / attempts)
     return _lln_report("node", sizes, diffs, reps, seed, acceptance_rates=tuple(rates))

@@ -66,6 +66,23 @@ def test_edge_type_law_sums_to_one(k_max, seed):
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@settings(max_examples=30, deadline=None)
+@given(k_max=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_edge_type_law_sums_to_one_from_the_source(k_max, seed):
+    # an edge's source has type s with chance k_s P[s]/z, and the one-edge
+    # tree rooted there with an "out" attachment gives its target's law;
+    # degree-0 types have a class of no mass, whose factor is 0
+    p, q = random_consistent_pair(np.random.default_rng(seed), K=k_max)
+    types = list(itertools.product(range(k_max + 1), repeat=2))
+    total = sum(
+        source[1] * p.matrix[source] / p.mean_degree
+        * cfg.tree_config_prob(cfg.ConfigurationTree(source, [cfg.Attachment(1, 0, "out", target)]), p, q)
+        for source in types
+        for target in types
+    )
+    assert total == pytest.approx(1.0, abs=1e-12)
+
+
 def test_tree_config_prob_single_edge(bal2):
     p, q = bal2
     h = cfg.ConfigurationTree((1, 2), [cfg.Attachment(1, 0, "in", (2, 1))])

@@ -66,7 +66,7 @@ GOLDEN = {
     ),
     "validate-node-lln": (
         ["validate", "--suite", "node-lln", "--sizes", "100,200", "--reps", "2", "--seed", "9"],
-        "69ec1358cf58864a3043434acb4a8a349e5c8761e383d67e403c7b48400d9ab9",
+        "934a7e7ecc127cc8b559aca7c268c8033b4fe45105f63aee1fb32c17db35857d",
     ),
     "validate-edge-lln": (
         ["validate", "--suite", "edge-lln", "--sizes", "100,200", "--reps", "2", "--seed", "9"],

@@ -39,6 +39,15 @@ def test_node_lln_degenerate_law_has_zero_deviation():
     assert math.isnan(rep.slope) and not rep.slope_ok
 
 
+def test_node_lln_counts_types_exactly_on_a_one_type_law():
+    # each frequency is an integer count divided once by the size, so it equals P's cell
+    p, q = load_params(SINGLE_TYPE)
+    rep = sv.node_lln(p, sizes=[50, 100], reps=2, seed=1)
+    assert rep.max_deviations == (0.0, 0.0)
+    assert rep.tv_distances == (0.0, 0.0)
+    assert math.isnan(rep.slope) and not rep.slope_ok
+
+
 def test_edge_lln_fields_and_determinism(bal2):
     p, q = bal2
     rep = sv.edge_lln(p, q, sizes=[100, 1600], reps=3, seed=11)
