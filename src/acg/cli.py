@@ -9,11 +9,14 @@ configs       predicted small-configuration probabilities and empirical counts
 validate      simulation suites with JSON and plot-ready TSV reports
 
 Every run echoes its command and every flag but --out-dir, less the
-flags whose values the result already holds, so the run can be
-reproduced from the output directory alone.  generate and validate
-write that echo to meta.json; exact, asymptotics and configs write it
-as the "run" key of their result file.  The echo names the parameter
-file by its path only; generate and validate also write its contents.
+flags whose values the result already holds (one table, _HELD, names
+them per command), so the run can be reproduced from the output
+directory alone.  generate and validate write that echo to meta.json.
+exact, asymptotics and configs return their result as a dict, and one
+writer, _write_result, adds the echo as its "run" key, writes it to
+<command>_<action>.json and prints its value to 10 places, or else the
+file's text.  The echo names the parameter file by its path only;
+generate and validate also write its contents.
 All files are written atomically (temp file, then rename) and contain
 no timestamps, so repeated runs with the same seed are byte-identical.
 Seeds resolve in order: --seed flag, ACG_SEED environment variable,
@@ -125,35 +128,18 @@ def _resolve_seed(flag_value):
 
 
 def to_jsonable(obj):
-    """Recursively convert reports and numpy values to JSON-ready types."""
-    # a dataclass or numpy value exists only once its module is loaded
+    """Recursively convert a result to JSON-ready types: reports by their fields, NaN and infinities by repr."""
+    # a report exists only once dataclasses is loaded
     dataclasses = sys.modules.get("dataclasses")
-    np = sys.modules.get("numpy")
     if dataclasses is not None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        return {_key_str(k): to_jsonable(v) for k, v in obj.items()}
+        return {k if isinstance(k, str) else repr(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if np is not None:
-        if isinstance(obj, np.ndarray):
-            return [to_jsonable(v) for v in obj.tolist()]
-        if isinstance(obj, np.integer):
-            return int(obj)
-        if isinstance(obj, np.floating):
-            return float(obj)
     if isinstance(obj, float) and (math.isnan(obj) or math.isinf(obj)):
-        return repr(obj)
+        return repr(float(obj))  # "nan", "inf" or "-inf", also for a float subclass such as np.float64
     return obj
-
-
-def _key_str(key):
-    np = sys.modules.get("numpy")
-    if isinstance(key, str):
-        return key
-    if isinstance(key, int if np is None else (int, np.integer)):
-        return str(int(key))
-    return repr(key)
 
 
 def _json(obj) -> str:
@@ -162,12 +148,6 @@ def _json(obj) -> str:
 
 def _write_json(path: Path, obj) -> None:
     _atomic_write(path, _json(obj) + "\n")
-
-
-def _emit(path: Path, result, line=None) -> None:
-    """Print line (default: result as JSON), then write result as JSON to path."""
-    print(_json(result) if line is None else line)
-    _write_json(path, result)
 
 
 def _write_tsv(path: Path, header, rows) -> None:
@@ -185,14 +165,33 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _run_echo(args, *held) -> dict:
-    """The command with its action and every flag but --out-dir, less those the result holds (held)."""
-    echo = {key: value for key, value in vars(args).items() if key not in {"action", "func", "out_dir", *held}}
+# the flags whose values each command's result already holds, so its run echo leaves them out
+_HELD = {
+    "generate": (),
+    "exact": ("margins", "type", "sequence", "types"),
+    "asymptotics": ("type",),
+    "configs": (),
+    "validate": ("suite",),
+}
+
+
+def _run_echo(args) -> dict:
+    """The command with its action and every flag but --out-dir, less those its result holds (_HELD)."""
+    skip = {"action", "func", "out_dir", *_HELD[args.command]}
+    echo = {key: value for key, value in vars(args).items() if key not in skip}
     echo["command"] = " ".join(filter(None, (args.command, getattr(args, "action", None))))
     return echo
 
 
-def _cmd_generate(args, p, q, out) -> int:
+def _write_result(args, out: Path, result: dict) -> None:
+    """Write result with its run echo to <command>_<action>.json; print its value to 10 places, else the file."""
+    result = {**result, "run": _run_echo(args)}
+    text = _json(result)
+    _atomic_write(out / f"{args.command}_{args.action.replace('-', '_')}.json", text + "\n")
+    print(f"{result['value']:.10f}" if "value" in result else text)
+
+
+def _cmd_generate(args, p, q, out) -> None:
     from .degree_model import params_dict
     from .sampler import generate_graph, write_sample
 
@@ -225,142 +224,112 @@ def _cmd_generate(args, p, q, out) -> int:
         for target in created:
             shutil.rmtree(target, ignore_errors=True)
         raise
-    return 0
 
 
-def _cmd_exact(args, k_cut, q, out) -> int:
+def _cmd_exact(args, k_cut, q, out) -> dict:
     """q is Q as the rows read_params gives: the exact kernel reads lists, and loads no numpy."""
     from . import exact_kernel as kernel
 
-    echo = _run_echo(args, "margins", "type", "sequence", "types")
-    if args.action == "partition":
+    if args.action in ("partition", "mean", "var"):
         em, ep = ([0, *half] for half in args.margins)
+    else:
+        em, ep = kernel.margins_of_sequence(args.sequence, k_cut + 1)
+    if args.action == "partition":
         c, log_z = kernel._partition(em, ep, q, args.cap)  # q holds floats: C and log Z from one program
-        result = {
+        return {
             "C": c,
             "e_minus": em,
             "e_plus": ep,
             "log_partition": log_z,
         }
-        _emit(out / "exact_partition.json", {**result, "run": echo}, line=_json(result))
-    elif args.action in ("mean", "var"):
-        em, ep = ([0, *half] for half in args.margins)
+    if args.action in ("mean", "var"):
         k, j = args.type
         fn = kernel.exact_edge_mean if args.action == "mean" else kernel.exact_edge_variance
-        value = float(fn(em, ep, q, k, j, cap=args.cap))
-        result = {
+        return {
             "e_minus": em,
             "e_plus": ep,
-            "run": echo,
             "type": [k, j],
-            "value": value,
+            "value": float(fn(em, ep, q, k, j, cap=args.cap)),
         }
-        _emit(out / f"exact_{args.action}.json", result, line=f"{value:.10f}")
-    elif args.action == "joint":
-        em, ep = kernel.margins_of_sequence(args.sequence, k_cut + 1)
-        value = float(kernel.joint_first_M_prob(em, ep, q, args.types, cap=args.cap))
-        result = {
-            "run": echo,
+    if args.action == "joint":
+        return {
             "sequence": [list(t) for t in args.sequence],
             "types": [list(t) for t in args.types],
-            "value": value,
+            "value": float(kernel.joint_first_M_prob(em, ep, q, args.types, cap=args.cap)),
         }
-        _emit(out / "exact_joint.json", result, line=f"{value:.10f}")
-    else:
-        em, ep = kernel.margins_of_sequence(args.sequence, k_cut + 1)
-        dist = kernel.enumerate_wirings_oracle(em, ep, q, cap=args.cap)
-        tables = [
-            {
-                "probability": float(prob),
-                "table": [list(map(int, row)) for row in key],
-                "wirings": int(dist.wiring_counts[key]),
-            }
-            for key, prob in sorted(dist.tables.items())
-        ]
-        result = {
-            "n_edges": dist.n_edges,
-            "run": echo,
-            "sequence": [list(t) for t in args.sequence],
-            "tables": tables,
-            "total_weight": float(dist.total_weight),
+    dist = kernel.enumerate_wirings_oracle(em, ep, q, cap=args.cap)
+    tables = [
+        {
+            "probability": float(prob),
+            "table": [list(map(int, row)) for row in key],
+            "wirings": int(dist.wiring_counts[key]),
         }
-        _emit(out / "exact_oracle.json", result)
-    return 0
+        for key, prob in sorted(dist.tables.items())
+    ]
+    return {
+        "n_edges": dist.n_edges,
+        "sequence": [list(t) for t in args.sequence],
+        "tables": tables,
+        "total_weight": float(dist.total_weight),
+    }
 
 
-def _cmd_asymptotics(args, k_cut, q, out) -> int:
+def _cmd_asymptotics(args, k_cut, q, out) -> dict:
     """q is Q as the rows read_params gives, and each point a list: the saddlepoint layer reads lists."""
     from . import asymptotics as asym
 
-    echo = _run_echo(args, "type")
     if args.action == "critical-point":
         x = [*args.x[0], *args.x[1]]
         res = asym.solve_critical_point(x, q, tol=args.tol, max_iter=args.max_iter)
         half = len(args.x[0])
-        result = {
+        return {
             "alpha_minus": res.alpha[:half],
             "alpha_plus": res.alpha[half:],
             "gradient_norm": res.gradient_norm,
             "h_at_min": res.h_at_min,
             "hessian_projected_det": res.hessian_projected_det,
             "iterations": res.iterations,
-            "run": echo,
         }
-        _emit(out / "asymptotics_critical_point.json", result)
-    elif args.action == "edge-mean":
+    if args.action == "edge-mean":
         x = [*args.x[0], *args.x[1]]
         k, j = args.type
-        value = asym.asymptotic_edge_mean(x, q, k, j, tol=args.tol)
-        result = {
-            "run": echo,
+        return {
             "type": [k, j],
-            "value": value,
+            "value": asym.asymptotic_edge_mean(x, q, k, j, tol=args.tol),
         }
-        _emit(out / "asymptotics_edge_mean.json", result, line=f"{value:.10f}")
-    else:
-        e = [*args.margins[0], *args.margins[1]]
-        edge_total = sum(args.margins[0])
-        log_lap = asym.log_laplace_I_approx(e, q, tol=args.tol)
-        log_ex = None
-        ratio = None
-        if edge_total <= args.cap:
-            log_ex = asym.log_exact_I(e, q, cap=args.cap)
-            ratio = math.exp(log_ex - log_lap)
-        result = {
-            "edge_total": edge_total,
-            "exact_over_laplace": ratio,
-            "log_exact": log_ex,
-            "log_laplace": log_lap,
-            "run": echo,
-        }
-        _emit(out / "asymptotics_laplace_check.json", result)
-    return 0
+    e = [*args.margins[0], *args.margins[1]]
+    edge_total = sum(args.margins[0])
+    log_lap = asym.log_laplace_I_approx(e, q, tol=args.tol)
+    log_ex = None
+    ratio = None
+    if edge_total <= args.cap:
+        log_ex = asym.log_exact_I(e, q, cap=args.cap)
+        ratio = math.exp(log_ex - log_lap)
+    return {
+        "edge_total": edge_total,
+        "exact_over_laplace": ratio,
+        "log_exact": log_ex,
+        "log_laplace": log_lap,
+    }
 
 
-def _cmd_configs(args, p, q, out) -> int:
+def _cmd_configs(args, p, q, out) -> dict:
     from . import config_probability as cfg
 
     h = load_json(args.config_file, InvalidConfiguration, cfg.config_from_dict)
     if args.action == "predict":
-        value = cfg.tree_config_prob(h, p, q)
-        result = {
+        return {
             "configuration": cfg.config_to_dict(h),
-            "run": _run_echo(args),
-            "value": value,
+            "value": cfg.tree_config_prob(h, p, q),
         }
-        _emit(out / "configs_predict.json", result, line=f"{value:.10f}")
-        return 0
     report = cfg.count_in_samples(h, p, q, args.n, args.samples, args.seed, delta=args.delta)
-    result = {
+    return {
         "configuration": cfg.config_to_dict(h),
         "count": report.count,
         "frequency": report.frequency,
         "graphs_scanned": report.graphs_scanned,
         "predicted": report.predicted,
-        "run": _run_echo(args),
     }
-    _emit(out / "configs_count.json", result)
-    return 0
 
 
 # suite name -> (its run on (stats_validation, p, q, args, n, reps), its --n default, its --reps default);
@@ -389,20 +358,19 @@ def _run_suite(suite, p, q, args):
     return run(stats_validation, p, q, args, n if args.n is None else args.n, reps if args.reps is None else args.reps)
 
 
-def _cmd_validate(args, p, q, out) -> int:
+def _cmd_validate(args, p, q, out) -> None:
     """Run every requested suite, then write meta.json and the reports: a failed suite leaves no file."""
     from .degree_model import params_dict
 
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     reports = [(suite, _run_suite(suite, p, q, args)) for suite in suites]
-    _write_json(out / "meta.json", {**_run_echo(args, "suite"), "params": params_dict(p, q), "suites": suites})
+    _write_json(out / "meta.json", {**_run_echo(args), "params": params_dict(p, q), "suites": suites})
     for suite, rep in reports:
         stem = "validate_" + suite.replace("-", "_")
         header, rows, summary = rep.table()
         _write_json(out / f"{stem}.json", {"report": rep, "suite": suite})
         _write_tsv(out / f"{stem}.tsv", header, rows)
         print(f"{suite}: {summary} -> {out / (stem + '.json')}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,7 +487,10 @@ def run(argv=None) -> int:
                 args.seed, args.seed_source = _resolve_seed(args.seed)
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(args, *pair, out)
+        result = args.func(args, *pair, out)
+        if result is not None:  # a result command: generate and validate write their own trees
+            _write_result(args, out, result)
+        return 0
     except (AcgError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -199,6 +199,7 @@ def edge_lln(
 
     Rep r draws one graph at every size, the one of n nodes from the
     stream [seed, n, r].  Sizes, reps and seed are read as node_lln reads them.
+    A graph without edges raises DegenerateVariance naming its size and stream.
     """
     sizes = _sizes(sizes)
     reps, seed = integral(reps, InvalidDistribution, 1), integral(seed, InvalidDistribution, 0)
@@ -208,6 +209,8 @@ def edge_lln(
         at_sizes = []
         for size in sizes:
             g = generate_graph(p, q, size, delta=delta, seed=[seed, size, rep])
+            if g.n_edges == 0:
+                raise DegenerateVariance(f"the graph of {size} nodes from stream [{seed}, {size}, {rep}] has no edges")
             table = np.bincount(g.edge_out_type * width + g.edge_in_type, minlength=width * width)
             at_sizes.append(np.abs(table.reshape(width, width) / g.n_edges - q.matrix))
         return at_sizes

@@ -82,12 +82,18 @@ def test_every_command_is_walked():
 
 @pytest.mark.parametrize("words", sorted(SMALL_RUNS), ids=" ".join)
 def test_run_echo_holds_every_option(words, bal2_file, tmp_path, capsys, monkeypatch):
-    """Every option but --out-dir is in the run echo or at the top level of the result."""
+    """Every option but --out-dir is in the run echo or at the top level of the result.
+
+    A result command prints its value to 10 places, or else the file it writes.
+    """
     monkeypatch.chdir(tmp_path)
     (tmp_path / "config.json").write_text(json.dumps(SINGLE_IN_EDGE))
-    run_ok([*words, "--params", bal2_file, *SMALL_RUNS[words], "--out-dir", "out"], capsys)
+    out, _ = run_ok([*words, "--params", bal2_file, *SMALL_RUNS[words], "--out-dir", "out"], capsys)
     name = "meta.json" if len(words) == 1 else "_".join(words).replace("-", "_") + ".json"
     result = read_json(tmp_path / "out" / name)
+    if len(words) == 2:
+        text = (tmp_path / "out" / name).read_text()
+        assert out == (f"{result['value']:.10f}\n" if "value" in result else text)
     echo = result.get("run", result)
     assert "out_dir" not in echo and echo["command"] == " ".join(words)
     held = {*echo, *result}

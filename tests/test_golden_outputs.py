@@ -22,7 +22,7 @@ CONFIG = {
 GOLDEN = {
     "exact-partition": (
         ["exact", "partition", "--margins", "1,2:1,2"],
-        "c6b599336dffbda67a9a56bee9216a12cbcb6e46791b8654828c2051c04caf56",
+        "3886500fdbab9019ff9aab2e41984bb788f984434db74c14cd3c77100c3110cc",
     ),
     "exact-mean": (
         ["exact", "mean", "--margins", "1,2:1,2", "--type", "2,2"],

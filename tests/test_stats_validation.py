@@ -57,6 +57,13 @@ def test_edge_lln_fields_and_determinism(bal2):
     assert sv.edge_lln(p, q, sizes=[100, 1600], reps=3, seed=11) == rep
 
 
+def test_edge_lln_refuses_a_graph_without_edges():
+    # half the nodes have no stubs and half two of each: two nodes of degree 0 wire no edge
+    p, q = load_params({"K": 2, "P": [[0.5, 0, 0], [0, 0, 0], [0, 0, 0.5]], "Q": "independent"})
+    with pytest.raises(DegenerateVariance, match=r"2 nodes from stream \[0, 2, 0\] has no edges"):
+        sv.edge_lln(p, q, [1, 2], reps=1, seed=0)
+
+
 def test_edge_lln_fans_out_once_over_the_reps(bal2, monkeypatch):
     # each rep draws its graph at every size, from the stream [seed, size, rep]
     p, q = bal2
@@ -235,8 +242,8 @@ def test_to_jsonable_round():
         n=1,
         reps=1,
         seed=0,
-        counts=(np.int64(2),),
-        mean=np.float64(2.0),
+        counts=(2,),
+        mean=2.0,
         variance=0.0,
         predicted=1.0,
         z_score=float("inf"),
@@ -249,4 +256,4 @@ def test_to_jsonable_round():
     assert out["mean"] == 2.0
     assert out["z_score"] == "inf"
     assert out["var_mean_ratio"] == "nan"
-    assert cli.to_jsonable({1: np.arange(2), (1, 2): "x"}) == {"1": [0, 1], "(1, 2)": "x"}
+    assert cli.to_jsonable({1: (0, 1), (1, 2): "x"}) == {"1": [0, 1], "(1, 2)": "x"}
