@@ -36,14 +36,17 @@ same rows.  Neither returns a dataclass, so neither loads dataclasses,
 whose import pulls in inspect.  Every layer a command needs is imported
 before it forks a replicate worker.
 
-The validation suites are one table, SUITES: a row holds a suite's run
-and its --n and --reps defaults, and each report builds its own TSV and
-summary line.  A numeric flag parses its text and reads the number by
-the rule the library reads the parameter with (errors.integral,
-errors.finite), so both reject the same values with the same message.
-The list flags (--sizes, --margins, --x, --type, --sequence, --types)
-share one grammar: entries separated by ',', pairs by ';' and the minus
-and plus halves by ':', each entry read by those same rules.
+The validation suites are one table, SUITES: a row holds a suite's run,
+its --n and --reps defaults and its table, the TSV header, TSV rows and
+summary line of its report.  A suite's report is a dict, which validate
+writes under "report" as it is; configs count writes the counter's dict
+with the configuration added.  No report is a dataclass.  A numeric
+flag parses its text and reads the number by the rule the library reads
+the parameter with (errors.integral, errors.finite), so both reject the
+same values with the same message.  The list flags (--sizes, --margins,
+--x, --type, --sequence, --types) share one grammar: entries separated
+by ',', pairs by ';' and the minus and plus halves by ':', each entry
+read by those same rules.
 """
 
 from __future__ import annotations
@@ -128,11 +131,7 @@ def _resolve_seed(flag_value):
 
 
 def to_jsonable(obj):
-    """Recursively convert a result to JSON-ready types: reports by their fields, NaN and infinities by repr."""
-    # a report exists only once dataclasses is loaded
-    dataclasses = sys.modules.get("dataclasses")
-    if dataclasses is not None and dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    """Recursively convert a result to JSON-ready types: tuples to lists, NaN and infinities by repr."""
     if isinstance(obj, dict):
         return {k if isinstance(k, str) else repr(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -323,30 +322,48 @@ def _cmd_configs(args, p, q, out) -> dict:
             "value": cfg.tree_config_prob(h, p, q),
         }
     report = cfg.count_in_samples(h, p, q, args.n, args.samples, args.seed, delta=args.delta)
-    return {
-        "configuration": cfg.config_to_dict(h),
-        "count": report.count,
-        "frequency": report.frequency,
-        "graphs_scanned": report.graphs_scanned,
-        "predicted": report.predicted,
-    }
+    return {"configuration": cfg.config_to_dict(h), **report}
 
 
-# suite name -> (its run on (stats_validation, p, q, args, n, reps), its --n default, its --reps default);
-# the LLN suites read --sizes, so their --n default is None.  --suite all runs them in this order.
+def _lln_table(r):
+    rows = list(zip(r["sizes"], r["max_deviations"], r["tv_distances"]))
+    return ("size", "max_deviation", "tv_distance"), rows, f"slope={r['slope']:.3f}"
+
+
+def _one_row(columns, summary):
+    """The table of a report with one TSV row, its values under columns, and the summary line summary(report)."""
+    return lambda r: (columns, [tuple(r[c] for c in columns)], summary(r))
+
+
+def _assortativity_table(r):
+    rows = list(enumerate(r["coefficients"]))  # an undefined coefficient, None, is written nan
+    mean = "nan" if r["mean_coefficient"] is None else f"{r['mean_coefficient']:.4f}"
+    return ("rep", "coefficient"), rows, f"mean={mean}"
+
+
+# suite name -> (its run on (stats_validation, p, q, args, n, reps), its --n default, its --reps default,
+# its table: the report's TSV header, TSV rows and summary line); the LLN suites read --sizes, so their
+# --n default is None.  --suite all runs them in this order.
 SUITES = {
-    "node-lln": (lambda sv, p, q, a, n, reps: sv.node_lln(p, a.sizes, reps, a.seed, a.delta), None, 5),
-    "edge-lln": (lambda sv, p, q, a, n, reps: sv.edge_lln(p, q, a.sizes, reps, a.seed, a.delta), None, 5),
+    "node-lln": (lambda sv, p, q, a, n, reps: sv.node_lln(p, a.sizes, reps, a.seed, a.delta), None, 5, _lln_table),
+    "edge-lln": (lambda sv, p, q, a, n, reps: sv.edge_lln(p, q, a.sizes, reps, a.seed, a.delta), None, 5, _lln_table),
     "first-edges": (
         lambda sv, p, q, a, n, reps: sv.first_edges_distribution(p, q, n, a.length, reps, a.seed, a.delta),
         10000,
         2000,
+        _one_row(("n", "chi_square", "p_value", "mutual_information"), lambda r: f"p={r['p_value']:.4f}"),
     ),
-    "self-loops": (lambda sv, p, q, a, n, reps: sv.self_loop_poisson(p, q, n, reps, a.seed, a.delta), 2000, 200),
+    "self-loops": (
+        lambda sv, p, q, a, n, reps: sv.self_loop_poisson(p, q, n, reps, a.seed, a.delta),
+        2000,
+        200,
+        _one_row(("n", "mean", "predicted", "var_mean_ratio", "z_score"), lambda r: f"mean={r['mean']:.4f}"),
+    ),
     "assortativity": (
         lambda sv, p, q, a, n, reps: sv.assortativity_replicates(p, q, n, reps, a.seed, a.delta),
         10000,
         20,
+        _assortativity_table,
     ),
 }
 
@@ -354,7 +371,7 @@ SUITES = {
 def _run_suite(suite, p, q, args):
     from . import stats_validation
 
-    run, n, reps = SUITES[suite]
+    run, n, reps, _ = SUITES[suite]
     return run(stats_validation, p, q, args, n if args.n is None else args.n, reps if args.reps is None else args.reps)
 
 
@@ -367,7 +384,7 @@ def _cmd_validate(args, p, q, out) -> None:
     _write_json(out / "meta.json", {**_run_echo(args), "params": params_dict(p, q), "suites": suites})
     for suite, rep in reports:
         stem = "validate_" + suite.replace("-", "_")
-        header, rows, summary = rep.table()
+        header, rows, summary = SUITES[suite][3](rep)
         _write_json(out / f"{stem}.json", {"report": rep, "suite": suite})
         _write_tsv(out / f"{stem}.tsv", header, rows)
         print(f"{suite}: {summary} -> {out / (stem + '.json')}")

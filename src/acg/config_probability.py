@@ -284,24 +284,16 @@ def _extend(steps, nodes, edges):
     return _extend(steps, nodes, np.vstack([edges[:, row], eid[keep]]))
 
 
-@dataclass(frozen=True)
-class ConfigCountReport:
-    """Empirical occurrence summary of one configuration."""
-
-    configuration: ConfigurationTree
-    count: int
-    graphs_scanned: int
-    frequency: float
-    predicted: float | None
-
-
-def count_in_graphs(graphs, h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> ConfigCountReport:
+def count_in_graphs(graphs, h: ConfigurationTree, p: NodeTypeDist, q: EdgeTypeDist) -> dict:
     """Total and per-graph occurrence count of h, streamed over any one-pass iterable of graphs.
 
-    h is checked before the first graph is taken, its node types against
-    P's degree range included, so a generator that samples graphs draws
-    none for a configuration the counter rejects.  Each graph is counted
-    and dropped before the next is taken.
+    The report is a dict: count, graphs_scanned, frequency (count per
+    graph, 0.0 over no graph) and predicted (tree_config_prob of a tree
+    with an edge and every node type given, else None).  h is checked
+    before the first graph is taken, its node types against P's degree
+    range included, so a generator that samples graphs draws none for a
+    configuration the counter rejects.  Each graph is counted and
+    dropped before the next is taken.
     """
     _types_in_range(_countable_types(h), p.K)
     return _count_report(h, p, q, [count_config_occurrences(g, h) for g in graphs])
@@ -315,7 +307,7 @@ def count_in_samples(
     samples: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-) -> ConfigCountReport:
+) -> dict:
     """count_in_graphs over `samples` graphs of n nodes, the i-th drawn by generate_graph at seed [seed, i].
 
     h is checked before any graph is drawn.  The samples are spread over
@@ -333,15 +325,14 @@ def count_in_samples(
     return _count_report(h, p, q, fan_out(count_sample, range(samples)))
 
 
-def _count_report(h, p, q, counts) -> ConfigCountReport:
+def _count_report(h, p, q, counts) -> dict:
     predicted = None
     if h.is_tree and h.n_edges and None not in h.node_types():
         predicted = tree_config_prob(h, p, q)
     count, scanned = sum(counts), len(counts)
-    return ConfigCountReport(
-        configuration=h,
-        count=count,
-        graphs_scanned=scanned,
-        frequency=count / scanned if scanned else 0.0,
-        predicted=predicted,
-    )
+    return {
+        "count": count,
+        "graphs_scanned": scanned,
+        "frequency": count / scanned if scanned else 0.0,
+        "predicted": predicted,
+    }

@@ -30,8 +30,10 @@ writes the same bytes.
 Randomness comes from numpy Generators made by default_rng(seed).  Callers
 that draw many graphs from one base seed give each its own stream by passing
 a list: [seed, index] for the index-th graph of `acg generate --samples`,
-`acg configs count` and the self-loop and assortativity suites, and
-[seed, size, rep] for the edge-LLN suite.
+`acg configs count` and the self-loop and assortativity suites, [seed, rep]
+for the rep-th node sequence and first edges of the first-edges suite,
+[seed, size] for every node sequence of one size of the node-LLN suite,
+and [seed, size, rep] for the edge-LLN suite.
 """
 
 from __future__ import annotations
@@ -569,8 +571,10 @@ def read_sample(sample_dir) -> MultiGraph:
     row ids other than 0, 1, 2, ... in order, or has an edge whose
     endpoint is not a node, whose k or j is not its source's out-degree
     or its target's in-degree, or whose self_loop is not 1 exactly when
-    src equals dst; and unless each node is the source of as many edges
-    as its out-degree and the target of as many as its in-degree.
+    src equals dst; unless each node is the source of as many edges
+    as its out-degree and the target of as many as its in-degree; and
+    unless meta.json, where there is one, holds a JSON object whose
+    n_nodes and n_edges, where given, are the counts of the two files.
     """
     directory = Path(sample_dir)
     in_degrees, out_degrees = _read_columns(directory / "nodes.csv", *_NODES_CSV)
@@ -595,6 +599,11 @@ def read_sample(sample_dir) -> MultiGraph:
             raise MalformedSample(f"edges.tsv: node {node} is the {role} of {counts[node]} edges, not {degrees[node]}")
     meta_path = directory / "meta.json"
     meta = load_json(meta_path, MalformedSample) if meta_path.exists() else {}
+    if not isinstance(meta, dict):
+        raise MalformedSample(f"{meta_path} does not hold a JSON object")
+    for key, count in (("n_nodes", n), ("n_edges", len(src))):
+        if key in meta and meta[key] != count:
+            raise MalformedSample(f"{meta_path}: {key} is {meta[key]!r}, but the sample has {count}")
     return MultiGraph(in_degrees, out_degrees, src, dst, k, j, meta=meta)
 
 

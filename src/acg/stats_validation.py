@@ -8,6 +8,11 @@ self-loop counts against the predicted rate, and the degree correlation
 across edges.  Deviations shrink like N^(-1/2), so log-log slope fits
 sit near -1/2.
 
+Each suite returns its report as a dict, with tuples for the values per
+size or per rep: the dict that acg validate writes as JSON under
+"report".  Its TSV and summary line are laid out by the suite's row of
+cli.SUITES.
+
 Every suite but node-LLN seeds each replicate's stream from its index
 and runs its replicates in one _fanout.fan_out call, which spreads them
 over the usable CPUs with the serial loop's results; node-LLN draws all
@@ -17,7 +22,6 @@ reps of a size from one stream, so it runs them in order.
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,90 +31,6 @@ from .errors import DegenerateVariance, InvalidDistribution, integral
 from .sampler import DEFAULT_DELTA, accept_sequence, first_edge_types, generate_graph
 
 SLOPE_WINDOW = (-0.65, -0.35)
-
-
-@dataclass(frozen=True)
-class LLNReport:
-    """Per-size deviation summary of empirical type frequencies.
-
-    slope is the least-squares slope of log max_deviation on log size, and
-    slope_ok whether it lies in slope_window.  A slope needs two sizes and a
-    positive deviation at each, as a deviation of 0 has no log: otherwise
-    slope is NaN, an undefined statistic rather than a failed fit, and
-    slope_ok is False.
-    """
-
-    kind: str
-    sizes: tuple
-    max_deviations: tuple
-    tv_distances: tuple
-    slope: float
-    slope_window: tuple
-    slope_ok: bool
-    acceptance_rates: tuple | None
-    reps: int
-    seed: int
-
-    def table(self):
-        """The TSV header, TSV rows and summary line of this report in acg validate; every report has one."""
-        rows = list(zip(self.sizes, self.max_deviations, self.tv_distances))
-        return ("size", "max_deviation", "tv_distance"), rows, f"slope={self.slope:.3f}"
-
-
-@dataclass(frozen=True)
-class FirstEdgesReport:
-    """First-L wired edge types compared with the product measure."""
-
-    n: int
-    length: int
-    reps: int
-    seed: int
-    counts: dict
-    chi_square: float
-    p_value: float
-    dof: int
-    off_support: int
-    mutual_information: float | None
-
-    def table(self):
-        rows = [(self.n, self.chi_square, self.p_value, self.mutual_information)]
-        return ("n", "chi_square", "p_value", "mutual_information"), rows, f"p={self.p_value:.4f}"
-
-
-@dataclass(frozen=True)
-class AssortativityReport:
-    """Degree correlation across edges, one coefficient per graph."""
-
-    n: int
-    reps: int
-    seed: int
-    coefficients: tuple
-    mean_coefficient: float | None
-
-    def table(self):
-        rows = list(enumerate(self.coefficients))  # an undefined coefficient, None, is written nan
-        mean = "nan" if self.mean_coefficient is None else f"{self.mean_coefficient:.4f}"
-        return ("rep", "coefficient"), rows, f"mean={mean}"
-
-
-@dataclass(frozen=True)
-class SelfLoopReport:
-    """Self-loop counts over repeated graphs vs the predicted rate."""
-
-    n: int
-    reps: int
-    seed: int
-    counts: tuple
-    mean: float
-    variance: float
-    predicted: float
-    z_score: float
-    var_mean_ratio: float
-    mean_within_4se: bool
-
-    def table(self):
-        rows = [(self.n, self.mean, self.predicted, self.var_mean_ratio, self.z_score)]
-        return ("n", "mean", "predicted", "var_mean_ratio", "z_score"), rows, f"mean={self.mean:.4f}"
 
 
 def _fit_slope(sizes, deviations) -> float:
@@ -136,23 +56,30 @@ def _sizes(sizes) -> list:
     return sizes
 
 
-def _lln_report(kind, sizes, diffs, reps, seed, acceptance_rates=None) -> LLNReport:
-    """Summarize |empirical - target| tables; diffs[i] holds one per rep at sizes[i]."""
+def _lln_report(kind, sizes, diffs, reps, seed, acceptance_rates=None) -> dict:
+    """Per-size deviation summary of |empirical - target| tables; diffs[i] holds one per rep at sizes[i].
+
+    slope is the least-squares slope of log max_deviation on log size, and
+    slope_ok whether it lies in slope_window.  A slope needs two sizes and a
+    positive deviation at each, as a deviation of 0 has no log: otherwise
+    slope is NaN, an undefined statistic rather than a failed fit, and
+    slope_ok is False.
+    """
     devs = [float(np.mean([d.max() for d in at_size])) for at_size in diffs]
     tvs = [float(np.mean([0.5 * d.sum() for d in at_size])) for at_size in diffs]
     slope = _fit_slope(sizes, devs)
-    return LLNReport(
-        kind=kind,
-        sizes=tuple(sizes),
-        max_deviations=tuple(devs),
-        tv_distances=tuple(tvs),
-        slope=slope,
-        slope_window=SLOPE_WINDOW,
-        slope_ok=bool(SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]),
-        acceptance_rates=acceptance_rates,
-        reps=reps,
-        seed=seed,
-    )
+    return {
+        "kind": kind,
+        "sizes": tuple(sizes),
+        "max_deviations": tuple(devs),
+        "tv_distances": tuple(tvs),
+        "slope": slope,
+        "slope_window": SLOPE_WINDOW,
+        "slope_ok": bool(SLOPE_WINDOW[0] <= slope <= SLOPE_WINDOW[1]),
+        "acceptance_rates": acceptance_rates,
+        "reps": reps,
+        "seed": seed,
+    }
 
 
 def node_lln(
@@ -161,7 +88,7 @@ def node_lln(
     reps: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-) -> LLNReport:
+) -> dict:
     """Deviation of clipped node-type frequencies from P at each size.
 
     Also reports the fraction of raw draws whose stub discrepancy passed
@@ -194,7 +121,7 @@ def edge_lln(
     reps: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-) -> LLNReport:
+) -> dict:
     """Deviation of sampled edge-type frequencies from Q at each size.
 
     Rep r draws one graph at every size, the one of n nodes from the
@@ -239,7 +166,7 @@ def first_edges_distribution(
     reps: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-) -> FirstEdgesReport:
+) -> dict:
     """Joint law of the first `length` wired edge types vs product of Q.
 
     Chi-square compares the empirical counts with reps * prod Q over the
@@ -275,18 +202,18 @@ def first_edges_distribution(
     chi2 = ((observed - expected) ** 2 / expected).sum()
     p_value = _chi2_sf(chi2, len(cells) - 1)
     mi = _mutual_information(drawn, reps) if length >= 2 else None
-    return FirstEdgesReport(
-        n=n,
-        length=length,
-        reps=reps,
-        seed=seed,
-        counts=counts,
-        chi_square=float(chi2),
-        p_value=float(p_value),
-        dof=len(cells) - 1,
-        off_support=reps - int(observed.sum()),  # 0: first_edge_types picks only types where Q > 0
-        mutual_information=mi,
-    )
+    return {
+        "n": n,
+        "length": length,
+        "reps": reps,
+        "seed": seed,
+        "counts": counts,
+        "chi_square": float(chi2),
+        "p_value": float(p_value),
+        "dof": len(cells) - 1,
+        "off_support": reps - int(observed.sum()),  # 0: first_edge_types picks only types where Q > 0
+        "mutual_information": mi,
+    }
 
 
 def _chi2_sf(x, dof):
@@ -317,7 +244,7 @@ def self_loop_poisson(
     reps: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-) -> SelfLoopReport:
+) -> dict:
     """Self-loop count statistics over repeated graphs.
 
     The mean is flagged against the predicted rate at 4 standard errors
@@ -345,18 +272,18 @@ def self_loop_poisson(
         z = 0.0
     else:
         z = math.copysign(float("inf"), mean - predicted)
-    return SelfLoopReport(
-        n=n,
-        reps=reps,
-        seed=seed,
-        counts=tuple(counts),
-        mean=mean,
-        variance=variance,
-        predicted=predicted,
-        z_score=float(z),
-        var_mean_ratio=variance / mean if mean > 0 else float("nan"),
-        mean_within_4se=bool(abs(z) <= 4),
-    )
+    return {
+        "n": n,
+        "reps": reps,
+        "seed": seed,
+        "counts": tuple(counts),
+        "mean": mean,
+        "variance": variance,
+        "predicted": predicted,
+        "z_score": float(z),
+        "var_mean_ratio": variance / mean if mean > 0 else float("nan"),
+        "mean_within_4se": bool(abs(z) <= 4),
+    }
 
 
 def assortativity_coefficient(g) -> float:
@@ -377,7 +304,7 @@ def assortativity_replicates(
     reps: int,
     seed: int,
     delta: float = DEFAULT_DELTA,
-) -> AssortativityReport:
+) -> dict:
     """assortativity_coefficient of `reps` graphs, the r-th drawn from the stream [seed, r].
 
     A graph whose coefficient is undefined gives None, and the mean is
@@ -396,10 +323,10 @@ def assortativity_replicates(
 
     coeffs = fan_out(coefficient, range(reps))
     usable = [c for c in coeffs if c is not None]
-    return AssortativityReport(
-        n=n,
-        reps=reps,
-        seed=seed,
-        coefficients=tuple(coeffs),
-        mean_coefficient=float(np.mean(usable)) if usable else None,
-    )
+    return {
+        "n": n,
+        "reps": reps,
+        "seed": seed,
+        "coefficients": tuple(coeffs),
+        "mean_coefficient": float(np.mean(usable)) if usable else None,
+    }

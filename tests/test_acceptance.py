@@ -217,9 +217,9 @@ def test_criterion_07_type_frequency_concentration(bal2):
         sizes = [1000, 10000, 100000]
         node = sv.node_lln(p, sizes, reps=5, seed=701)
         edge = sv.edge_lln(p, q, sizes, reps=5, seed=702)
-        assert -0.65 <= node.slope <= -0.35
-        assert -0.65 <= edge.slope <= -0.35
-        assert edge.max_deviations[-1] <= 5 / math.sqrt(1.5 * sizes[-1])
+        assert -0.65 <= node["slope"] <= -0.35
+        assert -0.65 <= edge["slope"] <= -0.35
+        assert edge["max_deviations"][-1] <= 5 / math.sqrt(1.5 * sizes[-1])
         assert time.monotonic() - start < 300.0
 
 
@@ -246,11 +246,11 @@ def test_criterion_09_self_loop_poisson(bal2, disas):
             ("disassortative", disas, 2),
         ):
             rep = sv.self_loop_poisson(p, q, n=2000, reps=200, seed=909)
-            assert rep.predicted == pytest.approx(lam, abs=1e-12)
-            assert 0.7 <= rep.var_mean_ratio <= 1.3
+            assert rep["predicted"] == pytest.approx(lam, abs=1e-12)
+            assert 0.7 <= rep["var_mean_ratio"] <= 1.3
             reports[label] = rep
-        assert all(r.mean_within_4se for r in reports.values()), {
-            label: {"mean": r.mean, "target": r.predicted, "z": round(r.z_score, 2)}
+        assert all(r["mean_within_4se"] for r in reports.values()), {
+            label: {"mean": r["mean"], "target": r["predicted"], "z": round(r["z_score"], 2)}
             for label, r in reports.items()
         }
 
@@ -271,7 +271,7 @@ def _endpoint_fractions(p, q, base_seed, n_graphs):
 
 def _count_ratio(h, samples, p, q):
     """Mean count of h per graph at the larger of two sizes over that at the smaller."""
-    small, large = (cfg.count_in_graphs(samples[n], h, p, q).frequency for n in sorted(samples))
+    small, large = (cfg.count_in_graphs(samples[n], h, p, q)["frequency"] for n in sorted(samples))
     return large / small
 
 

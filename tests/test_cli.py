@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from acg import asymptotics, cli, config_probability, exact_kernel, sampler
+from acg import stats_validation as sv
 from acg.degree_model import load_params
 from acg.errors import AcgError
 
@@ -307,6 +309,42 @@ def test_validate_all_is_each_suite_alone_in_table_order(bal2_file, tmp_path, ca
         stem = "validate_" + suite.replace("-", "_")
         for name in (f"{stem}.json", f"{stem}.tsv"):
             assert (tmp_path / suite / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+
+def _documented_tsv_columns():
+    """Suite -> TSV columns, as the `acg validate` section of docs/outputs.md lists them."""
+    text = (Path(__file__).parents[1] / "docs" / "outputs.md").read_text()
+    section = " ".join(text.split("## acg validate", 1)[1].split())
+    columns = {}
+    for names, header in re.findall(r"- ((?:`[\w-]+`(?: / )?)+): TSV (?:columns )?`([^`]+)`", section):
+        for suite in re.findall(r"`([\w-]+)`", names):
+            columns[suite] = header.split()
+    return columns
+
+
+def test_validate_writes_the_documented_columns_and_the_library_report(bal2, bal2_file, tmp_path, capsys):
+    run_ok(
+        [
+            "validate", "--suite", "all", "--params", bal2_file, "--sizes", "50,100", "--reps", "4",
+            "--n", "60", "--seed", "2", "--out-dir", str(tmp_path),
+        ],
+        capsys,
+    )
+    p, q = bal2
+    library = {
+        "node-lln": sv.node_lln(p, [50, 100], 4, 2),
+        "edge-lln": sv.edge_lln(p, q, [50, 100], 4, 2),
+        "first-edges": sv.first_edges_distribution(p, q, 60, 1, 4, 2),
+        "self-loops": sv.self_loop_poisson(p, q, 60, 4, 2),
+        "assortativity": sv.assortativity_replicates(p, q, 60, 4, 2),
+    }
+    documented = _documented_tsv_columns()
+    assert sorted(documented) == sorted(cli.SUITES) == sorted(library)
+    for suite, report in library.items():
+        stem = "validate_" + suite.replace("-", "_")
+        header = (tmp_path / f"{stem}.tsv").read_text().splitlines()[0]
+        assert header.split("\t") == documented[suite]
+        assert read_json(tmp_path / f"{stem}.json")["report"] == cli.to_jsonable(report)
 
 
 def test_exit_codes(bal2_file, tmp_path, capsys):

@@ -67,11 +67,11 @@ def _clip_100(delta):
     return acg.clip_sequence(x, 2, delta=delta, rng=np.random.default_rng(0))
 
 
-def _read_spoiled_sample(name, data):
-    """read_sample of a written bal2 sample after appending data to its file name."""
+def _read_spoiled_sample(name, data, mode="ab"):
+    """read_sample of a written bal2 sample after writing data to its file name, appended unless mode is "wb"."""
     with tempfile.TemporaryDirectory() as d:
         sampler.write_sample(_graph(20), d)
-        with open(os.path.join(d, name), "ab") as fh:
+        with open(os.path.join(d, name), mode) as fh:
             fh.write(data)
         return sampler.read_sample(d)
 
@@ -197,6 +197,13 @@ CASES = {
     "read_sample-meta-not-json": (lambda: _read_spoiled_sample("meta.json", b"}"), True),
     "read_sample-nodes-not-utf8": (lambda: _read_spoiled_sample("nodes.csv", b"\xff"), True),
     "read_sample-edges-not-utf8": (lambda: _read_spoiled_sample("edges.tsv", b"\xff"), True),
+    # a meta.json that is not an object, or whose counts contradict the files, once read back as the graph's meta
+    "read_sample-meta-list": (lambda: _read_spoiled_sample("meta.json", b"[1, 2]", "wb"), False),
+    "read_sample-meta-string": (lambda: _read_spoiled_sample("meta.json", b'"x"', "wb"), False),
+    "read_sample-meta-wrong-counts": (
+        lambda: _read_spoiled_sample("meta.json", b'{"n_edges": 5, "n_nodes": 7}', "wb"),
+        False,
+    ),
 }
 
 

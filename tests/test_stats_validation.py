@@ -19,13 +19,13 @@ SINGLE_TYPE = {
 def test_node_lln_fields_and_determinism(bal2):
     p, q = bal2
     rep = sv.node_lln(p, sizes=[100, 400], reps=3, seed=7)
-    assert rep.kind == "node"
-    assert rep.sizes == (100, 400)
-    assert len(rep.max_deviations) == 2
-    assert len(rep.acceptance_rates) == 2
-    assert all(0 < r <= 1 for r in rep.acceptance_rates)
-    assert rep.max_deviations[1] < rep.max_deviations[0]
-    assert all(0 <= tv <= 1 for tv in rep.tv_distances)
+    assert rep["kind"] == "node"
+    assert rep["sizes"] == (100, 400)
+    assert len(rep["max_deviations"]) == 2
+    assert len(rep["acceptance_rates"]) == 2
+    assert all(0 < r <= 1 for r in rep["acceptance_rates"])
+    assert rep["max_deviations"][1] < rep["max_deviations"][0]
+    assert all(0 <= tv <= 1 for tv in rep["tv_distances"])
     again = sv.node_lln(p, sizes=[100, 400], reps=3, seed=7)
     assert again == rep
 
@@ -33,27 +33,27 @@ def test_node_lln_fields_and_determinism(bal2):
 def test_node_lln_degenerate_law_has_zero_deviation():
     p, q = load_params(SINGLE_TYPE)
     rep = sv.node_lln(p, sizes=[50], reps=2, seed=1)
-    assert rep.max_deviations[0] == pytest.approx(0.0, abs=1e-12)
-    assert rep.acceptance_rates[0] == 1.0
+    assert rep["max_deviations"][0] == pytest.approx(0.0, abs=1e-12)
+    assert rep["acceptance_rates"][0] == 1.0
     # one size gives no slope: an undefined statistic, which is never within its window
-    assert math.isnan(rep.slope) and not rep.slope_ok
+    assert math.isnan(rep["slope"]) and not rep["slope_ok"]
 
 
 def test_node_lln_counts_types_exactly_on_a_one_type_law():
     # each frequency is an integer count divided once by the size, so it equals P's cell
     p, q = load_params(SINGLE_TYPE)
     rep = sv.node_lln(p, sizes=[50, 100], reps=2, seed=1)
-    assert rep.max_deviations == (0.0, 0.0)
-    assert rep.tv_distances == (0.0, 0.0)
-    assert math.isnan(rep.slope) and not rep.slope_ok
+    assert rep["max_deviations"] == (0.0, 0.0)
+    assert rep["tv_distances"] == (0.0, 0.0)
+    assert math.isnan(rep["slope"]) and not rep["slope_ok"]
 
 
 def test_edge_lln_fields_and_determinism(bal2):
     p, q = bal2
     rep = sv.edge_lln(p, q, sizes=[100, 1600], reps=3, seed=11)
-    assert rep.kind == "edge"
-    assert rep.acceptance_rates is None
-    assert rep.max_deviations[1] < rep.max_deviations[0]
+    assert rep["kind"] == "edge"
+    assert rep["acceptance_rates"] is None
+    assert rep["max_deviations"][1] < rep["max_deviations"][0]
     assert sv.edge_lln(p, q, sizes=[100, 1600], reps=3, seed=11) == rep
 
 
@@ -78,40 +78,40 @@ def test_edge_lln_fans_out_once_over_the_reps(bal2, monkeypatch):
     rep = sv.edge_lln(p, q, sizes=[100, 200, 400], reps=3, seed=11)
     assert calls == [[0, 1, 2]]
     width = q.K + 1
-    for i, size in enumerate(rep.sizes):
+    for i, size in enumerate(rep["sizes"]):
         devs = []
         for r in range(3):
             g = generate_graph(p, q, size, seed=[11, size, r])
             table = np.bincount(g.edge_out_type * width + g.edge_in_type, minlength=width * width)
             devs.append(np.abs(table.reshape(width, width) / g.n_edges - q.matrix).max())
-        assert rep.max_deviations[i] == float(np.mean(devs))
+        assert rep["max_deviations"][i] == float(np.mean(devs))
 
 
 def test_lln_slope_over_three_decades(bal2):
     p, q = bal2
     rep = sv.node_lln(p, sizes=[100, 1000, 10000], reps=3, seed=3)
     # sqrt(n) concentration: log-log slope near -1/2
-    assert -0.7 < rep.slope < -0.3
-    assert rep.slope_window == (-0.65, -0.35)
+    assert -0.7 < rep["slope"] < -0.3
+    assert rep["slope_window"] == (-0.65, -0.35)
 
 
 def test_first_edges_matches_product_measure(bal2):
     p, q = bal2
     rep = sv.first_edges_distribution(p, q, n=500, length=2, reps=400, seed=19)
-    assert rep.off_support == 0
-    assert sum(rep.counts.values()) == 400
-    assert rep.dof == 15
-    assert rep.p_value > 0.001
-    assert abs(rep.mutual_information) < 0.05
+    assert rep["off_support"] == 0
+    assert sum(rep["counts"].values()) == 400
+    assert rep["dof"] == 15
+    assert rep["p_value"] > 0.001
+    assert abs(rep["mutual_information"]) < 0.05
 
 
 def test_first_edges_single_cell():
     p, q = load_params(SINGLE_TYPE)
     rep = sv.first_edges_distribution(p, q, n=60, length=1, reps=50, seed=2)
-    assert rep.chi_square == 0.0
-    assert rep.p_value == 1.0
-    assert rep.mutual_information is None
-    assert rep.counts == {(((1, 1)),): 50}
+    assert rep["chi_square"] == 0.0
+    assert rep["p_value"] == 1.0
+    assert rep["mutual_information"] is None
+    assert rep["counts"] == {(((1, 1)),): 50}
 
 
 def test_chi2_sf_matches_mpmath():
@@ -165,11 +165,11 @@ def test_first_edges_needs_a_rep_per_cell(bal2):
 def test_self_loop_report(bal2):
     p, q = bal2
     rep = sv.self_loop_poisson(p, q, n=400, reps=200, seed=23)
-    assert len(rep.counts) == 200
-    assert rep.mean == pytest.approx(np.mean(rep.counts))
-    assert rep.predicted == pytest.approx(self_loop_rate(p, q))
-    assert 0.6 < rep.var_mean_ratio < 1.4
-    assert math.isfinite(rep.z_score)
+    assert len(rep["counts"]) == 200
+    assert rep["mean"] == pytest.approx(np.mean(rep["counts"]))
+    assert rep["predicted"] == pytest.approx(self_loop_rate(p, q))
+    assert 0.6 < rep["var_mean_ratio"] < 1.4
+    assert math.isfinite(rep["z_score"])
     assert sv.self_loop_poisson(p, q, n=400, reps=200, seed=23) == rep
 
 
@@ -210,8 +210,8 @@ def test_self_loop_counts_without_spread():
     # every count is the predicted 1: no standard error, yet the mean sits on the prediction
     p, q = load_params(ONE_SELF_LOOP)
     rep = sv.self_loop_poisson(p, q, n=1, reps=3, seed=1)
-    assert rep.counts == (1, 1, 1)
-    assert (rep.z_score, rep.var_mean_ratio, rep.mean_within_4se) == (0.0, 0.0, True)
+    assert rep["counts"] == (1, 1, 1)
+    assert (rep["z_score"], rep["var_mean_ratio"], rep["mean_within_4se"]) == (0.0, 0.0, True)
 
 
 def test_one_edge_has_no_assortativity():
@@ -221,7 +221,7 @@ def test_one_edge_has_no_assortativity():
     with pytest.raises(DegenerateVariance, match="at least two edges"):
         sv.assortativity_coefficient(g)
     report = sv.assortativity_replicates(p, q, n=1, reps=2, seed=1)
-    assert (report.coefficients, report.mean_coefficient) == ((None, None), None)
+    assert (report["coefficients"], report["mean_coefficient"]) == ((None, None), None)
 
 
 def _degenerate_assortativity(monkeypatch):
@@ -234,22 +234,22 @@ def _degenerate_assortativity(monkeypatch):
 @pytest.mark.parametrize("case", [_degenerate_assortativity], ids=lambda f: f.__name__[1:])
 def test_undefined_statistics_are_reported_not_raised(case, monkeypatch):
     report, want = case(monkeypatch)
-    assert {name: getattr(report, name) for name in want} == want
+    assert {name: report[name] for name in want} == want
 
 
 def test_to_jsonable_round():
-    rep = sv.SelfLoopReport(
-        n=1,
-        reps=1,
-        seed=0,
-        counts=(2,),
-        mean=2.0,
-        variance=0.0,
-        predicted=1.0,
-        z_score=float("inf"),
-        var_mean_ratio=float("nan"),
-        mean_within_4se=False,
-    )
+    rep = {
+        "n": 1,
+        "reps": 1,
+        "seed": 0,
+        "counts": (2,),
+        "mean": 2.0,
+        "variance": 0.0,
+        "predicted": 1.0,
+        "z_score": float("inf"),
+        "var_mean_ratio": float("nan"),
+        "mean_within_4se": False,
+    }
     out = cli.to_jsonable(rep)
     assert out["counts"] == [2]
     assert isinstance(out["counts"][0], int)
